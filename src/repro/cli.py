@@ -49,7 +49,10 @@ through the :mod:`repro.io` boundary.  A corrupt, truncated, or
 mis-typed artifact produces a single ``error: <path>: …`` line on
 stderr and exit code **4** (never a traceback); malformed *usage* (a
 well-formed ``--counts`` that is not an object, ``--counts`` without
-``--exposure``) keeps the conventional exit code 2.
+``--exposure``) keeps the conventional exit code 2.  Out-of-range
+numeric flags of the paper workflows (``--exposure 0``, ``--confidence
+1.5``, a negative count, ``--hours nan``, ``--workers 0``) are typed
+errors too — exit 4, never the exit 1 of a violated goal.
 
 The module is import-safe (no work at import time) and `main` takes an
 argv list, so tests drive it directly.
@@ -438,8 +441,40 @@ def _parse_counts(text: str) -> Optional[Dict[str, int]]:
             raise ArtifactValidationError(
                 f"count for {key!r} must be an integer, got {value!r}",
                 source="--counts", field=str(key))
+        if value < 0:
+            raise ArtifactValidationError(
+                f"count for {key!r} must be >= 0, got {value}",
+                source="--counts", field=str(key))
         counts[str(key)] = int(value)
     return counts
+
+
+def _positive_finite(value: float) -> bool:
+    return value > 0 and math.isfinite(value)
+
+
+#: attribute -> (flag, requirement, test) for numeric flags, checked
+#: before any command runs: a nonsense value is a typed error (exit 4),
+#: not a traceback with exit 1, the code ``verify`` and ``review``
+#: reserve for a violated goal.
+_NUMERIC_FLAGS = {
+    "exposure": ("--exposure", "positive and finite", _positive_finite),
+    "confidence": ("--confidence", "in (0, 1)", lambda v: 0 < v < 1),
+    "hours": ("--hours", "positive and finite", _positive_finite),
+    "chunk_hours": ("--chunk-hours", "positive and finite",
+                    _positive_finite),
+    "workers": ("--workers", ">= 1", lambda v: v >= 1),
+    "improvement": ("--improvement", ">= 1 and finite",
+                    lambda v: 1 <= v < math.inf),
+    "scale": ("--scale", "positive and finite", _positive_finite),
+}
+
+
+def _check_numeric_flags(args: argparse.Namespace) -> None:
+    for attribute, (flag, requirement, valid) in _NUMERIC_FLAGS.items():
+        value = getattr(args, attribute, None)
+        if value is not None and not valid(value):
+            raise ReproError(f"{flag} must be {requirement}, got {value:g}")
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
@@ -1084,6 +1119,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_numeric_flags(args)
         return _COMMANDS[args.command](args)
     except ReproError as exc:
         # The typed artifact-error taxonomy (DESIGN §10): corrupt,

@@ -33,7 +33,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .ethics import EthicalConstraint
 from .incident import IncidentType
@@ -446,6 +445,10 @@ def allocate_lp(norm: QuantitativeRiskNorm,
         var_bounds = [(0.0, None)] * n + [(0.0, None)]
     else:
         raise AllocationError(f"unknown LP objective {objective!r}")
+
+    # Imported here, not at module level: scipy.optimize costs ≈0.5 s to
+    # import, and most commands never solve an LP (DESIGN §16).
+    from scipy.optimize import linprog
 
     result = linprog(cost, A_ub=A_ub, b_ub=b_ub, bounds=var_bounds,
                      method="highs")

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.optimize import minimize
 
 from ..core.severity import UnifiedSeverity
 from ..core.taxonomy import ActorClass
@@ -88,6 +87,8 @@ def fit_exceedance_curve(speeds: Sequence[float],
     start_mid = (initial_midpoint if initial_midpoint is not None
                  else float(np.median(speed_arr)))
     start = np.array([start_mid, math.log(max(np.std(speed_arr), 1.0))])
+    from scipy.optimize import minimize  # ≈0.5 s import (DESIGN §16)
+
     result = minimize(_negative_log_likelihood, start,
                       args=(speed_arr, outcome_arr), method="L-BFGS-B")
     if not result.success:  # pragma: no cover - optimizer rarely fails here

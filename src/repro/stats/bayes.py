@@ -21,7 +21,10 @@ Gamma-Poisson machinery here does the combination:
   required probability below the budget?
 
 All numbers remain auditable: a posterior is just (α, β), i.e. "events
-seen over exposure credited".
+seen over exposure credited".  The Gamma quantile and CDF are written as
+``scipy.stats.gamma`` evaluates them — ``gammaincinv(α, q) · s`` and
+``gammainc(α, x / s)`` with scale ``s = 1/β`` — so results match it bit
+for bit without importing ``scipy.stats`` (DESIGN §16).
 """
 
 from __future__ import annotations
@@ -29,8 +32,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
-
-from scipy import stats as _st
 
 __all__ = ["GammaRatePrior", "JEFFREYS", "prior_from_simulation",
            "field_exposure_to_demonstrate"]
@@ -56,13 +57,18 @@ class GammaRatePrior:
             return math.inf
         return self.alpha / self.beta
 
+    def _quantile(self, q: float) -> float:
+        from scipy.special import gammaincinv
+
+        # Times the scale 1/β, not divided by β: scipy.stats' rounding.
+        return float(gammaincinv(self.alpha, q) * (1.0 / self.beta))
+
     def credible_upper(self, confidence: float = 0.95) -> float:
         """Upper credible bound: P(λ ≤ bound) = confidence."""
         _check_confidence(confidence)
         if self.beta == 0:
             return math.inf
-        return float(_st.gamma.ppf(confidence, self.alpha,
-                                   scale=1.0 / self.beta))
+        return self._quantile(confidence)
 
     def credible_interval(self, confidence: float = 0.95,
                           ) -> Tuple[float, float]:
@@ -71,11 +77,7 @@ class GammaRatePrior:
         if self.beta == 0:
             return (0.0, math.inf)
         tail = (1.0 - confidence) / 2.0
-        return (
-            float(_st.gamma.ppf(tail, self.alpha, scale=1.0 / self.beta)),
-            float(_st.gamma.ppf(1.0 - tail, self.alpha,
-                                scale=1.0 / self.beta)),
-        )
+        return (self._quantile(tail), self._quantile(1.0 - tail))
 
     def probability_below(self, budget_rate: float) -> float:
         """P(λ ≤ budget) under this belief — the demonstration statement."""
@@ -83,8 +85,10 @@ class GammaRatePrior:
             raise ValueError("budget rate must be positive")
         if self.beta == 0:
             return 0.0
-        return float(_st.gamma.cdf(budget_rate, self.alpha,
-                                   scale=1.0 / self.beta))
+        from scipy.special import gammainc
+
+        # Divided by the scale 1/β, not times β: scipy.stats' rounding.
+        return float(gammainc(self.alpha, budget_rate / (1.0 / self.beta)))
 
     def demonstrates(self, budget_rate: float,
                      confidence: float = 0.95) -> bool:

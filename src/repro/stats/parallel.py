@@ -182,6 +182,22 @@ def _chunk_seeds(seed: int, n_chunks: int) -> List[np.random.SeedSequence]:
     return list(np.random.SeedSequence(seed).spawn(n_chunks))
 
 
+def _new_pool(max_workers: int) -> ProcessPoolExecutor:
+    """A process pool whose workers share this process's resource tracker.
+
+    A worker that creates its first shared-memory segment after the fork
+    would otherwise start a ``resource_tracker`` interpreter of its own,
+    and segments registered there are invisible to the coordinator.
+    Starting the tracker here, before any worker forks, makes the whole
+    pool use one tracker, so a segment a worker ships stays registered
+    until the coordinator unlinks it (DESIGN §12).
+    """
+    from multiprocessing import resource_tracker
+
+    resource_tracker.ensure_running()
+    return ProcessPoolExecutor(max_workers=max_workers)
+
+
 def _kill_pool(pool: ProcessPoolExecutor) -> None:
     """Forcibly tear down a pool whose workers may be hung.
 
@@ -437,12 +453,11 @@ class _ResilientRun:
             return None
         journal_event("pool.rebuilt", rebuilds=self.pool_rebuilds,
                       max_workers=max_workers)
-        return ProcessPoolExecutor(max_workers=max_workers)
+        return _new_pool(max_workers)
 
     def _execute_pool(self) -> None:
         max_workers = min(self.workers, max(len(self.todo), 1))
-        pool: Optional[ProcessPoolExecutor] = ProcessPoolExecutor(
-            max_workers=max_workers)
+        pool: Optional[ProcessPoolExecutor] = _new_pool(max_workers)
         # future -> (chunk, deadline | None).  Submission is windowed to
         # at most max_workers in flight so a submitted chunk starts
         # (approximately) immediately and the per-chunk deadline measures
@@ -765,8 +780,7 @@ def run_chunked(worker: Callable[[Chunk, np.random.SeedSequence], Any],
                 _report(chunk, result)
             return results
 
-        with ProcessPoolExecutor(
-                max_workers=min(workers, len(chunks))) as pool:
+        with _new_pool(min(workers, len(chunks))) as pool:
             future_chunk = {
                 pool.submit(worker, chunk, seeds[chunk.index]): chunk
                 for chunk in chunks}

@@ -13,14 +13,17 @@ point events over exposure (operating hours).  This module provides:
 
 These are the quantitative teeth behind Sec. V's "traditional mathematical
 quantitative rules".
+
+The gamma quantile and the Poisson CDF are the ``scipy.special`` functions
+``scipy.stats`` evaluates for them (``gamma.ppf(q, a) == gammaincinv(a,
+q)``, ``poisson.cdf(k, mu) == pdtr(k, mu)``, bit for bit), imported where
+they are called, because importing ``scipy.stats`` costs ≈1 s (DESIGN §16).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-from scipy import stats as _st
 
 __all__ = [
     "RateEstimate",
@@ -44,6 +47,13 @@ def _check_inputs(count: int, exposure: float) -> None:
 def _check_confidence(confidence: float) -> None:
     if not (0 < confidence < 1):
         raise ValueError(f"confidence must be in (0, 1), got {confidence}")
+
+
+def _gamma_quantile(q: float, shape: float) -> float:
+    """The ``q`` quantile of a unit-scale Gamma(``shape``) variable."""
+    from scipy.special import gammaincinv
+
+    return float(gammaincinv(shape, q))
 
 
 @dataclass(frozen=True)
@@ -78,13 +88,13 @@ def rate_mle(count: int, exposure: float) -> float:
 def rate_upper_bound(count: int, exposure: float, confidence: float = 0.95) -> float:
     """Exact one-sided upper confidence bound for a Poisson rate.
 
-    ``UCB = gamma.ppf(confidence, count + 1) / exposure`` — for zero
+    ``UCB = gammaincinv(count + 1, confidence) / exposure`` — for zero
     observed events this is the familiar ``-ln(1 - confidence)/exposure``
     ("rule of three" at 95 %: ≈ 3/exposure).
     """
     _check_inputs(count, exposure)
     _check_confidence(confidence)
-    return float(_st.gamma.ppf(confidence, count + 1)) / exposure
+    return _gamma_quantile(confidence, count + 1) / exposure
 
 
 def rate_lower_bound(count: int, exposure: float, confidence: float = 0.95) -> float:
@@ -93,7 +103,7 @@ def rate_lower_bound(count: int, exposure: float, confidence: float = 0.95) -> f
     _check_confidence(confidence)
     if count == 0:
         return 0.0
-    return float(_st.gamma.ppf(1.0 - confidence, count)) / exposure
+    return _gamma_quantile(1.0 - confidence, count) / exposure
 
 
 def rate_confidence_interval(count: int, exposure: float,
@@ -104,8 +114,8 @@ def rate_confidence_interval(count: int, exposure: float,
     alpha = 1.0 - confidence
     lower = 0.0
     if count > 0:
-        lower = float(_st.gamma.ppf(alpha / 2.0, count)) / exposure
-    upper = float(_st.gamma.ppf(1.0 - alpha / 2.0, count + 1)) / exposure
+        lower = _gamma_quantile(alpha / 2.0, count) / exposure
+    upper = _gamma_quantile(1.0 - alpha / 2.0, count + 1) / exposure
     return RateEstimate(count=count, exposure=exposure,
                         point=count / exposure,
                         lower=lower, upper=upper, confidence=confidence)
@@ -126,7 +136,7 @@ def exposure_to_demonstrate(budget_rate: float, confidence: float = 0.95,
     _check_confidence(confidence)
     if observed_count < 0:
         raise ValueError("observed_count must be >= 0")
-    return float(_st.gamma.ppf(confidence, observed_count + 1)) / budget_rate
+    return _gamma_quantile(confidence, observed_count + 1) / budget_rate
 
 
 def max_acceptable_count(budget_rate: float, exposure: float,
@@ -141,15 +151,15 @@ def max_acceptable_count(budget_rate: float, exposure: float,
     _check_inputs(0, exposure)
     _check_confidence(confidence)
     limit = budget_rate * exposure
-    if float(_st.gamma.ppf(confidence, 1)) > limit:
+    if _gamma_quantile(confidence, 1) > limit:
         return -1
-    # gamma.ppf(conf, n+1) grows ~linearly in n; binary search the cutoff.
+    # The quantile grows ~linearly in n; binary search the cutoff.
     low, high = 0, max(8, int(2 * limit) + 8)
-    while float(_st.gamma.ppf(confidence, high + 1)) <= limit:
+    while _gamma_quantile(confidence, high + 1) <= limit:
         high *= 2
     while low < high:
         mid = (low + high + 1) // 2
-        if float(_st.gamma.ppf(confidence, mid + 1)) <= limit:
+        if _gamma_quantile(confidence, mid + 1) <= limit:
             low = mid
         else:
             high = mid - 1
@@ -170,4 +180,6 @@ def demonstration_power(true_rate: float, budget_rate: float, exposure: float,
     cutoff = max_acceptable_count(budget_rate, exposure, confidence)
     if cutoff < 0:
         return 0.0
-    return float(_st.poisson.cdf(cutoff, true_rate * exposure))
+    from scipy.special import pdtr
+
+    return float(pdtr(cutoff, true_rate * exposure))

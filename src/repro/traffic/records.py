@@ -32,9 +32,10 @@ Two transports move blocks between processes (DESIGN §12):
   through ``multiprocessing.shared_memory`` — the worker copies once
   into a named segment and ships only a tiny :class:`ShippedBlock`
   handle; the coordinator attaches, copies out, closes and **unlinks**.
-  Both sides unregister the segment from the ``resource_tracker``
-  (creation *and* attachment register on POSIX, and the explicit
-  unlink below would otherwise race the trackers at interpreter exit).
+  The segment stays registered with the ``resource_tracker`` the pool
+  shares with the coordinator until that unlink, so a segment whose
+  handle never arrives (Ctrl-C, a chunk timeout) is reclaimed when the
+  coordinator exits.
 * the pickle fallback: a block-backed result pickles as one numpy
   array, still far cheaper than per-record objects.  Any shm failure
   (platform without ``/dev/shm``, exhausted segments) degrades to it
@@ -397,15 +398,15 @@ def shm_available() -> bool:
 
 
 def _untrack_shm(shm: object) -> None:
-    """Opt one segment out of the per-process ``resource_tracker``.
+    """Drop the ``resource_tracker`` registration of a vanished segment.
 
-    Creation *and* attachment register on POSIX; our lifecycle unlinks
-    explicitly on the coordinator, so tracker registrations only add
-    exit-time double-unlink noise.  The tracker stores the *internal*
-    name (``_name``, leading slash included on most platforms), so that
-    is what must be unregistered — ``shm.name`` strips the slash.
-    Best-effort: a tracker refactor degrades to warnings, never to lost
-    data.
+    ``unlink()`` unregisters only after a successful ``shm_unlink``; when
+    someone else already removed the segment, the registration made at
+    creation (and attachment) would make the tracker retry the unlink at
+    exit and warn.  The tracker stores the *internal* name (``_name``,
+    leading slash included on most platforms), so that is what must be
+    unregistered — ``shm.name`` strips the slash.  Best-effort: a
+    tracker refactor degrades to warnings, never to lost data.
     """
     try:  # pragma: no cover - interpreter-internals dependent
         from multiprocessing import resource_tracker
@@ -436,7 +437,9 @@ def ship_block(block: RecordBlock) -> ShippedBlock:
 
     The segment is closed but **not** unlinked here — ownership passes
     to the coordinator, whose :func:`receive_block` unlinks after
-    copying out.  Raises on any shm failure; callers fall back to
+    copying out.  Creation registers it with the pool's shared
+    ``resource_tracker``, which reclaims it at exit if the handle is
+    never received.  Raises on any shm failure; callers fall back to
     pickle transport.
     """
     from multiprocessing import shared_memory
@@ -448,7 +451,6 @@ def ship_block(block: RecordBlock) -> ShippedBlock:
     shm = shared_memory.SharedMemory(name=name, create=True,
                                      size=max(block.nbytes, 1))
     try:
-        _untrack_shm(shm)
         view = np.ndarray(len(block), dtype=RECORD_DTYPE, buffer=shm.buf)
         view[:] = block.array
         del view
@@ -472,8 +474,8 @@ def receive_block(shipped: ShippedBlock) -> RecordBlock:
     finally:
         shm.close()
         try:
-            # unlink() also unregisters this process's attach-time
-            # resource_tracker registration, balancing the books.
+            # unlink() also drops the segment's resource_tracker
+            # registration (made at creation, repeated on attachment).
             shm.unlink()
         except FileNotFoundError:  # pragma: no cover - already reclaimed
             _untrack_shm(shm)

@@ -406,19 +406,45 @@ class TestFleetFaultTolerance:
         assert defaults.timeout_s is None
 
     @pytest.mark.parametrize("flags", [
-        ["--chunk-timeout", "0"],
-        ["--chunk-timeout", "-1.5"],
-        ["--max-attempts", "0"],
-        ["--max-attempts", "-3"],
+        [*FLEET, "--chunk-timeout", "0"],
+        [*FLEET, "--chunk-timeout", "-1.5"],
+        [*FLEET, "--max-attempts", "0"],
+        [*FLEET, "--max-attempts", "-3"],
+        *([command, "{goals}", "--counts", "{}", "--exposure", exposure]
+          for command in ("verify", "review")
+          for exposure in ("0", "-5", "nan", "inf")),
+        ["verify", "{goals}", "--counts", "{}", "--exposure", "1e5",
+         "--confidence", "0"],
+        ["verify", "{goals}", "--counts", "{}", "--exposure", "1e5",
+         "--confidence", "1.5"],
+        ["verify", "{goals}", "--exposure", "1e5", "--counts", '{"I1": -1}'],
+        [*FLEET, "--hours", "0"],
+        [*FLEET, "--hours", "-5"],
+        [*FLEET, "--hours", "nan"],
+        [*FLEET, "--workers", "0"],
+        [*FLEET, "--chunk-hours", "0"],
+        ["goals", "--improvement", "0"],
+        ["dossier", "--hours", "10", "--scale", "0"],
     ])
-    def test_invalid_retry_knob_is_a_clean_exit_4(self, flags, capsys):
-        """Nonsense retry knobs fail at the CLI boundary: one `error:`
-        line naming the invalid policy, exit 4, no traceback — the
-        campaign never starts."""
-        assert main(self.FLEET + flags) == 4
+    def test_invalid_retry_knob_is_a_clean_exit_4(self, flags, tmp_path,
+                                                   capsys):
+        """Nonsense numeric flags — retry knobs, exposures, confidences,
+        counts, campaign sizes — fail at the CLI boundary: one `error:`
+        line naming the flag (or the invalid retry policy), exit 4, no
+        traceback.  Never exit 1, which verify and review reserve for a
+        violated goal."""
+        goals = tmp_path / "goals.json"
+        if "{goals}" in flags:
+            assert main(["goals", "--json", str(goals)]) == 0
+            capsys.readouterr()
+        argv = [str(goals) if arg == "{goals}" else arg for arg in flags]
+        assert main(argv) == 4
         err = capsys.readouterr().err
-        assert "error: invalid retry policy:" in err
+        assert len(err.splitlines()) == 1
         assert "Traceback" not in err
+        retry_knob = flags[-2] in ("--chunk-timeout", "--max-attempts")
+        expected = "invalid retry policy:" if retry_knob else flags[-2]
+        assert err.startswith("error: ") and expected in err
 
     def test_partial_failure_report_is_deterministically_ordered(
             self, monkeypatch, capsys):

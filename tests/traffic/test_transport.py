@@ -9,6 +9,12 @@ and checkpoints kill-and-resume across transports.
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
+
 import pytest
 
 from repro.obs.session import telemetry_session
@@ -114,6 +120,80 @@ class TestKillAndResumeUnderShm:
         resumed = _run(world, workers=2, transport="pickle",
                        checkpoint=path, resume=True)
         assert resumed == reference
+
+
+#: Interrupts a 2-worker shm campaign while one worker has shipped its
+#: block but not returned the handle.  The first worker to ship claims
+#: the marker file argv[1], writes ``<pid> <segment>`` to it and holds
+#: its result; the coordinator's progress callback raises Ctrl-C's
+#: KeyboardInterrupt once the marker exists.
+_INTERRUPTED_CAMPAIGN = """
+import os, sys, time
+from pathlib import Path
+from repro.traffic import (DEFAULT_MIX, BrakingSystem, EncounterGenerator,
+                           default_context_profiles, default_perception,
+                           nominal_policy, run_fleet)
+
+MARKER = Path(sys.argv[1])
+
+
+class HoldShipped:
+    def __init__(self, worker):
+        self.worker = worker
+
+    def __call__(self, chunk, seed_seq):
+        output = self.worker(chunk, seed_seq)
+        if output.shipped is not None:
+            try:
+                fd = os.open(MARKER, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+            except FileExistsError:
+                return output
+            os.write(fd, f"{os.getpid()} {output.shipped.shm_name}".encode())
+            os.close(fd)
+            time.sleep(30)
+        return output
+
+
+def interrupt(update):
+    deadline = time.monotonic() + 60
+    while not MARKER.exists() and time.monotonic() < deadline:
+        time.sleep(0.01)
+    raise KeyboardInterrupt
+
+
+try:
+    run_fleet(nominal_policy(), EncounterGenerator(default_context_profiles()),
+              default_perception(), BrakingSystem(), DEFAULT_MIX, 160.0,
+              2020, chunk_hours=20.0, workers=2, transport="shm",
+              wrap_worker=HoldShipped, progress=interrupt)
+except KeyboardInterrupt:
+    sys.exit(0)
+sys.exit(1)
+"""
+
+
+@pytest.mark.skipif(not (shm_available() and Path("/dev/shm").is_dir()),
+                    reason="needs POSIX shared memory under /dev/shm")
+def test_interrupted_campaign_leaves_no_shm_segment(tmp_path):
+    """A segment whose handle never reaches the coordinator (Ctrl-C with
+    chunks in flight) is reclaimed by the shared resource tracker when
+    the coordinator exits — it does not outlive the campaign."""
+    marker = tmp_path / "held"
+    src = Path(__file__).resolve().parents[2] / "src"
+    done = subprocess.run(
+        [sys.executable, "-c", _INTERRUPTED_CAMPAIGN, str(marker)],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True,
+        text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    worker_pid, segment = marker.read_text().split()
+    assert segment.startswith(f"repro-blk-{worker_pid}-")
+    deadline = time.monotonic() + 10.0
+    while True:
+        left = sorted(Path("/dev/shm").glob(f"repro-blk-{worker_pid}-*"))
+        if not left or time.monotonic() > deadline:
+            break
+        time.sleep(0.05)
+    assert not left, f"leaked shared-memory segments: {left}"
 
 
 class TestRecordSinkThroughFleet:
