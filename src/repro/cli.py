@@ -25,14 +25,14 @@ Python:
   degenerate proposal), or multilevel splitting on the near-miss
   severity ladder.
 
-Fault tolerance (DESIGN.md §9): ``--checkpoint PATH`` persists every
-committed chunk atomically; ``--resume`` restarts a killed campaign from
-that file, re-running only the missing chunks (the merged result is
-bit-for-bit the uninterrupted one).  ``--max-attempts`` and
-``--chunk-timeout`` tune the per-chunk retry policy.  A campaign that
-still cannot finish exits with code 3 and prints its failure log; a
-``Ctrl-C`` exits with the conventional 130 after the checkpoint (if any)
-has been flushed.
+Fault tolerance (DESIGN.md §9): ``--checkpoint PATH`` appends every
+committed chunk to a signed log; ``--resume`` restarts a killed campaign
+from that file (cutting a torn last append first), re-running only the
+missing chunks (the merged result is bit-for-bit the uninterrupted
+one).  ``--max-attempts`` and ``--chunk-timeout`` tune the per-chunk
+retry policy.  A campaign that still cannot finish exits with code 3
+and prints its failure log; a ``Ctrl-C`` exits with the conventional
+130 after the checkpoint (if any) has been flushed.
 
 The campaign service (DESIGN §14): ``repro serve --spool DIR`` runs the
 crash-safe local job daemon; ``repro submit`` posts a campaign spec to
@@ -317,7 +317,8 @@ def _add_parallel_flags(sub_parser: argparse.ArgumentParser) -> None:
     sub_parser.add_argument(
         "--checkpoint", type=Path, default=None,
         help="persist every committed chunk to this campaign checkpoint "
-             "(atomic writes; the simulated draws are bitwise unaffected)")
+             "(one appended, fsync'd line per chunk; the simulated draws "
+             "are bitwise unaffected)")
     sub_parser.add_argument(
         "--resume", action="store_true",
         help="resume from --checkpoint: restore its committed chunks and "
@@ -563,6 +564,25 @@ def _open_recorder(args: argparse.Namespace, goals=None, types=None):
                           resume=bool(getattr(args, "resume", False)))
 
 
+def _restored_checkpoint(args: argparse.Namespace):
+    """The --resume checkpoint, opened once for the recorder and the run.
+
+    A provably torn tail (the append in flight when the last run died)
+    is cut and reported here; interior damage raises (exit 4).  ``None``
+    when there is nothing to resume.
+    """
+    if not args.resume or args.checkpoint is None:
+        return None
+    from repro.traffic import CampaignCheckpoint
+    checkpoint, cut = CampaignCheckpoint.resume(args.checkpoint)
+    if cut:
+        print(f"checkpoint {args.checkpoint}: cut a torn tail of {cut} "
+              f"bytes (an append the last run did not finish); resuming "
+              f"from {len(checkpoint.chunks)} banked chunks",
+              file=sys.stderr)
+    return checkpoint
+
+
 def _campaign_session(args: argparse.Namespace):
     """A telemetry session when any consumer of one was requested."""
     if args.telemetry is None and args.trace_out is None \
@@ -648,14 +668,13 @@ def _cmd_dossier(args: argparse.Namespace) -> int:
     goals, types = _scaled_goals(args.scale)
 
     context = _campaign_session(args)
+    restored = _restored_checkpoint(args)
     failure_sink: list = []
     try:
         with context as session, _open_record_sink(args) as record_sink, \
                 _open_recorder(args, goals, types) as recorder:
-            if recorder is not None and args.resume \
-                    and args.checkpoint is not None \
-                    and Path(args.checkpoint).exists():
-                recorder.observe_restored_checkpoint(args.checkpoint)
+            if recorder is not None and restored is not None:
+                recorder.observe_restored_checkpoint(restored)
             progress = None
             if recorder is not None:
                 progress = recorder.on_progress
@@ -663,8 +682,9 @@ def _cmd_dossier(args: argparse.Namespace) -> int:
                 cautious_policy(), args.hours, args.seed, args.workers,
                 args.chunk_hours, args.engine, progress=progress,
                 retry=_retry_policy(args),
-                checkpoint=args.checkpoint, resume=args.resume,
-                failure_sink=failure_sink, record_sink=record_sink)
+                checkpoint=args.checkpoint if restored is None else restored,
+                resume=args.resume, failure_sink=failure_sink,
+                record_sink=record_sink)
     except (FileExistsError, CheckpointMismatchError) as exc:
         print(f"checkpoint error: {exc}", file=sys.stderr)
         return 2
@@ -791,18 +811,18 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
               file=sys.stderr)
 
     context = _campaign_session(args)
-    recorder_goals = recorder_types = None
-    if args.flight_recorder is not None:
-        recorder_goals, recorder_types = _scaled_goals(args.scale)
+    goals = goal_types = None
+    if args.flight_recorder is not None or args.telemetry is not None:
+        # One solve serves the recorder and the manifest: the goal set is
+        # deterministic (the MECE certificate seeds its own sampler).
+        goals, goal_types = _scaled_goals(args.scale)
+    restored = _restored_checkpoint(args)
     failure_sink: list = []
     try:
         with context as session, _open_record_sink(args) as record_sink, \
-                _open_recorder(args, recorder_goals,
-                               recorder_types) as recorder:
-            if recorder is not None and args.resume \
-                    and args.checkpoint is not None \
-                    and Path(args.checkpoint).exists():
-                recorder.observe_restored_checkpoint(args.checkpoint)
+                _open_recorder(args, goals, goal_types) as recorder:
+            if recorder is not None and restored is not None:
+                recorder.observe_restored_checkpoint(restored)
             progress = None
             if recorder is not None or args.progress:
                 def progress(update) -> None:
@@ -814,7 +834,8 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
                 policy, args.hours, args.seed, args.workers,
                 args.chunk_hours, args.engine,
                 progress=progress,
-                retry=_retry_policy(args), checkpoint=args.checkpoint,
+                retry=_retry_policy(args),
+                checkpoint=args.checkpoint if restored is None else restored,
                 resume=args.resume, failure_sink=failure_sink,
                 record_sink=record_sink)
     except (FileExistsError, CheckpointMismatchError) as exc:
@@ -881,7 +902,6 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
         print(f"  recovered faults:      {len(failure_sink)} "
               f"(campaign result unaffected; see telemetry failure log)")
     if args.telemetry is not None and session is not None:
-        goals, goal_types = _scaled_goals(args.scale)
         _, budget_report = _campaign_telemetry(
             args, session, campaign, goals, goal_types,
             command="repro fleet", summary=summary,

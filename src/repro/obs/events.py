@@ -401,18 +401,24 @@ class EventJournal:
     Subclasses may override ``SCHEMA_NAME`` and ``RECORD_TYPE`` to chain
     a different closed event taxonomy under a different artifact schema
     (the campaign service's :class:`~repro.service.journal.ServiceJournal`
-    does exactly this); the append/verify machinery is shared.
+    does exactly this); the append/verify machinery is shared.  A
+    subclass that must survive power loss, not just a killed process,
+    sets ``FSYNC`` (the campaign checkpoint log does), and
+    ``CHAOS_POINT`` renames its ``REPRO_FS_CHAOS`` write point.
     """
 
     SCHEMA_NAME: ClassVar[str] = EVENT_LOG_SCHEMA_NAME
     RECORD_TYPE: ClassVar[type] = EventRecord
+    FSYNC: ClassVar[bool] = False
+    CHAOS_POINT: ClassVar[Optional[str]] = None
 
     def __init__(self, path: Path, handle, seq: int,
-                 head: Optional[str]) -> None:
+                 head: Optional[str], size: int = 0) -> None:
         self._path = Path(path)
         self._handle = handle
         self._seq = seq
         self._head = head
+        self._size = size
         self._pid = os.getpid()
         self._poisoned = False
         self._observers: List[Callable[[EventRecord], None]] = []
@@ -421,7 +427,6 @@ class EventJournal:
     def open(cls, path: Union[str, Path], *,
              resume: bool = False) -> "EventJournal":
         path = Path(path)
-        seq, head = 0, None
         if path.exists():
             if not resume:
                 raise FileExistsError(
@@ -430,20 +435,34 @@ class EventJournal:
                     f"or remove it to start over")
             records, head = read_chained_journal(
                 path, schema_name=cls.SCHEMA_NAME)
-            seq = len(records)
-            # A crash can tear off the final line's newline terminator
-            # while leaving the entry itself complete (the strict read
-            # above accepted it).  Restore the terminator before
-            # appending, or the next entry would concatenate onto the
-            # last one and corrupt the chain.
-            raw = path.read_bytes()
-            if raw and not raw.endswith(b"\n"):
-                with path.open("ab") as tail:
+            return cls.reopen(path, len(records), head,
+                              path.stat().st_size)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        return cls(path, path.open("a", encoding="utf-8"), 0, None)
+
+    @classmethod
+    def reopen(cls, path: Union[str, Path], seq: int, head: Optional[str],
+               size: int) -> "EventJournal":
+        """Continue a chain already verified up to byte ``size``.
+
+        ``seq`` entries end at digest ``head``.  Bytes past ``size`` can
+        only be the residue of an append that failed and was never
+        acknowledged, so they are cut first — appending past them would
+        turn a torn tail into interior damage.  A crash can also tear
+        off the final line's newline terminator while leaving the entry
+        itself complete; it is restored, or the next entry would
+        concatenate onto the last one and corrupt the chain.
+        """
+        path = Path(path)
+        with path.open("r+b") as tail:
+            if tail.seek(0, os.SEEK_END) != size:
+                tail.truncate(size)
+            if size:
+                tail.seek(size - 1)
+                if tail.read(1) != b"\n":
                     tail.write(b"\n")
-        else:
-            path.parent.mkdir(parents=True, exist_ok=True)
-        handle = path.open("a", encoding="utf-8")
-        return cls(path, handle, seq, head)
+                    size += 1
+        return cls(path, path.open("a", encoding="utf-8"), seq, head, size)
 
     @property
     def path(self) -> Path:
@@ -458,6 +477,11 @@ class EventJournal:
     def head(self) -> Optional[str]:
         """The last written entry's payload digest (``None`` if empty)."""
         return self._head
+
+    @property
+    def size(self) -> int:
+        """Bytes in the file up to the end of the last written entry."""
+        return self._size
 
     @property
     def pid(self) -> int:
@@ -496,9 +520,11 @@ class EventJournal:
             data=dict(data or {}), prev=self._head)
         envelope = ARTIFACTS.dump_dict(type(self).SCHEMA_NAME, record,
                                        source=self._path)
+        # ASCII (``ensure_ascii``), so its length is its size in bytes.
         line = json.dumps(envelope, sort_keys=True,
                           separators=(",", ":")) + "\n"
-        point = f"journal-append:{type(self).SCHEMA_NAME}"
+        point = (type(self).CHAOS_POINT
+                 or f"journal-append:{type(self).SCHEMA_NAME}")
         try:
             fault = fs_chaos(point)
             if fault == "enospc":
@@ -511,6 +537,8 @@ class EventJournal:
                 raise fs_fault(fault, point)
             self._handle.write(line)
             self._handle.flush()
+            if type(self).FSYNC:
+                os.fsync(self._handle.fileno())
             if fault in ("eio", "shortfsync"):
                 # The line is on disk but the durability step "failed":
                 # for ``eio`` the chain must not advance (the caller
@@ -522,6 +550,7 @@ class EventJournal:
             raise
         self._head = envelope[DIGEST_KEY]  # type: ignore[assignment]
         self._seq += 1
+        self._size += len(line)
         for observer in self._observers:
             observer(record)
         return record

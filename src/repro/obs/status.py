@@ -341,25 +341,26 @@ class FlightRecorder:
         else:
             self._write_status()
 
-    def observe_restored_checkpoint(self, path: Union[str, Path]) -> None:
+    def observe_restored_checkpoint(self, checkpoint) -> None:
         """Re-journal a restored checkpoint's banked chunks.
 
-        On resume, a chunk may be banked in the checkpoint while its
-        ``chunk.committed`` entry was lost to the kill (commit and
-        journal append cannot be one atomic step).  Emitting
-        ``chunk.restored`` — with the same classified counter payload —
-        for *every* banked chunk closes that window: replay deduplicates
-        by chunk index, so the journal always reconstructs exactly one
-        record per chunk regardless of where the kill landed.
+        ``checkpoint`` is the
+        :class:`~repro.traffic.checkpoint.CampaignCheckpoint` the
+        campaign resumes from — the caller opens it once and hands the
+        same object to the fleet runner.  On resume, a chunk may be
+        banked in the checkpoint while its ``chunk.committed`` entry was
+        lost to the kill (commit and journal append cannot be one atomic
+        step).  Emitting ``chunk.restored`` — with the same classified
+        counter payload — for *every* banked chunk closes that window:
+        replay deduplicates by chunk index, so the journal always
+        reconstructs exactly one record per chunk regardless of where
+        the kill landed.
         """
-        from ..traffic.checkpoint import \
-            CampaignCheckpoint  # lazy: avoid cycles
-        checkpoint = CampaignCheckpoint.load(Path(path))
         restored = checkpoint.completed_results()
         self._chunks_resumed = len(restored)
         self._hours_resumed = math.fsum(r.hours for r in restored.values())
         journal_event("campaign.resumed",
-                      checkpoint=str(path),
+                      checkpoint=str(checkpoint.path),
                       chunk_indices=sorted(restored),
                       hours_resumed=self._hours_resumed)
         for index in sorted(restored):

@@ -11,13 +11,14 @@ verify everything, and classify each deviation into a closed taxonomy:
     for a job id with no record, a checkpoint for an unknown job, or a
     stale ``endpoint.json`` whose pid is dead.
 ``torn-tail``
-    The journal's last append was cut mid-line by a crash or a full
-    disk — a valid chain prefix followed *only* by fragments that never
-    parse as complete signed envelopes.
+    The last append to the journal or to a checkpoint log was cut
+    mid-line by a crash or a full disk — a valid chain prefix followed
+    *only* by fragments that never parse as complete signed envelopes.
 ``digest-mismatch``
     An artifact (job record, result, checkpoint, or an *interior*
-    journal entry) that fails verification: wrong digest, wrong schema,
-    unparseable, or filed under a name that contradicts its content.
+    journal or checkpoint-log entry) that fails verification: wrong
+    digest, wrong schema, unparseable, or filed under a name that
+    contradicts its content.
 ``dangling-lease``
     A job record frozen in ``leased``/``running`` with no daemon alive
     to supervise it (the lease's epoch died with its daemon).
@@ -31,8 +32,10 @@ kind, and quarantines everything else rather than guess:
 * orphans are **swept** (scratch) or **quarantined** (checkpoints —
   they are resume evidence for a future resubmission of the same spec);
 * a torn tail is **truncated** at the last valid byte — safe because a
-  failed append poisons the writer, so at most one damaged fragment
-  ever follows the valid prefix, and it was never acknowledged;
+  writer never appends past a failed append (the journal writer is
+  poisoned, the checkpoint cuts back first), so at most one damaged
+  fragment ever follows the valid prefix, and it was never
+  acknowledged;
 * digest mismatches are **quarantined** into ``spool/quarantine/`` —
   rewriting unverifiable bytes would manufacture evidence;
 * a dangling lease is **completed** from the cached result if the spec
@@ -58,7 +61,7 @@ from typing import Dict, List, Optional, Set, Union
 from ..io import ArtifactError, parse_artifact_text
 from ..io.artifact import ARTIFACTS
 from ..io.atomic import iter_orphan_tmp
-from ..traffic.checkpoint import CHECKPOINT_SCHEMA_NAME
+from ..traffic.checkpoint import audit_checkpoint, repair_checkpoint_tail
 from .jobs import JOB_RECORD_SCHEMA_NAME, JobRecord, ServiceError
 from .journal import ServiceJournal, scan_service_journal
 from .store import JOB_RESULT_SCHEMA_NAME, JobStore
@@ -268,11 +271,18 @@ class _Audit:
         for path in self.store.iter_checkpoint_paths():
             self.report.checkpoints_checked += 1
             try:
-                ARTIFACTS.load(path, CHECKPOINT_SCHEMA_NAME)
+                torn = audit_checkpoint(path)
             except (ArtifactError, ValueError) as exc:
                 self._quarantine("digest-mismatch", path,
                                  f"checkpoint fails verification: {exc}")
                 continue
+            if torn is not None:
+                if self.repair:
+                    repair_checkpoint_tail(path)
+                self._found("torn-tail", path,
+                            f"torn tail at byte {torn.valid_bytes} (line "
+                            f"{torn.damage_lineno}): {torn.damage}",
+                            repair="truncated")
             if path.stem not in self.records:
                 self._quarantine(
                     "orphan", path,

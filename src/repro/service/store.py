@@ -7,7 +7,7 @@ Layout of one spool directory::
       endpoint.json             the live daemon's bound address + pid
       jobs/<job_id>.json        one repro.job-record/v1 per job (ground truth)
       results/<digest-hex>.json repro.job-result/v1, keyed by *spec* digest
-      checkpoints/<job_id>.json the runner's repro.campaign-checkpoint/v1
+      checkpoints/<job_id>.json the runner's repro.checkpoint-log/v1
       heartbeats/<job_id>       runner liveness counter (atomic replace)
 
 Every JSON file crosses the :mod:`repro.io` artifact boundary: schema

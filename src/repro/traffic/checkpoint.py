@@ -1,4 +1,4 @@
-"""Campaign checkpoints: atomic persist + resume for fleet campaigns.
+"""Campaign checkpoints: an append-only log + resume for fleet campaigns.
 
 The QRN's evidence runs are *long* — exactly the campaigns most likely
 to be killed by a deploy, an OOM or a Ctrl-C.  A
@@ -20,45 +20,76 @@ exactly (shortest-repr), so::
 for any worker count on either side.  ``tests/traffic/test_checkpoint.py``
 enforces this as a kill-and-resume property.
 
-Persistence goes through the :mod:`repro.io` artifact boundary
-(DESIGN §10): writes are atomic and durable (temp file + ``os.replace``
-in the same directory, fsync'd) and carry an embedded payload sha256
-digest, so a crash mid-write leaves the previous checkpoint intact and
-a truncated or bit-flipped file is *detected*
-(:class:`~repro.errors.CorruptArtifactError`) rather than mis-parsed
-into half a campaign.  The digest is optional on read — checkpoints
-written before the boundary existed still load.  The ``campaign`` block
-pins the identity of the run (seed, hours, chunk plan, engine, policy,
-mix); resuming against a checkpoint whose identity differs raises
-:class:`CheckpointMismatchError` instead of silently merging foreign
-chunks.
+Format.  The file is a digest-chained log (``repro.checkpoint-log/v1``)
+written by the chain machinery of :mod:`repro.obs.events`: one signed
+JSON line per entry, each naming the previous entry's payload digest.
+The first line is the ``campaign.identity`` block (seed, hours, chunk
+plan, engine, policy, mix); every committed chunk appends one
+``chunk.banked`` line ``{index, result, telemetry}``, checked against
+:data:`RESULT_SPEC` before it is written and fsync'd before
+:meth:`CampaignCheckpoint.record` returns.  A commit therefore costs
+one line, not a rewrite of every banked chunk.  The first save writes
+the log to a temp file and renames it into place, so the path never
+holds a log without its identity block.
+
+Damage.  :meth:`CampaignCheckpoint.load` is strict: a torn final line,
+a reordered, spliced or dropped entry, a duplicate chunk index and an
+edited value (digest mismatch) all raise a typed
+:class:`~repro.errors.ArtifactError`.  A kill in the middle of an
+append leaves a *provably torn tail* — nothing past the last verified
+entry parses as a signed entry (:func:`~repro.obs.events.scan_journal`)
+— and :meth:`CampaignCheckpoint.resume` cuts exactly that before it
+loads, so a kill loses at most the chunk being appended.  Interior
+damage is never cut.  Resuming against a checkpoint whose identity
+differs raises :class:`CheckpointMismatchError` instead of silently
+merging foreign chunks.
+
+Earlier builds wrote one pretty-printed ``repro.campaign-checkpoint/v1``
+document, rewritten atomically at every commit (signed, or digest-free
+before the artifact boundary existed).  Such files still load and
+resume bit-for-bit; the first save after resuming one rewrites it once
+as a log.  Nothing writes v1 any more.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import os
+from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Dict, Mapping, Optional
+from typing import ClassVar, Dict, Mapping, Optional, Sequence, Set, Tuple
 
 from ..core.incident import IncidentRecord
 from ..core.taxonomy import ActorClass
-from ..errors import ArtifactError, ArtifactValidationError
-from ..io.artifact import ARTIFACTS, ArtifactSchema, register_artifact
+from ..errors import (ArtifactError, ArtifactValidationError,
+                      CorruptArtifactError)
+from ..io.artifact import (ARTIFACTS, ArtifactSchema, parse_artifact_bytes,
+                           register_artifact)
+from ..io.atomic import ORPHAN_TMP_PREFIX, ORPHAN_TMP_SUFFIX
 from ..io.validate import (Bool, Int, Json, ListOf, MapOf, NullOr, Number,
-                           Record, Str)
-from ..obs.events import journal_event
+                           Record, Str, TaggedUnion)
+from ..obs.events import (EventJournal, EventRecord, JournalScan,
+                          journal_event, read_chained_journal,
+                          repair_journal_tail, scan_journal)
 from ..obs.session import TelemetrySnapshot
 from .simulator import SimulationResult
 
-__all__ = ["CHECKPOINT_SCHEMA", "CHECKPOINT_SCHEMA_NAME", "RESULT_SPEC",
-           "CampaignCheckpoint", "CheckpointMismatchError",
-           "CheckpointWriteError", "result_to_dict", "result_from_dict",
-           "read_checkpoint_progress"]
+__all__ = ["CHECKPOINT_SCHEMA", "CHECKPOINT_SCHEMA_NAME",
+           "CHECKPOINT_LOG_SCHEMA", "CHECKPOINT_LOG_SCHEMA_NAME",
+           "RESULT_SPEC", "CampaignCheckpoint", "CheckpointLog",
+           "CheckpointLogEntry", "CheckpointMismatchError",
+           "CheckpointWriteError", "audit_checkpoint",
+           "read_checkpoint_progress", "repair_checkpoint_tail",
+           "result_from_dict", "result_to_dict"]
 
+#: The single-document layout of earlier builds (read, never written).
 CHECKPOINT_SCHEMA_NAME = "repro.campaign-checkpoint"
 CHECKPOINT_SCHEMA = f"{CHECKPOINT_SCHEMA_NAME}/v1"
+
+#: The append-only log every checkpoint is written as.
+CHECKPOINT_LOG_SCHEMA_NAME = "repro.checkpoint-log"
+CHECKPOINT_LOG_SCHEMA = f"{CHECKPOINT_LOG_SCHEMA_NAME}/v1"
 
 
 class CheckpointMismatchError(ArtifactValidationError):
@@ -67,10 +98,14 @@ class CheckpointMismatchError(ArtifactValidationError):
 
 class CheckpointWriteError(ArtifactError):
     """A checkpoint flush failed at the filesystem (disk full, I/O
-    error).  Typed (CLI exit 4, runner exit 1 with a parked diagnostic)
-    because a campaign that cannot bank its progress must stop loudly —
-    the previous complete checkpoint is still on disk (atomic replace),
-    so a later ``--resume`` loses at most the un-flushed chunk."""
+    error), typed rather than a raw ``OSError``.  When a campaign opens
+    its checkpoint the failure stops it (CLI exit 4, runner exit 1 with
+    a parked diagnostic); a failed append mid-campaign is reported by
+    the fleet runner as a warning, and the next commit retries it after
+    cutting back to the last acknowledged byte.  Every acknowledged
+    chunk stays in the log and a failed append leaves at most a torn
+    tail, which ``--resume`` cuts, so a resume loses at most the
+    un-flushed chunk."""
 
 
 def result_to_dict(result: SimulationResult) -> Dict[str, object]:
@@ -154,14 +189,43 @@ class _ChunkEntry:
         )
 
 
+@dataclass(frozen=True)
+class CheckpointLogEntry(EventRecord):
+    """One checkpoint-log line: the identity block or one banked chunk.
+
+    The chain shape of :class:`~repro.obs.events.EventRecord`.  A
+    ``chunk.banked`` entry loaded from disk also carries its decoded
+    ``chunk``, built while the artifact boundary loads the line, so a
+    malformed result fails typed there; it is not part of the entry's
+    identity (``data`` is).
+    """
+
+    KINDS: ClassVar[Tuple[str, ...]] = ("campaign.identity",
+                                        "chunk.banked")
+
+    chunk: Optional[_ChunkEntry] = field(default=None, compare=False,
+                                         repr=False)
+
+
+class CheckpointLog(EventJournal):
+    """The checkpoint's append-only writer: the event-journal machinery
+    under the checkpoint-log schema, fsync'd per append, with its faults
+    scripted at the ``checkpoint-save`` chaos point."""
+
+    SCHEMA_NAME: ClassVar[str] = CHECKPOINT_LOG_SCHEMA_NAME
+    RECORD_TYPE: ClassVar[type] = CheckpointLogEntry
+    FSYNC: ClassVar[bool] = True
+    CHAOS_POINT: ClassVar[Optional[str]] = "checkpoint-save"
+
+
 class CampaignCheckpoint:
     """Mutable on-disk campaign state: identity block + committed chunks.
 
-    Lifecycle: the fleet runner creates one (:meth:`new`) or loads one
-    (:meth:`load` + :meth:`ensure_matches`), then calls :meth:`record`
-    once per committed chunk — each call rewrites the file atomically,
-    so the checkpoint on disk is always a consistent prefix of the
-    campaign (in commit order, which may not be index order; resume
+    Lifecycle: the fleet runner creates one (:meth:`new`) or reopens one
+    (:meth:`resume` + :meth:`ensure_matches`), then calls :meth:`record`
+    once per committed chunk — each call appends that chunk's line to
+    the log, so the checkpoint on disk is always a consistent prefix of
+    the campaign (in commit order, which may not be index order; resume
     handles any subset).
     """
 
@@ -173,6 +237,11 @@ class CampaignCheckpoint:
         self.chunks: Dict[int, _ChunkEntry] = dict(chunks or {})
         self.created_utc = (created_utc or
                             datetime.now(timezone.utc).isoformat())
+        # The log on disk: (entries, head digest, bytes) up to its last
+        # acknowledged entry, or None while there is no log yet (a new
+        # checkpoint, or a single document from an earlier build).
+        self._tail: Optional[Tuple[int, Optional[str], int]] = None
+        self._logged: Set[int] = set()
 
     # -- construction -----------------------------------------------------
 
@@ -183,17 +252,47 @@ class CampaignCheckpoint:
 
     @classmethod
     def load(cls, path: Path) -> "CampaignCheckpoint":
-        """Load + verify one checkpoint file through the I/O boundary.
+        """Load + verify one checkpoint file, strictly.
 
-        Corruption (truncation, bit-flips against the embedded digest,
-        malformed JSON), an unknown or missing schema tag, and
-        structurally invalid content all raise the corresponding typed
+        Corruption (a torn line, a bit-flip against an entry's digest, a
+        reordered, spliced or dropped entry, malformed JSON), a duplicate
+        chunk index, an unknown or missing schema tag, and structurally
+        invalid content all raise the corresponding typed
         :class:`~repro.errors.ArtifactError` subclass.
         """
-        checkpoint = ARTIFACTS.load(Path(path), CHECKPOINT_SCHEMA_NAME)
-        assert isinstance(checkpoint, CampaignCheckpoint)
-        checkpoint.path = Path(path)
-        return checkpoint
+        path = Path(path)
+        if not _is_log(path):
+            checkpoint = ARTIFACTS.load(path, CHECKPOINT_SCHEMA_NAME)
+            assert isinstance(checkpoint, CampaignCheckpoint)
+            checkpoint.path = path
+            return checkpoint
+        entries, head = read_chained_journal(
+            path, schema_name=CHECKPOINT_LOG_SCHEMA_NAME)
+        return _from_entries(path, entries, head, path.stat().st_size)
+
+    @classmethod
+    def resume(cls, path: Path,
+               ) -> "Tuple[Optional[CampaignCheckpoint], int]":
+        """Open a checkpoint to continue it: ``(checkpoint, bytes cut)``.
+
+        Loads strictly; when that fails only because the log ends in a
+        provably torn tail (the append in flight when the last run
+        died), the tail is cut and the log loaded strictly again.
+        Interior damage raises.  The checkpoint is ``None`` when there is
+        nothing to resume: no file, or an empty one.
+        """
+        path = Path(path)
+        if not path.exists():
+            return None, 0
+        try:
+            return cls.load(path), 0
+        except ArtifactError:
+            if not _is_log(path):
+                raise
+        size = path.stat().st_size
+        scan = repair_checkpoint_tail(path)
+        cut = size - scan.total_bytes
+        return (cls.load(path) if scan.records else None), cut
 
     # -- identity ---------------------------------------------------------
 
@@ -221,7 +320,10 @@ class CampaignCheckpoint:
 
     def record(self, index: int, result: SimulationResult,
                telemetry: Optional[TelemetrySnapshot] = None) -> None:
-        """Persist one committed chunk (atomic rewrite)."""
+        """Persist one committed chunk (one appended, fsync'd line)."""
+        if index in self.chunks:
+            raise ValueError(f"chunk {index} is already banked in "
+                             f"checkpoint {self.path}")
         self.chunks[index] = _ChunkEntry(result=result, telemetry=telemetry)
         self.save()
         journal_event("checkpoint.committed", chunk_index=int(index),
@@ -256,53 +358,173 @@ class CampaignCheckpoint:
 
     # -- persistence ------------------------------------------------------
 
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "schema": CHECKPOINT_SCHEMA,
-            "created_utc": self.created_utc,
-            "updated_utc": datetime.now(timezone.utc).isoformat(),
-            "campaign": dict(self.campaign),
-            "chunks": {str(index): entry.to_dict()
-                       for index, entry in sorted(self.chunks.items())},
-        }
-
     def save(self) -> None:
-        """Atomic, digest-signed write through the I/O boundary.
+        """Log every banked chunk that is not in the log yet.
 
-        A crash at any point leaves either the previous complete
-        checkpoint or the new complete checkpoint on disk — never a
-        torn file — and the embedded payload digest lets :meth:`load`
-        *detect* any later corruption of the bytes.  A filesystem
-        failure (including the ``checkpoint-save`` fs-chaos point)
-        surfaces as a typed :class:`CheckpointWriteError`, never a raw
-        ``OSError`` traceback.
+        The first save writes the identity line and the banked chunks to
+        a temp file and renames it into place (which is also how a
+        single document from an earlier build becomes a log); every
+        later save appends one signed, fsync'd line per new chunk.  A
+        failed append advances nothing, and the next save cuts back to
+        the last acknowledged byte before it appends, so no entry ever
+        lands past a torn fragment.  A filesystem failure (including
+        the ``checkpoint-save`` fs-chaos point) surfaces as a typed
+        :class:`CheckpointWriteError`, never a raw ``OSError`` traceback.
         """
-        from ..testing.chaos import fs_chaos, fs_fault
-
         try:
-            fault = fs_chaos("checkpoint-save")
-            if fault is not None:
-                raise fs_fault(fault, "checkpoint-save")
-            ARTIFACTS.save(self.path, CHECKPOINT_SCHEMA_NAME, self)
+            if self._tail is None:
+                self._write_log()
+                return
+            pending = [i for i in self.chunks if i not in self._logged]
+            if not pending:
+                return
+            log = CheckpointLog.reopen(self.path, *self._tail)
+            try:
+                for index in pending:
+                    self._emit_chunk(log, index)
+                    self._logged.add(index)
+                    self._tail = (log.seq, log.head, log.size)
+            finally:
+                log.close()
         except OSError as exc:
             raise CheckpointWriteError(
                 f"cannot flush checkpoint: {exc.strerror or exc}",
-                source=self.path, schema=CHECKPOINT_SCHEMA) from exc
+                source=self.path, schema=CHECKPOINT_LOG_SCHEMA) from exc
+
+    def _write_log(self) -> None:
+        tmp = self.path.with_name(
+            f"{ORPHAN_TMP_PREFIX}{self.path.name}{ORPHAN_TMP_SUFFIX}")
+        tmp.unlink(missing_ok=True)  # residue of an earlier failed save
+        log = CheckpointLog.open(tmp)
+        try:
+            log.emit("campaign.identity",
+                     {"campaign": self.campaign,
+                      "created_utc": self.created_utc})
+            for index in self.chunks:
+                self._emit_chunk(log, index)
+            log.close()
+            os.replace(tmp, self.path)
+        except BaseException:
+            log.close()
+            tmp.unlink(missing_ok=True)
+            raise
+        self._logged = set(self.chunks)
+        self._tail = (log.seq, log.head, log.size)
+
+    def _emit_chunk(self, log: CheckpointLog, index: int) -> None:
+        log.emit("chunk.banked",
+                 {"index": int(index), **self.chunks[index].to_dict()})
 
 
 def read_checkpoint_progress(path: "Path | str",
                              ) -> Optional[Dict[str, object]]:
-    """Load a checkpoint read-only and report its banked progress.
+    """Read a checkpoint's banked progress without touching the file.
 
-    Returns ``None`` when no checkpoint exists yet (a campaign that has
-    not committed its first chunk).  Corruption still raises the typed
-    :class:`~repro.errors.ArtifactError` taxonomy — a monitoring path
-    must *detect* a damaged checkpoint, not shrug at it.
+    Safe while a runner appends: a tail that does not verify yet (an
+    append in flight) is left out, and the verified prefix is reported.
+    Returns ``None`` when no checkpoint exists yet.  Interior damage
+    still raises the typed :class:`~repro.errors.ArtifactError`
+    taxonomy — a monitoring path must *detect* a damaged checkpoint, not
+    shrug at it.
     """
     path = Path(path)
     if not path.exists():
         return None
-    return CampaignCheckpoint.load(path).progress()
+    checkpoint, _ = _verified_prefix(path)
+    return None if checkpoint is None else checkpoint.progress()
+
+
+def audit_checkpoint(path: "Path | str") -> Optional[JournalScan]:
+    """``repro fsck``'s view of one checkpoint.
+
+    ``None`` when it verifies end to end; the scan when its only damage
+    is a torn tail (cut by :func:`repair_checkpoint_tail`).  Any other
+    damage raises the typed :class:`~repro.errors.ArtifactError`.
+    """
+    return _verified_prefix(Path(path))[1]
+
+
+def repair_checkpoint_tail(path: "Path | str") -> JournalScan:
+    """Suffix-cut a torn checkpoint-log tail in place (see
+    :func:`~repro.obs.events.repair_journal_tail`); returns the scan of
+    what is left.  Any other damage raises."""
+    audit_checkpoint(path)
+    return repair_journal_tail(path, schema_name=CHECKPOINT_LOG_SCHEMA_NAME)
+
+
+# -- reading ---------------------------------------------------------------
+
+def _is_log(path: Path) -> bool:
+    """Does ``path`` hold a checkpoint log, not an earlier build's single
+    document?  A torn or unreadable first line counts as a log, so the
+    log reader reports it."""
+    try:
+        with path.open("rb") as handle:
+            first = handle.readline().strip()
+    except OSError as exc:
+        raise CorruptArtifactError(
+            f"cannot read checkpoint: {exc.strerror or exc}",
+            source=path, schema=CHECKPOINT_LOG_SCHEMA) from exc
+    if first == b"{":  # the pretty-printed document
+        return False
+    try:
+        head = parse_artifact_bytes(first)
+    except CorruptArtifactError:
+        return True
+    tag = head.get("schema") if isinstance(head, dict) else None
+    return isinstance(tag, str) and \
+        tag.startswith(CHECKPOINT_LOG_SCHEMA_NAME + "/")
+
+
+def _verified_prefix(path: Path,
+                     ) -> Tuple[Optional[CampaignCheckpoint],
+                                Optional[JournalScan]]:
+    """``(checkpoint, torn)``: the checkpoint as far as it verifies
+    (``None`` for a log without entries) and, when the file ends in a
+    torn tail, the scan that found it.  Any other damage raises, and so
+    does damage before a verified identity line: the first save renames
+    that line into place whole, so it never tears."""
+    if not _is_log(path):
+        return CampaignCheckpoint.load(path), None
+    scan = scan_journal(path, schema_name=CHECKPOINT_LOG_SCHEMA_NAME)
+    if not scan.clean and not (scan.torn_tail and scan.records):
+        raise CorruptArtifactError(
+            f"checkpoint damage at line {scan.damage_lineno} is not a torn "
+            f"tail after a verified identity line: {scan.damage}",
+            source=path, schema=CHECKPOINT_LOG_SCHEMA)
+    checkpoint = (_from_entries(path, scan.records, scan.head,
+                                scan.valid_bytes) if scan.records else None)
+    return checkpoint, (None if scan.clean else scan)
+
+
+def _from_entries(path: Path, entries: Sequence[EventRecord],
+                  head: Optional[str], size: int) -> CampaignCheckpoint:
+    """Fold verified log entries: the identity block first, then each
+    chunk index at most once."""
+    if not entries or entries[0].kind != "campaign.identity":
+        raise ArtifactValidationError(
+            "checkpoint log does not start with its identity block",
+            source=path, schema=CHECKPOINT_LOG_SCHEMA)
+    identity = entries[0].data
+    checkpoint = CampaignCheckpoint(
+        path, dict(identity["campaign"]),  # type: ignore[call-overload]
+        created_utc=str(identity["created_utc"]))
+    for entry in entries[1:]:
+        assert isinstance(entry, CheckpointLogEntry)
+        if entry.chunk is None:
+            raise ArtifactValidationError(
+                f"entry {entry.seq} is a second identity block",
+                source=path, schema=CHECKPOINT_LOG_SCHEMA)
+        index = int(entry.data["index"])  # type: ignore[call-overload]
+        if index in checkpoint.chunks:
+            raise ArtifactValidationError(
+                f"entry {entry.seq} banks chunk {index} a second time "
+                f"(duplicate chunk index)",
+                source=path, schema=CHECKPOINT_LOG_SCHEMA)
+        checkpoint.chunks[index] = entry.chunk
+    checkpoint._logged = set(checkpoint.chunks)
+    checkpoint._tail = (len(entries), head, size)
+    return checkpoint
 
 
 # -- artifact schema registration ----------------------------------------
@@ -317,6 +539,19 @@ def _load_checkpoint(data: Mapping[str, object]) -> CampaignCheckpoint:
                               created_utc=str(data.get("created_utc", "")))
 
 
+def _v1_document(checkpoint: CampaignCheckpoint) -> Dict[str, object]:
+    """The single-document layout of earlier builds (the registry's
+    codec for reading them; no production path writes it)."""
+    return {
+        "schema": CHECKPOINT_SCHEMA,
+        "created_utc": checkpoint.created_utc,
+        "updated_utc": datetime.now(timezone.utc).isoformat(),
+        "campaign": dict(checkpoint.campaign),
+        "chunks": {str(index): entry.to_dict()
+                   for index, entry in sorted(checkpoint.chunks.items())},
+    }
+
+
 def _checkpoints_equal(a: object, b: object) -> bool:
     """Loaded-state equality (the ``updated_utc`` stamp is volatile)."""
     assert isinstance(a, CampaignCheckpoint)
@@ -325,9 +560,8 @@ def _checkpoints_equal(a: object, b: object) -> bool:
             and a.chunks == b.chunks)
 
 
-def _example_checkpoint() -> CampaignCheckpoint:
-    """A small deterministic checkpoint for the fuzz tier."""
-    result = SimulationResult(
+def _example_result() -> SimulationResult:
+    return SimulationResult(
         policy_name="nominal", hours=2.0,
         context_hours={"urban": 1.5, "highway": 0.5},
         records=[
@@ -340,14 +574,39 @@ def _example_checkpoint() -> CampaignCheckpoint:
         ],
         encounters_resolved=41, hard_braking_demands=3,
         hard_braking_threshold_ms2=4.0)
+
+
+def _example_checkpoint() -> CampaignCheckpoint:
+    """A small deterministic checkpoint for the fuzz tier."""
     checkpoint = CampaignCheckpoint(
         Path("<example>"),
         {"seed": 2020, "hours": 4.0, "chunk_hours": 2.0,
          "policy": "nominal", "engine": "vectorized",
          "mix": {"urban": 0.75, "highway": 0.25}},
         created_utc="2026-01-01T00:00:00+00:00")
-    checkpoint.chunks[0] = _ChunkEntry(result=result)
+    checkpoint.chunks[0] = _ChunkEntry(result=_example_result())
     return checkpoint
+
+
+def _load_log_entry(data: Mapping[str, object]) -> CheckpointLogEntry:
+    body = dict(data["data"])  # type: ignore[call-overload]
+    return CheckpointLogEntry(
+        seq=int(data["seq"]),  # type: ignore[call-overload]
+        ts_utc=str(data["ts_utc"]),
+        kind=str(data["kind"]),
+        data=body,
+        prev=(None if data["prev"] is None else str(data["prev"])),
+        chunk=(_ChunkEntry.from_dict(body)
+               if data["kind"] == "chunk.banked" else None))
+
+
+def _example_log_entry() -> CheckpointLogEntry:
+    """A small deterministic ``chunk.banked`` line for the fuzz tier."""
+    return CheckpointLogEntry(
+        seq=1, ts_utc="2026-01-01T00:00:00+00:00", kind="chunk.banked",
+        data={"index": 0, "result": result_to_dict(_example_result()),
+              "telemetry": None},
+        prev="sha256:" + "ef" * 32)
 
 
 _RECORD_SPEC = Record(required={
@@ -368,18 +627,24 @@ RESULT_SPEC = Record(required={
     "records": ListOf(_RECORD_SPEC),
 })
 
-_RESULT_SPEC = RESULT_SPEC
-
-_CHUNK_SPEC = Record(required={
-    "result": _RESULT_SPEC,
-    "telemetry": NullOr(Json()),
-})
+_CHUNK_FIELDS = {"result": RESULT_SPEC, "telemetry": NullOr(Json())}
 
 _CHECKPOINT_SPEC = Record(required={
     "created_utc": Str(),
     "updated_utc": Str(),
     "campaign": MapOf(Json()),
-    "chunks": MapOf(_CHUNK_SPEC, keys=(str.isdigit, "a chunk index")),
+    "chunks": MapOf(Record(required=_CHUNK_FIELDS),
+                    keys=(str.isdigit, "a chunk index")),
+})
+
+_ENTRY_FIELDS = {"seq": Int(), "ts_utc": Str(), "kind": Str(),
+                 "prev": NullOr(Str())}
+
+_LOG_ENTRY_SPEC = TaggedUnion("kind", {
+    "campaign.identity": Record(required={**_ENTRY_FIELDS, "data": Record(
+        required={"campaign": MapOf(Json()), "created_utc": Str()})}),
+    "chunk.banked": Record(required={**_ENTRY_FIELDS, "data": Record(
+        required={"index": Int(), **_CHUNK_FIELDS})}),
 })
 
 register_artifact(ArtifactSchema(
@@ -387,9 +652,19 @@ register_artifact(ArtifactSchema(
     version=1,
     spec=_CHECKPOINT_SPEC,
     load=_load_checkpoint,
-    dump=CampaignCheckpoint.to_dict,
+    dump=_v1_document,
     label="checkpoint",
     example=_example_checkpoint,
     equal=_checkpoints_equal,
     volatile=("updated_utc",),
+))
+
+register_artifact(ArtifactSchema(
+    name=CHECKPOINT_LOG_SCHEMA_NAME,
+    version=1,
+    spec=_LOG_ENTRY_SPEC,
+    load=_load_log_entry,
+    dump=CheckpointLogEntry.to_dict,
+    label="checkpoint-log entry",
+    example=_example_log_entry,
 ))

@@ -414,20 +414,26 @@ def _campaign_identity(policy: TacticalPolicy, mix: Mapping[str, float],
     }
 
 
-def _open_checkpoint(path: Path, identity: Mapping[str, object],
+def _open_checkpoint(checkpoint: Union[str, Path, CampaignCheckpoint],
+                     identity: Mapping[str, object],
                      resume: bool) -> CampaignCheckpoint:
-    path = Path(path)
-    if path.exists():
-        if not resume:
+    if not isinstance(checkpoint, CampaignCheckpoint):
+        path = Path(checkpoint)
+        if path.exists() and not resume:
             raise FileExistsError(
                 f"checkpoint {path} already exists; pass resume=True "
                 f"(CLI: --resume) to continue it, or remove it to start "
                 f"over")
-        checkpoint = CampaignCheckpoint.load(path)
-        checkpoint.ensure_matches(identity)
-        return checkpoint
-    # No file yet: start fresh (with resume=True this is an empty resume).
-    return CampaignCheckpoint.new(path, identity)
+        restored = CampaignCheckpoint.resume(path)[0] if resume else None
+        if restored is None:
+            # Nothing banked yet (or an empty resume): start the log with
+            # its identity line, so every commit appends exactly one.
+            fresh = CampaignCheckpoint.new(path, identity)
+            fresh.save()
+            return fresh
+        checkpoint = restored
+    checkpoint.ensure_matches(identity)
+    return checkpoint
 
 
 def run_fleet(policy: TacticalPolicy,
@@ -445,7 +451,8 @@ def run_fleet(policy: TacticalPolicy,
               engine: str = "vectorized",
               retry: Optional[RetryPolicy] = DEFAULT_RETRY_POLICY,
               validate: bool = True,
-              checkpoint: Optional[Union[str, Path]] = None,
+              checkpoint: Optional[Union[str, Path,
+                                         CampaignCheckpoint]] = None,
               resume: bool = False,
               failure_sink: Optional[List[ChunkFailure]] = None,
               wrap_worker: Optional[Callable[[Callable], Callable]] = None,
@@ -487,10 +494,13 @@ def run_fleet(policy: TacticalPolicy,
     * ``validate`` (default on) runs :func:`validate_chunk_output` on
       every chunk before it may be merged (validate-then-commit).
     * ``checkpoint`` names a :class:`~repro.traffic.checkpoint.CampaignCheckpoint`
-      JSON file: every committed chunk is persisted atomically, and with
+      log (or is one, already opened with
+      :meth:`~repro.traffic.checkpoint.CampaignCheckpoint.resume`):
+      every committed chunk appends one fsync'd line, and with
       ``resume=True`` an existing checkpoint's chunks are restored
-      instead of re-simulated — the merged result is bit-for-bit the
-      uninterrupted run's, for any worker count on either side.
+      instead of re-simulated (a torn final append is cut first) — the
+      merged result is bit-for-bit the uninterrupted run's, for any
+      worker count on either side.
     * ``failure_sink`` collects every recovered
       :class:`~repro.stats.fault_tolerance.ChunkFailure` for manifests.
     * ``wrap_worker`` is the chaos-harness seam
@@ -549,7 +559,7 @@ def run_fleet(policy: TacticalPolicy,
     if checkpoint is not None:
         identity = _campaign_identity(policy, mix, hours, seed, chunk_hours,
                                       engine)
-        campaign_checkpoint = _open_checkpoint(Path(checkpoint), identity,
+        campaign_checkpoint = _open_checkpoint(checkpoint, identity,
                                                resume)
         restored_telemetry = campaign_checkpoint.completed_telemetry()
         completed = {
@@ -576,12 +586,16 @@ def run_fleet(policy: TacticalPolicy,
     on_commit: Optional[Callable[[Chunk, _ChunkOutput], None]] = None
     if campaign_checkpoint is not None or record_sink is not None:
         def on_commit(chunk: Chunk, output: _ChunkOutput) -> None:
-            if campaign_checkpoint is not None:
-                campaign_checkpoint.record(chunk.index, output.result,
-                                           output.telemetry)
-            if record_sink is not None:
-                record_sink.append(output.result.record_block,
-                                   key=chunk.index)
+            # A failed checkpoint append (retried by the next commit)
+            # must not cost the sink this chunk's records.
+            try:
+                if campaign_checkpoint is not None:
+                    campaign_checkpoint.record(chunk.index, output.result,
+                                               output.telemetry)
+            finally:
+                if record_sink is not None:
+                    record_sink.append(output.result.record_block,
+                                       key=chunk.index)
 
     # Coordinator-local transfer measurements (bytes + chunks per
     # transport kind) — fed by the unpack hook, surfaced via progress.

@@ -323,7 +323,7 @@ def test_registry_covers_all_builtin_artifacts():
     assert names == {
         "repro.incident-type", "repro.allocation", "repro.mece-certificate",
         "repro.goal-set", "repro.run-manifest", "repro.campaign-checkpoint",
-        "repro.record-block", "repro.event-log",
+        "repro.checkpoint-log", "repro.record-block", "repro.event-log",
         "repro.job-record", "repro.job-result", "repro.service-journal",
     }
 

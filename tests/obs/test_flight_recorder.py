@@ -24,7 +24,8 @@ from repro.core import (allocate_lp, derive_safety_goals, example_norm,
 from repro.obs import (BudgetMonitor, FlightRecorder, read_journal,
                        read_status, replay_journal)
 from repro.obs.budget_monitor import classified_counts
-from repro.traffic import (BrakingSystem, EncounterGenerator, cautious_policy,
+from repro.traffic import (BrakingSystem, CampaignCheckpoint,
+                           EncounterGenerator, cautious_policy,
                            default_context_profiles, default_perception,
                            run_fleet)
 
@@ -163,7 +164,8 @@ class TestKillAndResume:
 
         with FlightRecorder(flight, goals=goals, types=types,
                             resume=True) as rec:
-            rec.observe_restored_checkpoint(checkpoint)
+            rec.observe_restored_checkpoint(
+                CampaignCheckpoint.load(checkpoint))
             resumed = _run(world, 2020, workers=resume_workers,
                            checkpoint=checkpoint, resume=True,
                            progress=rec.on_progress)
@@ -194,7 +196,8 @@ class TestKillAndResume:
         (flight / "journal.jsonl").unlink()
         (flight / "status.json").unlink()
         with FlightRecorder(flight, goals=goals, types=types) as rec:
-            rec.observe_restored_checkpoint(checkpoint)
+            rec.observe_restored_checkpoint(
+                CampaignCheckpoint.load(checkpoint))
             resumed = _run(world, 2020, checkpoint=checkpoint, resume=True,
                            progress=rec.on_progress)
         replay = replay_journal(flight / "journal.jsonl")

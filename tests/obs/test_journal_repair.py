@@ -8,9 +8,9 @@ reader then accepts a journal whose records are exactly a prefix of
 the originals.  Interior damage (committed entries exist past the
 break) must never be cut — only quarantine is safe there.
 
-Property-tested with hypothesis over truncation offsets, for both
-chained-journal schemas (``repro.event-log`` and
-``repro.service-journal``).
+Property-tested with hypothesis over truncation offsets, for all three
+chained-log schemas (``repro.event-log``, ``repro.service-journal`` and
+the campaign checkpoint's ``repro.checkpoint-log``).
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import CorruptArtifactError
+from repro.io import ARTIFACTS
 from repro.obs.events import (EventJournal, read_chained_journal,
                               repair_journal_tail, scan_journal)
 from repro.service.journal import (SERVICE_JOURNAL_SCHEMA_NAME,
@@ -28,6 +29,8 @@ from repro.service.journal import (SERVICE_JOURNAL_SCHEMA_NAME,
                                    repair_service_journal_tail,
                                    scan_service_journal)
 from repro.testing.chaos import FS_CHAOS_ENV
+from repro.traffic.checkpoint import (CHECKPOINT_LOG_SCHEMA_NAME,
+                                      CampaignCheckpoint, result_from_dict)
 
 N_RECORDS = 5
 
@@ -50,6 +53,23 @@ def write_service_journal(path) -> bytes:
     return path.read_bytes()
 
 
+def chunk_result():
+    example = ARTIFACTS.get(CHECKPOINT_LOG_SCHEMA_NAME).example()
+    return result_from_dict(example.data["result"])
+
+
+def write_checkpoint_log(path) -> bytes:
+    checkpoint = CampaignCheckpoint.new(path, {"seed": 2020})
+    for index in range(N_RECORDS - 1):
+        checkpoint.record(index, chunk_result())
+    return path.read_bytes()
+
+
+def _checkpoint_log(chain_function):
+    return lambda path: chain_function(
+        path, schema_name=CHECKPOINT_LOG_SCHEMA_NAME)
+
+
 FLAVOURS = {
     "event-log": (write_event_journal, scan_journal,
                   repair_journal_tail,
@@ -57,7 +77,34 @@ FLAVOURS = {
     "service-journal": (write_service_journal, scan_service_journal,
                         repair_service_journal_tail,
                         read_service_journal),
+    "checkpoint-log": (write_checkpoint_log, _checkpoint_log(scan_journal),
+                       _checkpoint_log(repair_journal_tail),
+                       _checkpoint_log(read_chained_journal)),
 }
+
+
+def _append_event(path) -> str:
+    with EventJournal.open(path, resume=True) as journal:
+        journal.emit("campaign.resumed", {})
+    return "campaign.resumed"
+
+
+def _append_service_event(path) -> str:
+    with ServiceJournal.open(path, resume=True) as journal:
+        journal.emit("service.started", {})
+    return "service.started"
+
+
+def _append_chunk(path) -> str:
+    checkpoint, _ = CampaignCheckpoint.resume(path)
+    checkpoint.record(N_RECORDS, chunk_result())
+    return "chunk.banked"
+
+
+#: How each flavour's own writer continues a recovered chain.
+APPEND = {"event-log": _append_event,
+          "service-journal": _append_service_event,
+          "checkpoint-log": _append_chunk}
 
 
 @pytest.mark.parametrize("flavour", sorted(FLAVOURS))
@@ -141,15 +188,36 @@ class TestTornTailProperty:
         result = scan(path)
         if not result.clean:
             repair(path)
-        journal_type = (ServiceJournal if flavour == "service-journal"
-                        else EventJournal)
-        kind = ("service.started" if flavour == "service-journal"
-                else "campaign.resumed")
-        with journal_type.open(path, resume=True) as journal:
-            journal.emit(kind, {})
+        kind = APPEND[flavour](path)
         records, _ = read(path)
         assert records[-1].kind == kind
         assert [r.seq for r in records] == list(range(len(records)))
+
+
+class TestCheckpointResumeProperty:
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_any_truncation_resumes_a_prefix_or_fails_typed(
+            self, tmp_path_factory, data):
+        """``--resume`` on a log cut at any offset: past the identity
+        line it cuts back to whole entries and keeps exactly those
+        chunks; inside the identity line (which the writer never tears)
+        it refuses and touches nothing."""
+        path = tmp_path_factory.mktemp("checkpoint") / "ck.json"
+        raw = write_checkpoint_log(path)
+        cut = data.draw(st.integers(min_value=1, max_value=len(raw) - 1),
+                        label="truncation offset")
+        path.write_bytes(raw[:cut])
+        if cut < raw.index(b"\n"):
+            with pytest.raises(CorruptArtifactError):
+                CampaignCheckpoint.resume(path)
+            assert path.read_bytes() == raw[:cut]
+            return
+        checkpoint, removed = CampaignCheckpoint.resume(path)
+        kept = path.read_bytes()
+        assert raw.startswith(kept) and removed == cut - len(kept)
+        assert checkpoint.chunk_indices() == \
+            tuple(range(len(kept.splitlines()) - 1))
 
 
 class TestPoisonedWriter:

@@ -272,7 +272,10 @@ def test_graceful_drain_checkpoints_and_restart_resumes(tmp_path):
     banked chunks (chunks_resumed > 0), bit-for-bit identical."""
     seed = 2020
     spool = tmp_path / "spool"
-    long_spec = dict(SPEC, seed=seed, hours=24.0)  # 12 chunks
+    # 120 chunks: long enough that the drain's SIGTERM reaches the
+    # runner mid-campaign (a commit is one appended line, so a 12-chunk
+    # job can finish between the poll below and the signal).
+    long_spec = dict(SPEC, seed=seed, hours=240.0)
     daemon = Daemon(spool)
     try:
         reply = daemon.client.submit(long_spec)
@@ -317,7 +320,7 @@ def test_graceful_drain_checkpoints_and_restart_resumes(tmp_path):
             policy_by_name("nominal"),
             EncounterGenerator(default_context_profiles()),
             default_perception(), BrakingSystem(), DEFAULT_MIX,
-            24.0, seed, workers=1, chunk_hours=2.0)
+            240.0, seed, workers=1, chunk_hours=2.0)
         assert job_result.result == uninterrupted
         daemon.terminate_and_wait()
     finally:

@@ -10,8 +10,11 @@ claim with a real runner dying on a real injected fault.
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
+from repro.errors import ArtifactError
 from repro.io.artifact import ARTIFACTS
 from repro.io.atomic import iter_orphan_tmp
 from repro.service import (CampaignService, JobResult, JobStore,
@@ -103,6 +106,110 @@ class TestCheckpointSavePoint:
         # Either no residue at all, or the torn write's orphan temp.
         residue = list(iter_orphan_tmp(tmp_path))
         assert len(residue) <= 1
+
+    def test_failed_append_then_retry_heals(self, tmp_path, monkeypatch,
+                                            kind):
+        path = tmp_path / "checkpoint.json"
+        result = example_result().result
+        checkpoint = CampaignCheckpoint.new(path, {"seed": 2020})
+        checkpoint.record(0, result)
+        acknowledged = path.read_bytes()
+        monkeypatch.setenv(FS_CHAOS_ENV, f"{kind}@checkpoint-save")
+        with pytest.raises(CheckpointWriteError):
+            checkpoint.record(1, result)
+        monkeypatch.delenv(FS_CHAOS_ENV)
+        if kind == "enospc":
+            assert path.read_bytes() == acknowledged  # not a byte landed
+        # The retry cuts back to the last acknowledged byte first, so
+        # the failed line (torn or whole) is replaced, never followed.
+        checkpoint.save()
+        assert CampaignCheckpoint.load(path).chunk_indices() == (0, 1)
+        assert path.read_bytes().startswith(acknowledged)
+        assert len(path.read_bytes().splitlines()) == 3
+
+
+class TestCheckpointSaveDuringCampaign:
+    """``repro fleet --checkpoint`` under a failing checkpoint write."""
+
+    FLEET = ["fleet", "--hours", "4", "--chunk-hours", "1", "--seed", "9",
+             "--workers", "1"]
+
+    @pytest.fixture
+    def uninterrupted(self, tmp_path):
+        from repro.cli import main
+
+        summary = tmp_path / "reference.json"
+        assert main(self.FLEET + ["--json", str(summary)]) == 0
+        return json.loads(summary.read_text())
+
+    def _resume(self, tmp_path, capsys):
+        from repro.cli import main
+
+        summary = tmp_path / "resumed.json"
+        capsys.readouterr()
+        code = main(self.FLEET + ["--checkpoint",
+                                  str(tmp_path / "ck.json"), "--resume",
+                                  "--json", str(summary)])
+        assert code == 0
+        return json.loads(summary.read_text()), capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", ["torn", "enospc"])
+    def test_failing_disk_exits_4_then_resume_is_bit_for_bit(
+            self, tmp_path, monkeypatch, capsys, uninterrupted, kind):
+        from repro.cli import main
+
+        monkeypatch.setenv(FS_CHAOS_ENV, f"{kind}@checkpoint-save")
+        capsys.readouterr()
+        assert main(self.FLEET + ["--checkpoint",
+                                  str(tmp_path / "ck.json")]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        monkeypatch.delenv(FS_CHAOS_ENV)
+        resumed, _ = self._resume(tmp_path, capsys)
+        assert resumed == uninterrupted
+
+    def test_failed_append_is_retried_and_the_sink_keeps_its_chunk(
+            self, tmp_path, monkeypatch, uninterrupted):
+        """Hit 3 (the second chunk's append) fails: the campaign warns,
+        the next commit re-appends the chunk, and the record sink still
+        gets every chunk."""
+        from repro.cli import main
+        from repro.traffic import CampaignCheckpoint
+
+        chaos_dir = tmp_path / "chaos"
+        chaos_dir.mkdir()
+        monkeypatch.setenv(FS_CHAOS_DIR_ENV, str(chaos_dir))
+        monkeypatch.setenv(FS_CHAOS_ENV, "eio@checkpoint-save#3")
+        summary = tmp_path / "summary.json"
+        with pytest.warns(RuntimeWarning, match="cannot flush checkpoint"):
+            assert main(self.FLEET + [
+                "--checkpoint", str(tmp_path / "ck.json"),
+                "--record-sink", str(tmp_path / "sink"),
+                "--json", str(summary)]) == 0
+        spilled = json.loads(summary.read_text()).pop("record_sink")
+        assert spilled["parts"] == 4
+        assert CampaignCheckpoint.load(tmp_path / "ck.json").chunk_indices() \
+            == (0, 1, 2, 3)
+
+    def test_torn_last_append_is_cut_on_resume(self, tmp_path, monkeypatch,
+                                               capsys, uninterrupted):
+        """Hit 1 writes the identity line, hits 2–5 the four chunks: the
+        last append tears, as if the process died in the middle of it."""
+        from repro.cli import main
+
+        chaos_dir = tmp_path / "chaos"
+        chaos_dir.mkdir()
+        monkeypatch.setenv(FS_CHAOS_DIR_ENV, str(chaos_dir))
+        monkeypatch.setenv(FS_CHAOS_ENV, "torn@checkpoint-save#5")
+        with pytest.warns(RuntimeWarning, match="cannot flush checkpoint"):
+            assert main(self.FLEET + ["--checkpoint",
+                                      str(tmp_path / "ck.json")]) == 0
+        monkeypatch.delenv(FS_CHAOS_ENV)
+        with pytest.raises(ArtifactError):
+            CampaignCheckpoint.load(tmp_path / "ck.json")
+        resumed, err = self._resume(tmp_path, capsys)
+        assert "cut a torn tail" in err and "3 banked chunks" in err
+        assert resumed == uninterrupted
 
 
 @pytest.mark.parametrize("kind", FS_FAULT_KINDS)

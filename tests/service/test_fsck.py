@@ -165,6 +165,54 @@ class TestJournalDamage:
         assert records[-1].data["counts"] == {"torn-tail": 1}
 
 
+class TestCheckpointDamage:
+    """Spool checkpoints are audited with the checkpoint's own reader."""
+
+    def checkpoint_for(self, store: JobStore, chunks: int = 3):
+        from repro.traffic import CampaignCheckpoint
+
+        record = queued(store)
+        path = store.checkpoint_path(record.job_id)
+        checkpoint = CampaignCheckpoint.new(path, {"seed": 2020})
+        for index in range(chunks):
+            checkpoint.record(index, example_result().result)
+        return path
+
+    def test_healthy_checkpoint_is_clean(self, store):
+        self.checkpoint_for(store)
+        report = fsck_spool(store.root)
+        assert report.clean and report.checkpoints_checked == 1
+
+    def test_torn_tail_truncated(self, store):
+        from repro.traffic import CampaignCheckpoint
+
+        path = self.checkpoint_for(store)
+        lines = path.read_bytes().splitlines(keepends=True)
+        path.write_bytes(b"".join(lines)[:-len(lines[-1]) // 2])
+        audit = fsck_spool(store.root)
+        assert [(f.kind, f.repair) for f in audit.findings] == \
+            [("torn-tail", None)]
+        report = fsck_spool(store.root, repair=True)
+        assert [(f.kind, f.repair) for f in report.findings] == \
+            [("torn-tail", "truncated")]
+        # The cut keeps every acknowledged entry and nothing else.
+        assert path.read_bytes() == b"".join(lines[:-1])
+        assert CampaignCheckpoint.load(path).chunk_indices() == (0, 1)
+        assert fsck_spool(store.root).clean
+
+    def test_interior_damage_quarantined(self, store):
+        path = self.checkpoint_for(store)
+        lines = path.read_bytes().splitlines(keepends=True)
+        lines[1] = lines[1].replace(b'"index":0', b'"index":7', 1)
+        path.write_bytes(b"".join(lines))
+        report = fsck_spool(store.root, repair=True)
+        assert [(f.kind, f.repair) for f in report.findings] == \
+            [("digest-mismatch", "quarantined")]
+        assert "not a torn tail" in report.findings[0].detail
+        assert not path.exists()
+        assert (store.quarantine_dir / f"checkpoints-{path.name}").exists()
+
+
 class TestArtifactDamage:
     def test_corrupt_job_record_quarantined(self, store):
         record = queued(store)

@@ -645,8 +645,10 @@ class TestArtifactErrorDiagnostics:
                  "--chunk-hours", "1", "--workers", "1"]
         ck = tmp_path / "ck.json"
         assert main(fleet + ["--checkpoint", str(ck)]) == 0
-        raw = ck.read_bytes()
-        ck.write_bytes(raw[:len(raw) // 2])  # torn write / disk damage
+        # Disk damage inside the log (a torn *tail* is cut on resume).
+        lines = ck.read_bytes().splitlines(keepends=True)
+        lines[1] = lines[1].replace(b'"hours":1.0', b'"hours":9.0', 1)
+        ck.write_bytes(b"".join(lines))
         capsys.readouterr()
         code = main(fleet + ["--checkpoint", str(ck), "--resume"])
         err = capsys.readouterr().err
@@ -799,6 +801,68 @@ class TestFlightRecorderCLI:
         capsys.readouterr()
         doc = json.loads(trace.read_text())
         assert any(e.get("cat") == "span" for e in doc["traceEvents"])
+
+    def test_recorder_and_telemetry_solve_the_goal_set_once(
+            self, tmp_path, capsys, monkeypatch):
+        import repro.core
+        from repro.obs import RunManifest
+
+        real = repro.core.derive_safety_goals
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(repro.core, "derive_safety_goals", counting)
+        both = tmp_path / "both.json"
+        assert self._fleet(tmp_path, "--telemetry", str(both)) == 0
+        out_both = capsys.readouterr().out
+        assert len(calls) == 1
+        single = tmp_path / "single.json"
+        assert main(["fleet", "--hours", "120", "--seed", "3",
+                     "--chunk-hours", "40", "--telemetry",
+                     str(single)]) == 0
+        out_single = capsys.readouterr().out
+        assert len(calls) == 2
+        assert out_both.replace(str(both), "M") == \
+            out_single.replace(str(single), "M")
+        assert RunManifest.read(both).budget_utilisation == \
+            RunManifest.read(single).budget_utilisation
+
+    def test_resume_with_recorder_cuts_a_torn_checkpoint_tail(
+            self, tmp_path, capsys):
+        """The checkpoint is opened once, cut and loaded, and the same
+        restored chunks feed the recorder and the campaign."""
+        from repro.obs import replay_journal
+
+        ck = tmp_path / "ck.json"
+        reference = tmp_path / "reference.json"
+        assert main(["fleet", "--hours", "120", "--seed", "3",
+                     "--chunk-hours", "40", "--json", str(reference)]) == 0
+        assert self._fleet(tmp_path, "--checkpoint", str(ck)) == 0
+        # The run died in the middle of its last checkpoint append.
+        lines = ck.read_bytes().splitlines(keepends=True)
+        ck.write_bytes(b"".join(lines)[:-len(lines[-1]) // 2])
+        capsys.readouterr()
+        summary = tmp_path / "resumed.json"
+        assert self._fleet(tmp_path, "--checkpoint", str(ck), "--resume",
+                           "--json", str(summary)) == 0
+        err = capsys.readouterr().err
+        assert "cut a torn tail" in err and "2 banked chunks" in err
+        resumed = json.loads(summary.read_text())
+        assert resumed == json.loads(reference.read_text())
+        replay = replay_journal(tmp_path / "flight" / "journal.jsonl")
+        assert replay.resumed == 1
+        assert {"hours": replay.hours,
+                "encounters_resolved": replay.encounters_resolved,
+                "incidents": replay.incidents_found,
+                "collisions": replay.collisions,
+                "hard_braking_demands": replay.hard_braking_demands,
+                "type_counts": replay.type_counts()} == \
+            {key: resumed[key] for key in (
+                "hours", "encounters_resolved", "incidents", "collisions",
+                "hard_braking_demands", "type_counts")}
 
     def test_dossier_supports_recorder(self, tmp_path, capsys):
         from repro.obs import read_status

@@ -8,20 +8,28 @@ count on either side of it, ::
 
 bit-for-bit — the chunk plan and per-chunk seeds depend only on
 ``(seed, hours, chunk_hours)``, restored chunks keep their merge slots,
-and JSON round-trips Python floats exactly.
+and JSON round-trips Python floats exactly.  The checkpoint is an
+append-only signed log (one line per committed chunk); single-document
+checkpoints written by earlier builds still load and resume.
 """
 
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
+from repro.errors import (ArtifactError, ArtifactValidationError,
+                          CorruptArtifactError)
+from repro.io import payload_digest
 from repro.traffic import (BrakingSystem, CampaignCheckpoint,
                            CheckpointMismatchError, EncounterGenerator,
                            cautious_policy, default_context_profiles,
-                           default_perception, nominal_policy, run_fleet)
-from repro.traffic.checkpoint import result_from_dict, result_to_dict
+                           default_perception, nominal_policy,
+                           read_checkpoint_progress, run_fleet)
+from repro.traffic.checkpoint import (CheckpointLog, result_from_dict,
+                                      result_to_dict)
 
 MIX = {"urban": 0.5, "suburban": 0.2, "rural": 0.2, "highway": 0.1}
 HOURS = 6.0
@@ -45,6 +53,30 @@ def _run(world, **kwargs):
 @pytest.fixture(scope="module")
 def uninterrupted(world):
     return _run(world)
+
+
+def _lines(path) -> list:
+    return Path(path).read_bytes().splitlines(keepends=True)
+
+
+def _v1_document(checkpoint: CampaignCheckpoint, *, signed: bool) -> str:
+    """``checkpoint`` in the single-document layout earlier builds wrote:
+    one ``repro.campaign-checkpoint/v1`` envelope, pretty-printed with
+    sorted keys and indent 2, signed over its canonical payload or
+    digest-free (written before the artifact boundary existed)."""
+    payload = {
+        "schema": "repro.campaign-checkpoint/v1",
+        "created_utc": checkpoint.created_utc,
+        "updated_utc": "2026-01-01T00:05:00+00:00",
+        "campaign": checkpoint.campaign,
+        "chunks": {
+            str(index): {"result": result_to_dict(result),
+                         "telemetry": None}
+            for index, result in checkpoint.completed_results().items()},
+    }
+    if signed:
+        payload["payload_sha256"] = payload_digest(payload)
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 class _KillAfter:
@@ -113,10 +145,78 @@ class TestCheckpointFile:
         ck = CampaignCheckpoint.new(path, {"seed": SEED})
         for index in range(3):
             ck.record(index, uninterrupted)
-            # Every record() leaves exactly one consistent file behind.
-            assert json.loads(path.read_text())["schema"] == \
-                "repro.campaign-checkpoint/v1"
-        assert [p.name for p in tmp_path.iterdir()] == ["ck.json"]
+            # Every record() leaves one consistent log behind: the
+            # identity line plus one signed line per chunk, loading
+            # strictly, with no temp file next to it.
+            assert [json.loads(line)["schema"] for line in _lines(path)] \
+                == ["repro.checkpoint-log/v1"] * (index + 2)
+            assert CampaignCheckpoint.load(path).chunk_indices() == \
+                tuple(range(index + 1))
+            assert [p.name for p in tmp_path.iterdir()] == ["ck.json"]
+
+    def test_every_record_appends_exactly_one_line(self, tmp_path,
+                                                   uninterrupted):
+        """The write-amplification guard: a commit never rewrites what
+        is already on disk."""
+        path = tmp_path / "ck.json"
+        ck = CampaignCheckpoint.new(path, {"seed": SEED})
+        ck.save()  # the identity line
+        before = path.read_bytes()
+        assert len(_lines(path)) == 1
+        for index in range(4):
+            ck.record(index, uninterrupted)
+            after = path.read_bytes()
+            assert after.startswith(before)
+            assert len(after.splitlines()) == len(before.splitlines()) + 1
+            before = after
+
+    def test_campaign_commits_only_append(self, tmp_path, world):
+        path = tmp_path / "ck.json"
+        seen = []
+        _run(world, checkpoint=path,
+             progress=lambda update: seen.append(path.read_bytes()))
+        assert len(seen) == N_CHUNKS
+        assert len(seen[0].splitlines()) == 2  # identity + first chunk
+        for before, after in zip(seen, seen[1:]):
+            assert after.startswith(before)
+            assert len(after.splitlines()) == len(before.splitlines()) + 1
+        assert path.read_bytes() == seen[-1]
+
+    def test_forty_chunk_campaign_writes_at_most_1_1x_its_size(
+            self, tmp_path, world, monkeypatch):
+        """Bytes passed to write(2) inside every save, summed over a
+        40-chunk campaign, against the checkpoint it leaves."""
+        proc_io = Path("/proc/self/io")
+        try:
+            proc_io.read_text()
+        except OSError:
+            pytest.skip("counting written bytes needs /proc/self/io")
+
+        def wchar() -> int:
+            for line in proc_io.read_text().splitlines():
+                if line.startswith("wchar:"):
+                    return int(line.split()[1])
+            raise AssertionError("no wchar line in /proc/self/io")
+
+        written = []
+        save = CampaignCheckpoint.save
+
+        def counted(checkpoint):
+            before = wchar()
+            try:
+                return save(checkpoint)
+            finally:
+                written.append(wchar() - before)
+
+        monkeypatch.setattr(CampaignCheckpoint, "save", counted)
+        path = tmp_path / "ck.json"
+        run_fleet(nominal_policy(), world, default_perception(),
+                  BrakingSystem(), MIX, 40.0, SEED, workers=1,
+                  chunk_hours=1.0, checkpoint=path)
+        size = path.stat().st_size
+        assert len(CampaignCheckpoint.load(path).chunks) == 40
+        assert sum(written) <= 1.1 * size, (
+            f"{sum(written)} bytes written for a {size}-byte checkpoint")
 
 
 class TestKillAndResume:
@@ -274,17 +374,25 @@ class TestArtifactBoundary:
         path = tmp_path / "ck.json"
         ck = CampaignCheckpoint.new(path, {"seed": SEED})
         ck.record(0, uninterrupted)
-        data = json.loads(path.read_text())
-        assert data["payload_sha256"].startswith("sha256:")
+        ck.record(1, uninterrupted)
+        entries = [json.loads(line) for line in _lines(path)]
+        assert [e["kind"] for e in entries] == \
+            ["campaign.identity", "chunk.banked", "chunk.banked"]
+        # Every entry is signed and chained to its predecessor's digest.
+        assert all(e["payload_sha256"].startswith("sha256:")
+                   for e in entries)
+        assert [e["prev"] for e in entries] == \
+            [None] + [e["payload_sha256"] for e in entries[:-1]]
 
     def test_value_tamper_detected_on_load(self, tmp_path, uninterrupted):
         path = tmp_path / "ck.json"
         ck = CampaignCheckpoint.new(path, {"seed": SEED})
         ck.record(0, uninterrupted)
-        data = json.loads(path.read_text())
-        data["chunks"]["0"]["result"]["hours"] = 999.0  # foreign exposure
-        path.write_text(json.dumps(data))
-        from repro.errors import CorruptArtifactError
+        lines = _lines(path)
+        entry = json.loads(lines[1])
+        entry["data"]["result"]["hours"] = 999.0  # foreign exposure
+        lines[1] = (json.dumps(entry) + "\n").encode()
+        path.write_bytes(b"".join(lines))
         with pytest.raises(CorruptArtifactError, match="digest mismatch"):
             CampaignCheckpoint.load(path)
 
@@ -301,12 +409,218 @@ class TestArtifactBoundary:
     def test_legacy_digest_free_checkpoint_loads(self, tmp_path,
                                                  uninterrupted):
         """Checkpoints written before the boundary existed (tagged but
-        digest-free) load without a re-pin."""
+        digest-free single documents) load without a re-pin."""
         path = tmp_path / "ck.json"
         ck = CampaignCheckpoint.new(path, {"seed": SEED})
         ck.record(0, uninterrupted)
-        data = json.loads(path.read_text())
-        del data["payload_sha256"]
-        path.write_text(json.dumps(data))
+        path.write_text(_v1_document(ck, signed=False))
         loaded = CampaignCheckpoint.load(path)
         assert loaded.completed_results()[0] == uninterrupted
+
+
+def _killed(world, path, after: int = 3) -> None:
+    with pytest.raises(KeyboardInterrupt):
+        _run(world, checkpoint=path, progress=_KillAfter(after))
+
+
+class TestLogDamage:
+    """Strict load: every way a log can be damaged fails typed."""
+
+    def test_torn_final_line(self, tmp_path, world):
+        path = tmp_path / "ck.json"
+        _killed(world, path)
+        raw = path.read_bytes()
+        path.write_bytes(raw[:len(raw) - len(_lines(path)[-1]) // 2])
+        with pytest.raises(CorruptArtifactError, match="invalid JSON"):
+            CampaignCheckpoint.load(path)
+
+    @pytest.mark.parametrize("damage", ["reordered", "dropped", "spliced"])
+    def test_chain_damage(self, tmp_path, world, damage):
+        path = tmp_path / "ck.json"
+        _killed(world, path, after=4)
+        lines = _lines(path)
+        if damage == "reordered":
+            lines[2], lines[3] = lines[3], lines[2]
+        elif damage == "dropped":
+            del lines[2]
+        else:  # an entry from another campaign's log, same position
+            other = tmp_path / "other.json"
+            with pytest.raises(KeyboardInterrupt):
+                run_fleet(nominal_policy(), world, default_perception(),
+                          BrakingSystem(), MIX, HOURS, SEED + 1, workers=1,
+                          chunk_hours=CHUNK_HOURS, checkpoint=other,
+                          progress=_KillAfter(4))
+            lines[2] = _lines(other)[2]
+        path.write_bytes(b"".join(lines))
+        with pytest.raises(CorruptArtifactError, match="chain broken"):
+            CampaignCheckpoint.load(path)
+
+    def test_duplicate_chunk_index(self, tmp_path, uninterrupted):
+        """A correctly chained log that banks one chunk twice."""
+        path = tmp_path / "ck.json"
+        entry = {"index": 0, "result": result_to_dict(uninterrupted),
+                 "telemetry": None}
+        with CheckpointLog.open(path) as log:
+            log.emit("campaign.identity", {"campaign": {"seed": SEED},
+                                           "created_utc": "t"})
+            log.emit("chunk.banked", entry)
+            log.emit("chunk.banked", entry)
+        with pytest.raises(ArtifactValidationError,
+                           match="duplicate chunk index"):
+            CampaignCheckpoint.load(path)
+
+    def test_log_must_open_with_its_identity(self, tmp_path,
+                                             uninterrupted):
+        path = tmp_path / "ck.json"
+        with CheckpointLog.open(path) as log:
+            log.emit("chunk.banked", {"index": 0, "telemetry": None,
+                                      "result": result_to_dict(
+                                          uninterrupted)})
+        with pytest.raises(ArtifactValidationError, match="identity"):
+            CampaignCheckpoint.load(path)
+
+    def test_a_chunk_is_banked_once(self, tmp_path, uninterrupted):
+        ck = CampaignCheckpoint.new(tmp_path / "ck.json", {"seed": SEED})
+        ck.record(0, uninterrupted)
+        with pytest.raises(ValueError, match="already banked"):
+            ck.record(0, uninterrupted)
+
+
+class TestResumeCutsTornTail:
+    def test_torn_append_loses_only_that_chunk(self, tmp_path, world,
+                                               uninterrupted):
+        path = tmp_path / "ck.json"
+        _killed(world, path)
+        lines = _lines(path)
+        torn = len(lines[-1]) // 2
+        path.write_bytes(b"".join(lines)[:-torn])  # kill mid-append
+        checkpoint, cut = CampaignCheckpoint.resume(path)
+        assert cut == len(lines[-1]) - torn
+        assert checkpoint.chunk_indices() == (0, 1)
+        assert path.read_bytes() == b"".join(lines[:-1])
+        assert _run(world, checkpoint=checkpoint,
+                    resume=True) == uninterrupted
+        assert CampaignCheckpoint.load(path).chunk_indices() == \
+            tuple(range(N_CHUNKS))
+
+    def test_campaign_resume_by_path_cuts_too(self, tmp_path, world,
+                                              uninterrupted):
+        path = tmp_path / "ck.json"
+        _killed(world, path)
+        path.write_bytes(path.read_bytes() + b'{"data":{"ind')
+        assert _run(world, checkpoint=path, resume=True) == uninterrupted
+
+    def test_empty_file_is_a_fresh_start(self, tmp_path, world,
+                                         uninterrupted):
+        path = tmp_path / "ck.json"
+        path.write_bytes(b"")
+        assert CampaignCheckpoint.resume(path) == (None, 0)
+        assert _run(world, checkpoint=path, resume=True) == uninterrupted
+
+    @pytest.mark.parametrize("damage", ["interior", "no identity"])
+    def test_other_damage_is_never_cut(self, tmp_path, world, damage):
+        path = tmp_path / "ck.json"
+        _killed(world, path)
+        lines = _lines(path)
+        if damage == "interior":
+            lines[1] = lines[1].replace(b'"index":0', b'"index":7')
+        else:  # the identity line is renamed into place whole, never torn
+            lines = [lines[0][:30]]
+        damaged = b"".join(lines)
+        path.write_bytes(damaged)
+        with pytest.raises(CorruptArtifactError, match="not a torn tail"):
+            CampaignCheckpoint.resume(path)
+        with pytest.raises(CorruptArtifactError):
+            _run(world, checkpoint=path, resume=True)
+        assert path.read_bytes() == damaged
+
+
+class TestProgressWhileAppending:
+    def test_append_in_flight_reports_verified_prefix(self, tmp_path,
+                                                      world):
+        path = tmp_path / "ck.json"
+        _killed(world, path)
+        whole = path.read_bytes()
+        path.write_bytes(whole + _lines(path)[-1][:40])
+        progress = read_checkpoint_progress(path)
+        assert progress["chunk_indices"] == [0, 1, 2]
+        assert progress["chunks_banked"] == 3
+        assert path.read_bytes().startswith(whole)  # read-only
+
+    def test_interior_damage_raises(self, tmp_path, world):
+        path = tmp_path / "ck.json"
+        _killed(world, path)
+        lines = _lines(path)
+        lines[1] = lines[1].replace(b"sha256:", b"sha666:", 1)
+        path.write_bytes(b"".join(lines))
+        with pytest.raises(ArtifactError):
+            read_checkpoint_progress(path)
+
+    def test_identity_only_log_has_nothing_banked(self, tmp_path):
+        path = tmp_path / "ck.json"
+        CampaignCheckpoint.new(path, {"seed": SEED}).save()
+        assert read_checkpoint_progress(path)["chunks_banked"] == 0
+        assert read_checkpoint_progress(tmp_path / "absent.json") is None
+
+
+@pytest.mark.parametrize("signed", [True, False],
+                         ids=["signed", "digest-free"])
+class TestV1Documents:
+    """Single-document checkpoints from earlier builds load and resume
+    bit-for-bit; the first append rewrites them once as a log."""
+
+    def _v1(self, world, tmp_path, signed):
+        path = tmp_path / "ck.json"
+        _killed(world, path)
+        banked = CampaignCheckpoint.load(path)
+        path.write_text(_v1_document(banked, signed=signed))
+        assert path.read_bytes().startswith(b"{\n  \"campaign\"")
+        return path, banked
+
+    def test_loads(self, tmp_path, world, signed):
+        path, banked = self._v1(world, tmp_path, signed)
+        loaded = CampaignCheckpoint.load(path)
+        assert loaded.campaign == banked.campaign
+        assert loaded.completed_results() == banked.completed_results()
+        assert read_checkpoint_progress(path) == banked.progress()
+
+    def test_resume_matches_uninterrupted(self, tmp_path, world,
+                                          uninterrupted, signed):
+        path, banked = self._v1(world, tmp_path, signed)
+        seen = []
+        resumed = _run(world, checkpoint=path, resume=True,
+                       progress=lambda update: seen.append(
+                           path.read_bytes()))
+        assert resumed == uninterrupted
+        # The first commit rewrote the document as a log; every later
+        # commit appended one line to it.
+        assert len(seen[0].splitlines()) == len(banked.chunks) + 2
+        for before, after in zip(seen, seen[1:]):
+            assert after.startswith(before)
+        final = CampaignCheckpoint.load(path)
+        assert final.chunk_indices() == tuple(range(N_CHUNKS))
+        assert final.created_utc == banked.created_utc
+        assert json.loads(_lines(path)[0])["schema"] == \
+            "repro.checkpoint-log/v1"
+
+    def test_cli_resume_matches_uninterrupted(self, tmp_path, capsys,
+                                              signed):
+        from repro.cli import main
+
+        fleet = ["fleet", "--hours", "4", "--seed", "9", "--chunk-hours",
+                 "1", "--workers", "1"]
+        ck = tmp_path / "ck.json"
+        plain = tmp_path / "plain.json"
+        resumed = tmp_path / "resumed.json"
+        assert main(fleet + ["--json", str(plain)]) == 0
+        assert main(fleet + ["--checkpoint", str(ck)]) == 0
+        banked = CampaignCheckpoint.load(ck)
+        for index in (2, 3):  # an earlier build killed after two chunks
+            del banked.chunks[index]
+        ck.write_text(_v1_document(banked, signed=signed))
+        assert main(fleet + ["--checkpoint", str(ck), "--resume",
+                             "--json", str(resumed)]) == 0
+        capsys.readouterr()
+        assert json.loads(resumed.read_text()) == \
+            json.loads(plain.read_text())
+        assert CampaignCheckpoint.load(ck).chunk_indices() == (0, 1, 2, 3)
