@@ -1,6 +1,6 @@
 """Command-line interface.
 
-Five subcommands cover the workflows a user reaches for before writing
+Seven subcommands cover the workflows a user reaches for before writing
 Python:
 
 * ``repro figures [--out DIR]`` — regenerate every paper figure as text;
@@ -23,7 +23,9 @@ Python:
   importance sampling under a ``--tilt-*`` proposal with exact
   likelihood-ratio reweighting and ESS diagnostics (exit 5 on a
   degenerate proposal), or multilevel splitting on the near-miss
-  severity ladder.
+  severity ladder;
+* ``repro watch DIR`` — render a ``--flight-recorder`` campaign's live
+  status.
 
 Fault tolerance (DESIGN.md §9): ``--checkpoint PATH`` appends every
 committed chunk to a signed log; ``--resume`` restarts a killed campaign
@@ -31,17 +33,10 @@ from that file (cutting a torn last append first), re-running only the
 missing chunks (the merged result is bit-for-bit the uninterrupted
 one).  ``--max-attempts`` and ``--chunk-timeout`` tune the per-chunk
 retry policy.  A campaign that still cannot finish exits with code 3
-and prints its failure log; a ``Ctrl-C`` exits with the conventional
-130 after the checkpoint (if any) has been flushed.
-
-The campaign service (DESIGN §14): ``repro serve --spool DIR`` runs the
-crash-safe local job daemon; ``repro submit`` posts a campaign spec to
-it (idempotent — the job id is the spec digest, a completed spec is a
-cache hit); ``repro jobs`` lists/inspects job records; ``repro cancel``
-cancels one.  All client commands discover the daemon through the
-spool's ``endpoint.json``, and every refusal is a typed one-line
-``error:`` diagnostic (exit 4), including 429 backpressure with its
-retry-after hint.
+and prints its failure log; one that finished while its checkpoint
+still lacks a chunk (the append kept failing) exits 4 naming the
+unlogged chunks; a ``Ctrl-C`` exits with the conventional 130 after the
+checkpoint (if any) has been flushed.
 
 Artifact I/O (DESIGN §10): every JSON artifact the CLI reads — stored
 goal sets, campaign checkpoints, inline ``--counts`` payloads — goes
@@ -172,114 +167,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="IS proposal: braking-fault occupancy "
                             "multiplier")
     _add_parallel_flags(fleet)
-
-    serve = sub.add_parser(
-        "serve", help="run the crash-safe campaign service daemon")
-    serve.add_argument("--spool", type=Path, required=True,
-                       help="the durable spool directory (job records, "
-                            "results, checkpoints, service journal)")
-    serve.add_argument("--host", default="127.0.0.1")
-    serve.add_argument("--port", type=int, default=0,
-                       help="TCP port (default 0: pick a free port; the "
-                            "bound address is published to the spool's "
-                            "endpoint.json)")
-    serve.add_argument("--queue-limit", type=int, default=16,
-                       help="bounded admission queue size; beyond it "
-                            "submissions get a typed 429 with Retry-After "
-                            "(default 16)")
-    serve.add_argument("--max-runners", type=int, default=2,
-                       help="concurrent campaign runner processes "
-                            "(default 2)")
-    serve.add_argument("--lease-ttl", type=float, default=30.0,
-                       help="seconds without heartbeat progress before a "
-                            "runner is declared hung and its job requeued "
-                            "(default 30)")
-    serve.add_argument("--max-attempts", type=int, default=3,
-                       help="runner attempts per job before it is marked "
-                            "failed (default 3)")
-    serve.add_argument("--min-free-mb", type=float, default=128.0,
-                       help="free-space low watermark in MiB; below it "
-                            "the daemon degrades to cautious mode and "
-                            "refuses new work with a typed 507 "
-                            "(default 128)")
-    serve.add_argument("--critical-free-mb", type=float, default=32.0,
-                       help="free-space critical watermark in MiB; below "
-                            "it in-flight runners are drained to their "
-                            "checkpoints (default 32)")
-
-    submit = sub.add_parser(
-        "submit", help="submit a campaign spec to a running service")
-    submit.add_argument("--spool", type=Path, required=True,
-                        help="the daemon's spool (its endpoint.json names "
-                             "the live address)")
-    submit.add_argument("--policy",
-                        choices=["cautious", "nominal", "aggressive"],
-                        default="nominal")
-    submit.add_argument("--hours", type=float, default=2000.0)
-    submit.add_argument("--seed", type=int, default=2020)
-    submit.add_argument("--chunk-hours", type=float, default=None)
-    submit.add_argument("--workers", type=int, default=None)
-    submit.add_argument("--engine", choices=["vectorized", "scalar"],
-                        default="vectorized")
-    submit.add_argument("--tenant", default="default")
-    submit.add_argument("--priority", choices=["high", "normal", "low"],
-                        default="normal")
-    submit.add_argument("--wait", action="store_true",
-                        help="poll until the job reaches a terminal state "
-                             "(exit 0 done, 1 failed/cancelled)")
-    submit.add_argument("--poll-interval", type=float, default=0.2,
-                        help="seconds between --wait polls (default 0.2)")
-    submit.add_argument("--retries", type=int, default=5,
-                        help="honor typed 429/503/507 retry hints with "
-                             "capped exponential backoff this many times "
-                             "before giving up (default 5; 0 disables)")
-
-    jobs = sub.add_parser(
-        "jobs", help="list a service's job records (or inspect one)")
-    jobs.add_argument("--spool", type=Path, required=True)
-    jobs.add_argument("job_id", nargs="?", default=None,
-                      help="inspect this job (record + checkpoint "
-                           "progress) instead of listing")
-    jobs.add_argument("--json", action="store_true",
-                      help="print raw JSON instead of the table")
-
-    cancel = sub.add_parser(
-        "cancel", help="cancel one service job")
-    cancel.add_argument("--spool", type=Path, required=True)
-    cancel.add_argument("job_id")
-
-    fsck = sub.add_parser(
-        "fsck", help="audit (and optionally repair) a service spool")
-    fsck.add_argument("--spool", type=Path, required=True,
-                      help="the spool directory to audit (daemon must "
-                           "be stopped for --repair)")
-    fsck.add_argument("--repair", action="store_true",
-                      help="apply the provably-safe repairs (sweep "
-                           "orphans, truncate torn journal tails, requeue "
-                           "dangling work) and quarantine the rest")
-    fsck.add_argument("--json", action="store_true",
-                      help="print the full report as JSON")
-
-    gc = sub.add_parser(
-        "gc", help="reclaim spool space under a retention policy")
-    gc.add_argument("--spool", type=Path, required=True,
-                    help="the spool directory to collect (daemon must "
-                         "be stopped)")
-    gc.add_argument("--keep-last", type=int, default=8,
-                    help="terminal jobs kept per tenant, newest first "
-                         "(default 8)")
-    gc.add_argument("--max-age-days", type=float, default=None,
-                    help="also collect terminal jobs and unreferenced "
-                         "results older than this (default: no age "
-                         "bound)")
-    gc.add_argument("--compact-journal", action="store_true",
-                    help="archive the journal chain and start a fresh "
-                         "one whose genesis entry names the archive")
-    gc.add_argument("--dry-run", action="store_true",
-                    help="compute and print the sweep without deleting "
-                         "anything")
-    gc.add_argument("--json", action="store_true",
-                    help="print the report as JSON")
 
     watch = sub.add_parser(
         "watch", help="render a campaign's live flight-recorder status")
@@ -944,153 +831,6 @@ def _cmd_review(args: argparse.Namespace) -> int:
     return 1 if blockers else 0
 
 
-def _cmd_serve(args: argparse.Namespace) -> int:
-    from repro.service import serve
-
-    try:
-        return serve(args.spool, host=args.host, port=args.port,
-                     queue_limit=args.queue_limit,
-                     max_runners=args.max_runners,
-                     lease_ttl_s=args.lease_ttl,
-                     max_attempts=args.max_attempts,
-                     low_free_bytes=int(args.min_free_mb * 1024 * 1024),
-                     critical_free_bytes=int(
-                         args.critical_free_mb * 1024 * 1024))
-    except ValueError as exc:
-        # Bad knobs (e.g. --queue-limit 0) fail the CLI contract way:
-        # one `error:` line, exit 4, no traceback.
-        raise ReproError(f"invalid service configuration: {exc}") from exc
-
-
-def _cmd_submit(args: argparse.Namespace) -> int:
-    import time
-
-    from repro.service import TERMINAL_STATES, ServiceClient
-
-    spec: Dict[str, object] = {"policy": args.policy,
-                               "hours": args.hours, "seed": args.seed,
-                               "engine": args.engine}
-    if args.chunk_hours is not None:
-        spec["chunk_hours"] = args.chunk_hours
-    if args.workers is not None:
-        spec["workers"] = args.workers
-    client = ServiceClient.from_spool(args.spool, retries=args.retries)
-    reply = client.submit(spec, tenant=args.tenant,
-                          priority=args.priority)
-    job = reply["job"]
-    verb = ("cached" if reply["cached"]
-            else "accepted" if reply["created"] else "already submitted")
-    print(f"job {job['job_id']} {verb} "
-          f"(state {job['state']}, tenant {job['tenant']}, "
-          f"priority {job['priority']})")
-    if not args.wait:
-        return 0
-    while job["state"] not in TERMINAL_STATES:
-        time.sleep(args.poll_interval)
-        job = client.job(str(job["job_id"]))["job"]
-    print(f"job {job['job_id']} finished: {job['state']}"
-          + (f" ({job['error']})" if job.get("error") else ""))
-    return 0 if job["state"] == "done" else 1
-
-
-def _cmd_jobs(args: argparse.Namespace) -> int:
-    from repro.service import ServiceClient
-
-    client = ServiceClient.from_spool(args.spool)
-    if args.job_id is not None:
-        status = client.job(args.job_id)
-        if args.json:
-            print(json.dumps(status, indent=2, sort_keys=True))
-            return 0
-        job = status["job"]
-        print(f"job {job['job_id']}: {job['state']} "
-              f"(tenant {job['tenant']}, priority {job['priority']}, "
-              f"attempts {job['attempts']})")
-        checkpoint = status.get("checkpoint")
-        if checkpoint:
-            print(f"  checkpoint: {checkpoint['chunks_banked']} chunks "
-                  f"banked, {checkpoint['hours_banked']:g} h "
-                  f"(indices {checkpoint['chunk_indices']})")
-        if job.get("chunks_resumed") is not None:
-            print(f"  chunks resumed on final attempt: "
-                  f"{job['chunks_resumed']}")
-        if job.get("error"):
-            print(f"  error: {job['error']}")
-        return 0
-    jobs = client.jobs()
-    if args.json:
-        print(json.dumps({"jobs": jobs}, indent=2, sort_keys=True))
-        return 0
-    if not jobs:
-        print("no jobs in the spool")
-        return 0
-    for job in jobs:
-        print(f"{job['job_id']}  {job['state']:<9}  "
-              f"tenant={job['tenant']}  priority={job['priority']}  "
-              f"attempts={job['attempts']}  "
-              f"hours={job['spec']['hours']:g}  "
-              f"seed={job['spec']['seed']}")
-    return 0
-
-
-def _cmd_cancel(args: argparse.Namespace) -> int:
-    from repro.service import ServiceClient
-
-    client = ServiceClient.from_spool(args.spool)
-    reply = client.cancel(args.job_id)
-    job = reply["job"]
-    print(f"job {job['job_id']} cancelled (was tenant {job['tenant']})")
-    return 0
-
-
-def _cmd_fsck(args: argparse.Namespace) -> int:
-    from repro.service import fsck_spool
-
-    report = fsck_spool(args.spool, repair=args.repair)
-    if args.json:
-        print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
-        return 0 if report.clean else 1
-    for finding in report.findings:
-        action = f"  [{finding.repair}]" if finding.repair else ""
-        print(f"{finding.kind}: {finding.path}{action}")
-        print(f"  {finding.detail}")
-    summary = ", ".join(f"{kind} x{count}" for kind, count
-                        in sorted(report.counts().items())) or "clean"
-    print(f"fsck {report.root}: {report.jobs_checked} jobs, "
-          f"{report.results_checked} results, "
-          f"{report.checkpoints_checked} checkpoints, "
-          f"{report.journal_entries} journal entries — {summary}"
-          + (" (repaired)" if args.repair and report.findings else ""))
-    return 0 if report.clean else 1
-
-
-def _cmd_gc(args: argparse.Namespace) -> int:
-    from repro.service import RetentionPolicy, run_gc
-
-    try:
-        policy = RetentionPolicy(
-            keep_last=args.keep_last,
-            max_age_s=(None if args.max_age_days is None
-                       else args.max_age_days * 86400.0))
-    except ValueError as exc:
-        raise ReproError(f"invalid retention policy: {exc}") from exc
-    report = run_gc(args.spool, policy,
-                    compact=args.compact_journal, dry_run=args.dry_run)
-    if args.json:
-        print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
-        return 0
-    verb = "would collect" if report.dry_run else "collected"
-    print(f"gc {report.root}: {verb} {report.jobs_collected} jobs, "
-          f"{report.results_collected} results, "
-          f"{report.checkpoints_collected} checkpoints, "
-          f"{report.scratch_collected} scratch files "
-          f"({report.bytes_reclaimed} bytes); retained "
-          f"{report.jobs_retained} terminal + {report.live_jobs} live")
-    if report.journal_compacted:
-        print(f"journal compacted (archive: {report.journal_archive})")
-    return 0
-
-
 def _cmd_watch(args: argparse.Namespace) -> int:
     import time
 
@@ -1125,12 +865,6 @@ _COMMANDS = {
     "review": _cmd_review,
     "dossier": _cmd_dossier,
     "fleet": _cmd_fleet,
-    "serve": _cmd_serve,
-    "submit": _cmd_submit,
-    "jobs": _cmd_jobs,
-    "cancel": _cmd_cancel,
-    "fsck": _cmd_fsck,
-    "gc": _cmd_gc,
     "watch": _cmd_watch,
 }
 

@@ -6,6 +6,8 @@ CLI JSON) goes through this package:
 
 * :mod:`.atomic` — the single temp-file + fsync + ``os.replace``
   implementation of atomic durable writes;
+* :mod:`.faults` — the ``REPRO_FS_CHAOS`` filesystem fault hook the
+  durable-write paths consult at their named points;
 * :mod:`.validate` — structural Spec combinators checked before any
   domain object is constructed;
 * :mod:`.artifact` — the schema registry, sha256 payload digests

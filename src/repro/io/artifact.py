@@ -413,9 +413,6 @@ def load_builtin_schemas() -> Tuple[ArtifactSchema, ...]:
     from ..core import serialize  # noqa: F401  (registers on import)
     from ..obs import events  # noqa: F401
     from ..obs import manifest  # noqa: F401
-    from ..service import jobs  # noqa: F401
-    from ..service import journal  # noqa: F401
-    from ..service import store  # noqa: F401
     from ..traffic import checkpoint  # noqa: F401
     from ..traffic import records  # noqa: F401
     return ARTIFACTS.schemas()

@@ -16,16 +16,18 @@ The one failure the unlink cannot cover is a hard crash (SIGKILL, power
 loss) *between* ``mkstemp`` and ``os.replace``: the orphaned temp file
 survives.  That is why every temp name starts with
 :data:`ORPHAN_TMP_PREFIX` and ends with :data:`ORPHAN_TMP_SUFFIX` — the
-recognizable signature ``repro fsck`` sweeps (:func:`iter_orphan_tmp`).
-Sweeping is provably safe: a temp file is never referenced by anything
-until the rename, and after the rename it no longer exists.
+recognizable signature :func:`sweep_orphan_tmp` removes
+(:func:`iter_orphan_tmp` finds them).  Sweeping is provably safe: a temp
+file is never referenced by anything until the rename, and after the
+rename it no longer exists.
 
 Fault injection: the write path is instrumented with the
-``REPRO_FS_CHAOS`` point ``atomic-write`` (DESIGN §15), simulating
-disk-full before any byte lands (``enospc``), a failed fsync after a
-complete write (``eio``), a torn write that dies mid-payload and leaves
-its orphan temp behind (``torn``), and the durability lie where the
-rename landed but the caller is told it failed (``shortfsync``).
+``REPRO_FS_CHAOS`` point ``atomic-write`` (:mod:`repro.io.faults`,
+DESIGN §15), simulating disk-full before any byte lands (``enospc``), a
+failed fsync after a complete write (``eio``), a torn write that dies
+mid-payload and leaves its orphan temp behind (``torn``), and the
+durability lie where the rename landed but the caller is told it failed
+(``shortfsync``).
 """
 
 from __future__ import annotations
@@ -35,12 +37,15 @@ import tempfile
 from pathlib import Path
 from typing import Iterator
 
+from .faults import fs_chaos, fs_fault
+
 __all__ = ["atomic_write_text", "iter_orphan_tmp", "sweep_orphan_tmp",
            "ORPHAN_TMP_PREFIX", "ORPHAN_TMP_SUFFIX"]
 
 #: Every in-flight temp file is ``.repro-tmp.<destname>.<random>.tmp`` —
-#: the leading dot keeps it out of artifact globs (``j-*.json`` etc.),
-#: the fixed prefix/suffix pair makes orphans sweepable by signature.
+#: the leading dot keeps it out of artifact globs (the record sink's
+#: ``<prefix>-*.json``), the fixed prefix/suffix pair makes orphans
+#: sweepable by signature.
 ORPHAN_TMP_PREFIX = ".repro-tmp."
 ORPHAN_TMP_SUFFIX = ".tmp"
 
@@ -54,11 +59,6 @@ def atomic_write_text(path: "Path | str", text: str, *,
     ``False`` only for scratch outputs where torn-write protection
     matters but durability across power loss does not.
     """
-    # Imported lazily: repro.io initialises before repro.testing can
-    # (testing.fuzz needs the artifact boundary), so a module-level
-    # import here would be circular.
-    from ..testing.chaos import fs_chaos, fs_fault
-
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fault = fs_chaos("atomic-write")
@@ -74,7 +74,7 @@ def atomic_write_text(path: "Path | str", text: str, *,
             if fault == "torn":
                 # A prefix lands, then the process "dies" before it can
                 # clean up: the orphan temp file is the crash residue
-                # fsck must sweep.  The destination is untouched.
+                # sweep_orphan_tmp removes.  The destination is untouched.
                 handle.write(text[:max(1, len(text) // 2)])
                 handle.flush()
                 leak_tmp = True
@@ -105,7 +105,7 @@ def iter_orphan_tmp(root: "Path | str") -> Iterator[Path]:
     """Every orphaned atomic-write temp file under ``root``, sorted.
 
     Matches the :data:`ORPHAN_TMP_PREFIX`/``SUFFIX`` signature only —
-    nothing else in a spool or output tree starts with ``.repro-tmp.``.
+    nothing else in an output tree starts with ``.repro-tmp.``.
     """
     root = Path(root)
     yield from sorted(root.rglob(ORPHAN_TMP_PREFIX + "*"

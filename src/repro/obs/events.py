@@ -53,6 +53,7 @@ from typing import (Callable, ClassVar, Dict, Iterator, List, Mapping,
 from ..errors import CorruptArtifactError
 from ..io.artifact import (ARTIFACTS, DIGEST_KEY, ArtifactSchema,
                            parse_artifact_text, register_artifact)
+from ..io.faults import fs_chaos, fs_fault
 from ..io.validate import Int, Json, MapOf, NullOr, Record, Str
 
 __all__ = ["EVENT_LOG_SCHEMA", "EVENT_LOG_SCHEMA_NAME", "EVENT_KINDS",
@@ -81,8 +82,8 @@ EVENT_KINDS = (
 )
 """The closed event taxonomy.  ``EventRecord`` rejects anything else —
 an unknown kind in a journal file is corruption, not forward compat.
-Chained journals with a *different* taxonomy (the campaign service's
-``repro.service-journal/v1``) subclass :class:`EventRecord` and override
+Chained logs with a *different* taxonomy (the campaign checkpoint's
+``repro.checkpoint-log/v1``) subclass :class:`EventRecord` and override
 ``KINDS`` — the chain discipline is shared, the vocabulary is not."""
 
 
@@ -204,7 +205,7 @@ def read_journal(path: Union[str, Path],
 
 @dataclass
 class JournalScan:
-    """The lenient sibling of :func:`read_chained_journal` (fsck's view).
+    """The lenient sibling of :func:`read_chained_journal` (repair's view).
 
     ``records`` is the longest valid chain prefix, ``valid_bytes`` the
     byte length of that prefix in the file (truncating to it yields a
@@ -216,7 +217,7 @@ class JournalScan:
     crashed writer — cutting it loses no committed entry.  Interior
     damage (a valid-looking envelope exists past the break) is NOT a
     torn tail: cutting there would discard committed audit data, so
-    repair must quarantine instead.
+    :func:`repair_journal_tail` refuses it.
     """
 
     path: Path
@@ -400,11 +401,12 @@ class EventJournal:
 
     Subclasses may override ``SCHEMA_NAME`` and ``RECORD_TYPE`` to chain
     a different closed event taxonomy under a different artifact schema
-    (the campaign service's :class:`~repro.service.journal.ServiceJournal`
-    does exactly this); the append/verify machinery is shared.  A
-    subclass that must survive power loss, not just a killed process,
-    sets ``FSYNC`` (the campaign checkpoint log does), and
-    ``CHAOS_POINT`` renames its ``REPRO_FS_CHAOS`` write point.
+    (the campaign checkpoint's
+    :class:`~repro.traffic.checkpoint.CheckpointLog` does exactly this);
+    the append/verify machinery is shared.  A subclass that must survive
+    power loss, not just a killed process, sets ``FSYNC`` (the
+    checkpoint log does), and ``CHAOS_POINT`` renames its
+    ``REPRO_FS_CHAOS`` write point (:mod:`repro.io.faults`).
     """
 
     SCHEMA_NAME: ClassVar[str] = EVENT_LOG_SCHEMA_NAME
@@ -500,12 +502,10 @@ class EventJournal:
         and every later :meth:`emit` raises.  This is deliberate — after
         a torn or errored write the file may end in a damaged fragment,
         and appending past it would turn a provably-safe suffix cut
-        (``repro fsck`` truncates the torn tail) into unrepairable
-        interior damage.  The chain state (``seq``/``head``) is never
-        advanced on failure.
+        (:func:`repair_journal_tail` truncates the torn tail) into
+        unrepairable interior damage.  The chain state
+        (``seq``/``head``) is never advanced on failure.
         """
-        from ..testing.chaos import fs_chaos, fs_fault
-
         if os.getpid() != self._pid:
             raise RuntimeError(
                 f"event journal {self._path} crossed a process boundary "

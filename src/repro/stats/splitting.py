@@ -227,7 +227,7 @@ def adaptive_levels(initial: Callable[[np.random.Generator], State],
     scores = [float(score(state)) for state in population]
     levels: List[float] = []
     for _ in range(max_levels - 1):
-        candidate = float(np.quantile(scores, 1.0 - level_fraction))
+        candidate = _score_quantile(scores, 1.0 - level_fraction)
         if candidate >= final_level:
             break
         if levels and candidate <= levels[-1]:
@@ -254,6 +254,23 @@ def adaptive_levels(initial: Callable[[np.random.Generator], State],
             population[i], scores[i] = state, value
     levels.append(final_level)
     return levels
+
+
+def _score_quantile(scores: Sequence[float], q: float) -> float:
+    """``np.quantile(scores, q)`` (linear interpolation), with ``+inf``
+    scores taken as a limit.
+
+    A severity score is ``inf`` when the reaction roll-out alone uses up
+    the detection distance.  Interpolating towards one computes
+    ``inf - inf`` or ``inf * 0``, a NaN rung; the limit is the lower
+    neighbour exactly at its position and ``+inf`` past it.
+    """
+    ordered = np.sort(np.asarray(scores, dtype=float))
+    position = (len(ordered) - 1) * q
+    below = math.floor(position)
+    if np.isposinf(ordered[below:below + 2]).any():
+        return float(ordered[below]) if below == position else math.inf
+    return float(np.quantile(ordered, q))
 
 
 def replicated_splitting(initial: Callable[[np.random.Generator], State],

@@ -14,10 +14,11 @@ are reproducible — so this harness scripts them:
 * a :class:`ChaosWorker` wraps the real (picklable) chunk worker and
   applies the script.  Which execution this is ("attempt") is claimed
   crash-safely through ``O_CREAT | O_EXCL`` marker files in a shared
-  ``state_dir`` — worker processes share no memory, and the victim of an
-  ``exit`` fault never gets to report back, so in-process counters
-  cannot work.  The coordinator serialises a chunk's executions, so the
-  claim is race-free.
+  ``state_dir`` (:func:`repro.io.faults.claim_hit`, the same claim the
+  filesystem fault hook counts its hits with) — worker processes share
+  no memory, and the victim of an ``exit`` fault never gets to report
+  back, so in-process counters cannot work.  The coordinator serialises
+  a chunk's executions, so the claim is race-free.
 
 Fault kinds (:data:`CHAOS_FAULT_KINDS`):
 
@@ -46,19 +47,17 @@ result exactly.
 
 from __future__ import annotations
 
-import errno
 import os
-import signal
 import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Mapping, Tuple
 
 import numpy as np
 
+from ..io.faults import claim_hit
+
 __all__ = ["CHAOS_FAULT_KINDS", "ChaosError", "ChaosScript", "ChaosWorker",
-           "replace_with_garbage", "SERVICE_CHAOS_ENV",
-           "SERVICE_CHAOS_DIR_ENV", "service_chaos", "FS_CHAOS_ENV",
-           "FS_CHAOS_DIR_ENV", "FS_FAULT_KINDS", "fs_chaos", "fs_fault"]
+           "replace_with_garbage"]
 
 CHAOS_FAULT_KINDS = ("raise", "exit", "hang", "garbage")
 
@@ -166,20 +165,6 @@ class ChaosWorker:
     script: ChaosScript
     state_dir: str
 
-    def _claim_execution(self, chunk_index: int) -> int:
-        """Atomically claim this run's 1-based execution number."""
-        execution = 1
-        while True:
-            marker = os.path.join(self.state_dir,
-                                  f"chunk{chunk_index}.exec{execution}")
-            try:
-                fd = os.open(marker, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-            except FileExistsError:
-                execution += 1
-                continue
-            os.close(fd)
-            return execution
-
     def executions(self, chunk_index: int) -> int:
         """How many executions of a chunk have been claimed so far."""
         count = 0
@@ -189,7 +174,7 @@ class ChaosWorker:
         return count
 
     def __call__(self, chunk: Any, seed_seq: Any) -> Any:
-        execution = self._claim_execution(chunk.index)
+        execution = claim_hit(self.state_dir, f"chunk{chunk.index}.exec")
         fault = self.script.fault_for(chunk.index, execution)
         if fault == "raise":
             raise ChaosError(
@@ -205,170 +190,3 @@ class ChaosWorker:
         if fault == "garbage":
             return self.script.corruptor(result)
         return result
-
-
-# -- service-level chaos ---------------------------------------------------
-#
-# The campaign service (repro serve) is instrumented with named chaos
-# points at its crash-consistency-critical instants — right after a
-# service-journal append, after a lease grant is persisted, after a
-# result artifact is committed, after every runner chunk commit.  The
-# chaos tier scripts faults at those points through two environment
-# variables, which child processes (the daemon, its runners) inherit:
-#
-# ``REPRO_SERVICE_CHAOS``
-#     Semicolon-separated directives.  ``kill@<point>[#<nth>]`` SIGKILLs
-#     the current process the <nth> time (default 1st) that point is
-#     reached *across all processes and restarts*; ``fail@<point>``
-#     raises ``OSError(ENOSPC)`` there every time (a stuck-full spool).
-# ``REPRO_SERVICE_CHAOS_DIR``
-#     An existing shared directory where ``kill`` directives claim their
-#     hit counts via ``O_CREAT | O_EXCL`` marker files — the same
-#     crash-safe claim protocol as :class:`ChaosWorker`, because the
-#     victim of a SIGKILL never gets to update an in-process counter.
-#
-# With neither variable set, :func:`service_chaos` is one environment
-# lookup and a return — the production daemon pays nothing measurable.
-
-SERVICE_CHAOS_ENV = "REPRO_SERVICE_CHAOS"
-SERVICE_CHAOS_DIR_ENV = "REPRO_SERVICE_CHAOS_DIR"
-
-
-def _claim_hit(state_dir: str, directive_index: int) -> int:
-    """Atomically claim this occurrence's 1-based global hit number."""
-    hit = 1
-    while True:
-        marker = os.path.join(state_dir,
-                              f"chaos{directive_index}.hit{hit}")
-        try:
-            fd = os.open(marker, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        except FileExistsError:
-            hit += 1
-            continue
-        os.close(fd)
-        return hit
-
-
-def service_chaos(point: str) -> None:
-    """Apply any scripted service-chaos directive for ``point``.
-
-    ``kill`` directives terminate the process with ``SIGKILL`` (no
-    cleanup, no atexit — the hard-crash the recovery path must survive);
-    ``fail`` directives raise ``OSError(ENOSPC)`` for the caller's typed
-    error handling to absorb.  Unmatched points return immediately.
-    """
-    spec = os.environ.get(SERVICE_CHAOS_ENV, "")
-    if not spec:
-        return
-    for index, directive in enumerate(spec.split(";")):
-        directive = directive.strip()
-        if "@" not in directive:
-            continue
-        action, _, rest = directive.partition("@")
-        target, _, nth_text = rest.partition("#")
-        if target != point:
-            continue
-        if action == "fail":
-            raise OSError(errno.ENOSPC,
-                          f"injected disk-full at chaos point {point!r}")
-        if action != "kill":
-            continue
-        state_dir = os.environ.get(SERVICE_CHAOS_DIR_ENV)
-        if state_dir is None:
-            raise RuntimeError(
-                f"{SERVICE_CHAOS_ENV} has a kill directive but "
-                f"{SERVICE_CHAOS_DIR_ENV} is unset")
-        nth = int(nth_text) if nth_text else 1
-        if _claim_hit(state_dir, index) == nth:
-            os.kill(os.getpid(), signal.SIGKILL)
-
-
-# -- filesystem-level chaos -------------------------------------------------
-#
-# Where the service chaos tier scripts *process* faults (kills, whole-
-# operation failures), the filesystem chaos tier scripts *storage*
-# faults at the named points inside the durable-write paths themselves —
-# ``io/atomic.py``'s temp-write-fsync-rename dance, the journal append
-# in ``obs/events.py`` (and its ``service/journal.py`` subclass), the
-# spool writes in ``service/store.py``, the checkpoint flush in
-# ``traffic/checkpoint.py``.  Each point asks :func:`fs_chaos` whether a
-# fault is scripted for *this* occurrence and then simulates the real
-# storage failure mode in place:
-#
-# ``enospc``
-#     ``OSError(ENOSPC)`` before any byte lands — the clean disk-full.
-# ``eio``
-#     ``OSError(EIO)`` after the data is written but before it is
-#     durable — the failed fsync / dying device.
-# ``torn``
-#     a *prefix* of the payload lands and then the write errors — the
-#     torn page / power-cut-mid-append every journal-repair path must
-#     survive.  Atomic writers leave their orphaned temp file behind
-#     (the crash-between-create-and-rename residue ``repro fsck``
-#     sweeps); journal appenders leave a genuinely torn tail.
-# ``shortfsync``
-#     the write completes — the rename even lands — but the final
-#     durability step reports failure, so the caller believes the write
-#     failed while the bytes are actually intact.  Retry/fsck paths must
-#     be idempotent against this lie.
-#
-# Directive syntax mirrors ``REPRO_SERVICE_CHAOS``::
-#
-#     REPRO_FS_CHAOS="<kind>@<point>[#<nth>];..."
-#
-# Without ``#<nth>`` the fault fires on *every* hit of the point (a
-# persistently sick disk).  With ``#<nth>`` it fires exactly once, on
-# the nth occurrence *across all processes and restarts*, claimed
-# crash-safely through ``O_CREAT | O_EXCL`` markers in
-# ``REPRO_FS_CHAOS_DIR`` — same protocol as the kill directives, because
-# the victim of a torn write may well be about to die.  With the
-# variable unset, every instrumented point costs one environment lookup.
-
-FS_CHAOS_ENV = "REPRO_FS_CHAOS"
-FS_CHAOS_DIR_ENV = "REPRO_FS_CHAOS_DIR"
-
-FS_FAULT_KINDS = ("enospc", "eio", "torn", "shortfsync")
-
-
-def fs_fault(kind: str, point: str) -> OSError:
-    """The :class:`OSError` an injected filesystem fault surfaces as.
-
-    ``enospc`` carries ``errno.ENOSPC``; every other kind carries
-    ``errno.EIO`` (a torn write and a failed fsync both look like I/O
-    errors to the caller).  Callers wrap it into their typed taxonomy
-    exactly as they would the real thing.
-    """
-    code = errno.ENOSPC if kind == "enospc" else errno.EIO
-    return OSError(code, f"injected fs fault {kind!r} at chaos point "
-                         f"{point!r}")
-
-
-def fs_chaos(point: str) -> "str | None":
-    """The scripted filesystem fault kind for this hit of ``point``.
-
-    Returns one of :data:`FS_FAULT_KINDS` when a directive matches (and,
-    for ``#<nth>`` directives, when this is the claimed nth global hit),
-    else ``None``.  The *caller* simulates the fault — only the call
-    site knows which bytes a torn write should cut.
-    """
-    spec = os.environ.get(FS_CHAOS_ENV, "")
-    if not spec:
-        return None
-    for index, directive in enumerate(spec.split(";")):
-        directive = directive.strip()
-        if "@" not in directive:
-            continue
-        kind, _, rest = directive.partition("@")
-        target, _, nth_text = rest.partition("#")
-        if target != point or kind not in FS_FAULT_KINDS:
-            continue
-        if not nth_text:
-            return kind
-        state_dir = os.environ.get(FS_CHAOS_DIR_ENV)
-        if state_dir is None:
-            raise RuntimeError(
-                f"{FS_CHAOS_ENV} has an nth-hit directive but "
-                f"{FS_CHAOS_DIR_ENV} is unset")
-        if _claim_hit(state_dir, 1000 + index) == int(nth_text):
-            return kind
-    return None

@@ -39,8 +39,7 @@ from .scenarios import (AnimalRunOut, CrossingPedestrian, CutIn,
                         ScenarioSuite, incident_rate_contributions,
                         run_scenario)
 from .checkpoint import (CHECKPOINT_SCHEMA, CampaignCheckpoint,
-                         CheckpointMismatchError, CheckpointWriteError,
-                         read_checkpoint_progress)
+                         CheckpointMismatchError, CheckpointWriteError)
 from .fleet import (CHUNK_TRANSPORTS, DEFAULT_CHUNK_HOURS, DEFAULT_MIX,
                     DEFAULT_RETRY_POLICY, POLICY_NAMES, FleetProgress,
                     policy_by_name, run_fleet, validate_chunk_output)
@@ -70,9 +69,7 @@ __all__ = [
     "classify_block_counts", "iter_record_blocks", "load_record_blocks",
     "shm_available",
     "CHECKPOINT_SCHEMA", "CampaignCheckpoint", "CheckpointMismatchError",
-    "CheckpointWriteError",
-    "read_checkpoint_progress", "DEFAULT_MIX", "POLICY_NAMES",
-    "policy_by_name",
+    "CheckpointWriteError", "DEFAULT_MIX", "POLICY_NAMES", "policy_by_name",
     "TypeRates", "estimate_type_rates", "empirical_splits", "type_counts",
     "weighted_type_counts",
     "ProposalTilt", "encounter_log_weights", "ImportanceRun",

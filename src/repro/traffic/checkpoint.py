@@ -79,8 +79,7 @@ __all__ = ["CHECKPOINT_SCHEMA", "CHECKPOINT_SCHEMA_NAME",
            "CHECKPOINT_LOG_SCHEMA", "CHECKPOINT_LOG_SCHEMA_NAME",
            "RESULT_SPEC", "CampaignCheckpoint", "CheckpointLog",
            "CheckpointLogEntry", "CheckpointMismatchError",
-           "CheckpointWriteError", "audit_checkpoint",
-           "read_checkpoint_progress", "repair_checkpoint_tail",
+           "CheckpointWriteError", "repair_checkpoint_tail",
            "result_from_dict", "result_to_dict"]
 
 #: The single-document layout of earlier builds (read, never written).
@@ -99,13 +98,15 @@ class CheckpointMismatchError(ArtifactValidationError):
 class CheckpointWriteError(ArtifactError):
     """A checkpoint flush failed at the filesystem (disk full, I/O
     error), typed rather than a raw ``OSError``.  When a campaign opens
-    its checkpoint the failure stops it (CLI exit 4, runner exit 1 with
-    a parked diagnostic); a failed append mid-campaign is reported by
-    the fleet runner as a warning, and the next commit retries it after
-    cutting back to the last acknowledged byte.  Every acknowledged
-    chunk stays in the log and a failed append leaves at most a torn
-    tail, which ``--resume`` cuts, so a resume loses at most the
-    un-flushed chunk."""
+    its checkpoint the failure stops it (CLI exit 4).  A failed append
+    mid-campaign is reported by the fleet runner as a warning, and the
+    next commit retries it after cutting back to the last acknowledged
+    byte; a chunk still unlogged when the campaign finishes gets one
+    more append, and if that fails too the campaign raises this error
+    (CLI exit 4) naming the unlogged chunks.  Every acknowledged chunk
+    stays in the log and a failed append leaves at most a torn tail,
+    which ``--resume`` cuts, so a resume re-runs only the unlogged
+    chunks."""
 
 
 def result_to_dict(result: SimulationResult) -> Dict[str, object]:
@@ -241,7 +242,9 @@ class CampaignCheckpoint:
         # acknowledged entry, or None while there is no log yet (a new
         # checkpoint, or a single document from an earlier build).
         self._tail: Optional[Tuple[int, Optional[str], int]] = None
-        self._logged: Set[int] = set()
+        # The chunks on disk: in the log, or in the earlier build's
+        # document these were loaded from (the first save rewrites it).
+        self._logged: Set[int] = set(self.chunks)
 
     # -- construction -----------------------------------------------------
 
@@ -346,15 +349,10 @@ class CampaignCheckpoint:
         """The committed chunk indices, sorted."""
         return tuple(sorted(self.chunks))
 
-    def progress(self) -> Dict[str, object]:
-        """A cheap, JSON-ready progress summary (the campaign-service
-        status hook: what a supervisor can say about a running or
-        requeued job without touching the runner)."""
-        return {
-            "chunks_banked": len(self.chunks),
-            "hours_banked": self.units_done(),
-            "chunk_indices": list(self.chunk_indices()),
-        }
+    def unlogged(self) -> "tuple[int, ...]":
+        """Banked chunks not on disk yet (their append failed), sorted;
+        the next :meth:`save` appends them."""
+        return tuple(sorted(set(self.chunks) - self._logged))
 
     # -- persistence ------------------------------------------------------
 
@@ -416,39 +414,21 @@ class CampaignCheckpoint:
                  {"index": int(index), **self.chunks[index].to_dict()})
 
 
-def read_checkpoint_progress(path: "Path | str",
-                             ) -> Optional[Dict[str, object]]:
-    """Read a checkpoint's banked progress without touching the file.
-
-    Safe while a runner appends: a tail that does not verify yet (an
-    append in flight) is left out, and the verified prefix is reported.
-    Returns ``None`` when no checkpoint exists yet.  Interior damage
-    still raises the typed :class:`~repro.errors.ArtifactError`
-    taxonomy — a monitoring path must *detect* a damaged checkpoint, not
-    shrug at it.
-    """
-    path = Path(path)
-    if not path.exists():
-        return None
-    checkpoint, _ = _verified_prefix(path)
-    return None if checkpoint is None else checkpoint.progress()
-
-
-def audit_checkpoint(path: "Path | str") -> Optional[JournalScan]:
-    """``repro fsck``'s view of one checkpoint.
-
-    ``None`` when it verifies end to end; the scan when its only damage
-    is a torn tail (cut by :func:`repair_checkpoint_tail`).  Any other
-    damage raises the typed :class:`~repro.errors.ArtifactError`.
-    """
-    return _verified_prefix(Path(path))[1]
-
-
 def repair_checkpoint_tail(path: "Path | str") -> JournalScan:
     """Suffix-cut a torn checkpoint-log tail in place (see
     :func:`~repro.obs.events.repair_journal_tail`); returns the scan of
-    what is left.  Any other damage raises."""
-    audit_checkpoint(path)
+    what is left.
+
+    Any other damage raises, and so does damage before a verified
+    identity line: the first save renames that line into place whole,
+    so it never tears.
+    """
+    scan = scan_journal(path, schema_name=CHECKPOINT_LOG_SCHEMA_NAME)
+    if not scan.clean and not (scan.torn_tail and scan.records):
+        raise CorruptArtifactError(
+            f"checkpoint damage at line {scan.damage_lineno} is not a torn "
+            f"tail after a verified identity line: {scan.damage}",
+            source=path, schema=CHECKPOINT_LOG_SCHEMA)
     return repair_journal_tail(path, schema_name=CHECKPOINT_LOG_SCHEMA_NAME)
 
 
@@ -474,27 +454,6 @@ def _is_log(path: Path) -> bool:
     tag = head.get("schema") if isinstance(head, dict) else None
     return isinstance(tag, str) and \
         tag.startswith(CHECKPOINT_LOG_SCHEMA_NAME + "/")
-
-
-def _verified_prefix(path: Path,
-                     ) -> Tuple[Optional[CampaignCheckpoint],
-                                Optional[JournalScan]]:
-    """``(checkpoint, torn)``: the checkpoint as far as it verifies
-    (``None`` for a log without entries) and, when the file ends in a
-    torn tail, the scan that found it.  Any other damage raises, and so
-    does damage before a verified identity line: the first save renames
-    that line into place whole, so it never tears."""
-    if not _is_log(path):
-        return CampaignCheckpoint.load(path), None
-    scan = scan_journal(path, schema_name=CHECKPOINT_LOG_SCHEMA_NAME)
-    if not scan.clean and not (scan.torn_tail and scan.records):
-        raise CorruptArtifactError(
-            f"checkpoint damage at line {scan.damage_lineno} is not a torn "
-            f"tail after a verified identity line: {scan.damage}",
-            source=path, schema=CHECKPOINT_LOG_SCHEMA)
-    checkpoint = (_from_entries(path, scan.records, scan.head,
-                                scan.valid_bytes) if scan.records else None)
-    return checkpoint, (None if scan.clean else scan)
 
 
 def _from_entries(path: Path, entries: Sequence[EventRecord],
@@ -616,9 +575,9 @@ _RECORD_SPEC = Record(required={
 })
 
 #: The structural contract of :func:`result_to_dict`'s payload — public
-#: because every artifact embedding a serialised chunk/campaign result
-#: (checkpoints here, the service's ``repro.job-result/v1``) must pin
-#: the *same* shape, or resume and cache-load drift apart.
+#: because every artifact embedding a serialised chunk result (the log's
+#: ``chunk.banked`` lines and the earlier single document) must pin the
+#: *same* shape, or the two readers drift apart.
 RESULT_SPEC = Record(required={
     "policy_name": Str(), "hours": Number(),
     "context_hours": MapOf(Number()),

@@ -53,7 +53,7 @@ from ..stats.fault_tolerance import (CampaignPartialFailure, ChunkFailure,
                                      RetryPolicy)
 from ..stats.parallel import (Chunk, ChunkProgress, default_worker_count,
                               plan_chunks, run_chunked)
-from .checkpoint import CampaignCheckpoint
+from .checkpoint import CampaignCheckpoint, CheckpointWriteError
 from .encounters import EncounterGenerator
 from .faults import BrakingSystem
 from .perception import PerceptionModel
@@ -97,20 +97,18 @@ jitter, no per-chunk timeout (opt in via ``retry=RetryPolicy(timeout_s=…)``
 2 pool rebuilds before degrading to inline execution."""
 
 DEFAULT_MIX = {"urban": 0.5, "suburban": 0.2, "rural": 0.2, "highway": 0.1}
-"""The default context mix every campaign entry point (CLI, dossier,
-campaign service) shares.  Part of a campaign's RNG-layout identity, so
+"""The default context mix every campaign entry point (``repro fleet``,
+``repro dossier``) shares.  Part of a campaign's RNG-layout identity, so
 the one value must live in one place."""
 
 POLICY_NAMES = ("cautious", "nominal", "aggressive")
-"""The named tactical policies a campaign spec may reference."""
+"""The named tactical policies a campaign may reference."""
 
 
 def policy_by_name(name: str) -> TacticalPolicy:
-    """Resolve a spec/CLI policy name to its :class:`TacticalPolicy`.
-
-    The one mapping both the CLI and the campaign-service runner use —
-    a spec naming a policy means the same campaign everywhere.
-    """
+    """Resolve a policy name (``repro fleet --policy``) to its
+    :class:`TacticalPolicy`, so a name means the same campaign
+    everywhere."""
     from .policy import aggressive_policy, cautious_policy, nominal_policy
 
     factories = {"cautious": cautious_policy, "nominal": nominal_policy,
@@ -436,6 +434,29 @@ def _open_checkpoint(checkpoint: Union[str, Path, CampaignCheckpoint],
     return checkpoint
 
 
+def _log_lagging_chunks(checkpoint: CampaignCheckpoint) -> None:
+    """Append the chunks a failed append left out of the checkpoint.
+
+    The next commit retries a failed append, so only the last commits'
+    chunks can still be missing when the campaign ends.  If this append
+    fails too, the campaign must not report success over a checkpoint
+    that lags its result.
+    """
+    lagging = checkpoint.unlogged()
+    if not lagging:
+        return
+    try:
+        checkpoint.save()
+    except CheckpointWriteError as exc:
+        cause = exc.__cause__
+        raise CheckpointWriteError(
+            f"campaign finished, but chunk{'s' if len(lagging) > 1 else ''} "
+            f"{', '.join(map(str, lagging))} could not be appended "
+            f"({getattr(cause, 'strerror', None) or cause}); rerun with "
+            f"--resume to simulate only the missing chunks",
+            source=checkpoint.path, schema=exc.schema) from exc
+
+
 def run_fleet(policy: TacticalPolicy,
               generator: EncounterGenerator,
               perception: PerceptionModel,
@@ -500,7 +521,10 @@ def run_fleet(policy: TacticalPolicy,
       ``resume=True`` an existing checkpoint's chunks are restored
       instead of re-simulated (a torn final append is cut first) — the
       merged result is bit-for-bit the uninterrupted run's, for any
-      worker count on either side.
+      worker count on either side.  A failed append is retried by the
+      next commit and once more when the campaign ends; if that fails
+      too, :class:`~repro.traffic.checkpoint.CheckpointWriteError`
+      names the chunks missing from the checkpoint.
     * ``failure_sink`` collects every recovered
       :class:`~repro.stats.fault_tolerance.ChunkFailure` for manifests.
     * ``wrap_worker`` is the chaos-harness seam
@@ -668,6 +692,8 @@ def run_fleet(policy: TacticalPolicy,
                 failures=exc.failures,
                 quarantined=exc.quarantined,
                 chunks_total=exc.chunks_total) from None
+        if campaign_checkpoint is not None:
+            _log_lagging_chunks(campaign_checkpoint)
         merged = SimulationResult.merge_many([o.result for o in outputs])
         journal_event("campaign.finished", hours=float(merged.hours),
                       encounters=int(merged.encounters_resolved),

@@ -324,7 +324,6 @@ def test_registry_covers_all_builtin_artifacts():
         "repro.incident-type", "repro.allocation", "repro.mece-certificate",
         "repro.goal-set", "repro.run-manifest", "repro.campaign-checkpoint",
         "repro.checkpoint-log", "repro.record-block", "repro.event-log",
-        "repro.job-record", "repro.job-result", "repro.service-journal",
     }
 
 

@@ -5,7 +5,7 @@ plain ``OSError`` with the right errno at the instrumented point and
 leave the destination in one of exactly two states: the previous
 complete file or the new complete file — never a torn one.  The only
 permitted residue is the recognizable orphan temp file of a torn
-write, which ``sweep_orphan_tmp`` (and ``repro fsck``) removes.
+write, which ``sweep_orphan_tmp`` removes.
 """
 
 from __future__ import annotations
@@ -17,8 +17,8 @@ import pytest
 from repro.io.atomic import (ORPHAN_TMP_PREFIX, ORPHAN_TMP_SUFFIX,
                              atomic_write_text, iter_orphan_tmp,
                              sweep_orphan_tmp)
-from repro.testing.chaos import (FS_CHAOS_DIR_ENV, FS_CHAOS_ENV,
-                                 FS_FAULT_KINDS, fs_chaos, fs_fault)
+from repro.io.faults import (FS_CHAOS_DIR_ENV, FS_CHAOS_ENV,
+                             FS_FAULT_KINDS, fs_chaos, fs_fault)
 
 
 class TestFsChaosDirectives:
@@ -29,12 +29,13 @@ class TestFsChaosDirectives:
     def test_kind_returned_for_matching_point(self, monkeypatch):
         monkeypatch.setenv(FS_CHAOS_ENV, "enospc@atomic-write")
         assert fs_chaos("atomic-write") == "enospc"
-        assert fs_chaos("store.save-job") is None
+        assert fs_chaos("checkpoint-save") is None
 
     def test_multiple_directives(self, monkeypatch):
         monkeypatch.setenv(FS_CHAOS_ENV,
-                           "eio@store.save-result; torn@checkpoint-save")
-        assert fs_chaos("store.save-result") == "eio"
+                           "eio@journal-append:repro.event-log; "
+                           "torn@checkpoint-save")
+        assert fs_chaos("journal-append:repro.event-log") == "eio"
         assert fs_chaos("checkpoint-save") == "torn"
         assert fs_chaos("atomic-write") is None
 
@@ -47,6 +48,14 @@ class TestFsChaosDirectives:
         monkeypatch.setenv(FS_CHAOS_DIR_ENV, str(tmp_path))
         hits = [fs_chaos("atomic-write") for _ in range(5)]
         assert hits == [None, None, "enospc", None, None]
+
+    def test_every_directive_counts_every_hit_of_its_point(
+            self, tmp_path, monkeypatch):
+        monkeypatch.setenv(FS_CHAOS_ENV, "torn@p#2;eio@p#3;enospc@q#1")
+        monkeypatch.setenv(FS_CHAOS_DIR_ENV, str(tmp_path))
+        assert [fs_chaos("p") for _ in range(4)] == \
+            [None, "torn", "eio", None]
+        assert fs_chaos("q") == "enospc"  # q's hits are its own
 
     def test_nth_hit_requires_state_dir(self, monkeypatch):
         monkeypatch.setenv(FS_CHAOS_ENV, "eio@atomic-write#1")

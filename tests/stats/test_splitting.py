@@ -7,6 +7,7 @@ extinction semantics, determinism and input validation.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -177,6 +178,22 @@ class TestAdaptiveLevels:
         assert levels[-1] == 3.0
         for lo, hi in zip(levels, levels[1:]):
             assert hi > lo
+
+    def test_inf_scores_never_make_a_nan_rung(self):
+        # A score that jumps to inf (as the traffic severity score does
+        # when the reaction roll-out alone uses up the detection
+        # distance): after the first rung about half the pilot sits on
+        # the atom, so the next quantile is +inf and the ladder ends
+        # there, without interpolating inf - inf.
+        def cliff_score(x):
+            return x if x < 1.0 else math.inf
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            levels = adaptive_levels(_initial, cliff_score, _mutate,
+                                     seed=7, final_level=2.0,
+                                     particles=256, level_fraction=0.25)
+        assert levels == [0.4348050727728712, 2.0]
 
     def test_pilot_ladder_feeds_splitting(self):
         truth = normal_cdf(-3.0)

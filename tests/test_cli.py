@@ -918,29 +918,3 @@ class TestWatch:
         capsys.readouterr()
         assert main(["watch", str(flight), "--once"]) == 4
         assert "error:" in capsys.readouterr().err
-
-
-class TestServiceCLI:
-    """The service verbs' CLI boundary (no daemon needed)."""
-
-    def test_jobs_without_daemon_is_a_clean_exit_4(self, tmp_path, capsys):
-        assert main(["jobs", "--spool", str(tmp_path)]) == 4
-        err = capsys.readouterr().err
-        assert "error:" in err and "no service endpoint" in err
-        assert "Traceback" not in err
-
-    def test_submit_without_daemon_is_a_clean_exit_4(self, tmp_path,
-                                                     capsys):
-        assert main(["submit", "--spool", str(tmp_path), "--hours", "4",
-                     "--seed", "1"]) == 4
-        assert "no service endpoint" in capsys.readouterr().err
-
-    def test_serve_rejects_bad_knobs(self, tmp_path, capsys):
-        assert main(["serve", "--spool", str(tmp_path),
-                     "--queue-limit", "0"]) == 4
-        assert "error:" in capsys.readouterr().err
-
-    def test_submit_validates_priority_locally(self, tmp_path):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(
-                ["submit", "--spool", str(tmp_path), "--priority", "vip"])

@@ -11,6 +11,8 @@ rules that keep it small:
   and the ``review`` and ``fleet`` commands load no scipy at all, and
   ``verify`` loads ``scipy.special`` but neither ``scipy.stats`` nor
   ``scipy.optimize``;
+* writing a goal set loads no ``repro.testing`` module: the filesystem
+  fault hook of the atomic write lives in ``repro.io``;
 * a pooled fleet starts one ``resource_tracker`` interpreter, shared by
   the coordinator and its workers.
 """
@@ -31,7 +33,7 @@ from repro.cli import main
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 #: Runs ``repro.cli.main(argv)`` (or only imports) and prints, as the last
-#: stdout line, the exit code and every loaded ``scipy`` module.
+#: stdout line, the exit code and every loaded module.
 _PROBE = """
 import json, sys
 {imports}
@@ -39,21 +41,26 @@ code = None
 if len(sys.argv) > 1:
     from repro.cli import main
     code = main(sys.argv[1:])
-print(json.dumps({{"code": code, "scipy": sorted(
-    name for name in sys.modules
-    if name == "scipy" or name.startswith("scipy."))}}))
+print(json.dumps({{"code": code, "modules": sorted(sys.modules)}}))
 """
 
 
-def _fresh(argv=(), imports=""):
-    """``(exit code, loaded scipy modules)`` of a fresh interpreter."""
+def _fresh_modules(argv=(), imports=""):
+    """``(exit code, loaded modules)`` of a fresh interpreter."""
     env = dict(os.environ, PYTHONPATH=str(SRC))
     done = subprocess.run(
         [sys.executable, "-c", _PROBE.format(imports=imports), *argv],
         env=env, capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
     report = json.loads(done.stdout.strip().splitlines()[-1])
-    return report["code"], set(report["scipy"])
+    return report["code"], set(report["modules"])
+
+
+def _fresh(argv=(), imports=""):
+    """``(exit code, loaded scipy modules)`` of a fresh interpreter."""
+    code, modules = _fresh_modules(argv, imports)
+    return code, {name for name in modules
+                  if name == "scipy" or name.startswith("scipy.")}
 
 
 def _scipy_stats_imports(tree: ast.AST):
@@ -127,6 +134,14 @@ class TestCommandImports:
         assert "scipy.special" in loaded
         assert not {name for name in loaded
                     if name.startswith(("scipy.stats", "scipy.optimize"))}
+
+
+def test_goals_json_loads_no_testing_harness(tmp_path):
+    code, loaded = _fresh_modules(["goals", "--json",
+                                   str(tmp_path / "goals.json")])
+    assert code == 0
+    assert not [name for name in loaded
+                if name.split(".")[:2] == ["repro", "testing"]]
 
 
 def test_pooled_fleet_starts_one_resource_tracker(tmp_path):

@@ -20,16 +20,15 @@ from pathlib import Path
 
 import pytest
 
-from repro.errors import (ArtifactError, ArtifactValidationError,
-                          CorruptArtifactError)
+from repro.errors import ArtifactValidationError, CorruptArtifactError
 from repro.io import payload_digest
 from repro.traffic import (BrakingSystem, CampaignCheckpoint,
                            CheckpointMismatchError, EncounterGenerator,
                            cautious_policy, default_context_profiles,
-                           default_perception, nominal_policy,
-                           read_checkpoint_progress, run_fleet)
-from repro.traffic.checkpoint import (CheckpointLog, result_from_dict,
-                                      result_to_dict)
+                           default_perception, nominal_policy, run_fleet)
+from repro.traffic.checkpoint import (CheckpointLog,
+                                      repair_checkpoint_tail,
+                                      result_from_dict, result_to_dict)
 
 MIX = {"urban": 0.5, "suburban": 0.2, "rural": 0.2, "highway": 0.1}
 HOURS = 6.0
@@ -535,34 +534,6 @@ class TestResumeCutsTornTail:
         assert path.read_bytes() == damaged
 
 
-class TestProgressWhileAppending:
-    def test_append_in_flight_reports_verified_prefix(self, tmp_path,
-                                                      world):
-        path = tmp_path / "ck.json"
-        _killed(world, path)
-        whole = path.read_bytes()
-        path.write_bytes(whole + _lines(path)[-1][:40])
-        progress = read_checkpoint_progress(path)
-        assert progress["chunk_indices"] == [0, 1, 2]
-        assert progress["chunks_banked"] == 3
-        assert path.read_bytes().startswith(whole)  # read-only
-
-    def test_interior_damage_raises(self, tmp_path, world):
-        path = tmp_path / "ck.json"
-        _killed(world, path)
-        lines = _lines(path)
-        lines[1] = lines[1].replace(b"sha256:", b"sha666:", 1)
-        path.write_bytes(b"".join(lines))
-        with pytest.raises(ArtifactError):
-            read_checkpoint_progress(path)
-
-    def test_identity_only_log_has_nothing_banked(self, tmp_path):
-        path = tmp_path / "ck.json"
-        CampaignCheckpoint.new(path, {"seed": SEED}).save()
-        assert read_checkpoint_progress(path)["chunks_banked"] == 0
-        assert read_checkpoint_progress(tmp_path / "absent.json") is None
-
-
 @pytest.mark.parametrize("signed", [True, False],
                          ids=["signed", "digest-free"])
 class TestV1Documents:
@@ -582,7 +553,17 @@ class TestV1Documents:
         loaded = CampaignCheckpoint.load(path)
         assert loaded.campaign == banked.campaign
         assert loaded.completed_results() == banked.completed_results()
-        assert read_checkpoint_progress(path) == banked.progress()
+        assert loaded.chunk_indices() == banked.chunk_indices()
+
+    def test_tail_repair_never_cuts_a_document(self, tmp_path, world,
+                                               signed):
+        # A document is not a log: its first line is no signed entry,
+        # so nothing in it is a provably torn tail.
+        path, _ = self._v1(world, tmp_path, signed)
+        document = path.read_bytes()
+        with pytest.raises(CorruptArtifactError, match="not a torn tail"):
+            repair_checkpoint_tail(path)
+        assert path.read_bytes() == document
 
     def test_resume_matches_uninterrupted(self, tmp_path, world,
                                           uninterrupted, signed):
