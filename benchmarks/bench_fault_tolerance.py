@@ -1,7 +1,7 @@
 """E-FT — Fault-tolerance overhead: resilience must be ~free when unused.
 
-The fault-tolerance layer (ISSUE 4 / DESIGN §9) wraps every chunk in
-retry bookkeeping, validate-then-commit and (optionally) checkpoint
+The fault-tolerance layer (DESIGN §9) wraps every chunk in retry
+bookkeeping, validate-then-commit and (optionally) checkpoint
 persistence.  On a fault-free campaign none of that machinery should be
 visible: the retry loop runs each chunk exactly once, the validator is
 O(records) at chunk granularity, and no checkpoint means no I/O.
@@ -9,21 +9,23 @@ O(records) at chunk granularity, and no checkpoint means no I/O.
 This benchmark pins that claim on the 200 h reference workload (the
 same workload the telemetry-overhead benchmark uses):
 
-* **legacy vs resilient**: interleaved best-of-``ROUNDS`` wall clock of
-  ``run_fleet`` on the legacy strict path (``retry=None,
-  validate=False`` — pre-fault-tolerance semantics) versus the default
-  resilient path (``DEFAULT_RETRY_POLICY`` + validate-then-commit).
+* **bare loop vs run_fleet**: interleaved best-of-``ROUNDS`` wall clock
+  of a bare chunk loop built from public names only (``plan_chunks``,
+  one ``SeedSequence(SEED).spawn`` child per chunk, ``simulate_mix``
+  with ``time_offset_h=chunk.start``, ``SimulationResult.merge_many``)
+  versus ``run_fleet`` on its one runner (``DEFAULT_RETRY_POLICY`` +
+  validate-then-commit).  The bare loop is the campaign with no runner
+  at all, so the difference is everything orchestration costs.
   Interleaving (A/B/A/B...) makes thermal/scheduler drift hit both arms
   equally; best-of filters transient stalls.
-* A second interleaved sample of the *legacy* path estimates the
+* A second interleaved sample of the bare loop estimates the
   measurement noise floor, so the asserted bound is honest about what
   wall clock can resolve.
 
-Asserted: the two paths produce the **bit-for-bit identical** campaign
-(the determinism contract survives the orchestration rewrite), and the
-fault-free resilient overhead is ≤ 2 % of the reference wall clock
-(ISSUE 4 acceptance).  Results land in
-``benchmarks/output/BENCH_fault_tolerance.json``.
+Asserted: ``run_fleet`` returns the **bit-for-bit identical** campaign
+to the bare loop (the determinism contract survives the orchestration),
+and the fault-free orchestration overhead is ≤ 2 % of the reference wall
+clock.  Results land in ``benchmarks/output/BENCH_fault_tolerance.json``.
 """
 
 from __future__ import annotations
@@ -31,10 +33,14 @@ from __future__ import annotations
 import json
 import time
 
+import numpy as np
+
 from repro.reporting import render_table
+from repro.stats import plan_chunks
 from repro.traffic import (DEFAULT_RETRY_POLICY, BrakingSystem,
-                           EncounterGenerator, default_context_profiles,
-                           default_perception, nominal_policy, run_fleet)
+                           EncounterGenerator, SimulationResult,
+                           default_context_profiles, default_perception,
+                           nominal_policy, run_fleet, simulate_mix)
 
 MIX = {"urban": 0.5, "suburban": 0.2, "rural": 0.2, "highway": 0.1}
 REFERENCE_HOURS = 200.0
@@ -46,12 +52,17 @@ OVERHEAD_LIMIT_PCT = 2.0
 
 def _run(world, perception, braking, policy, *, resilient: bool):
     if resilient:
-        kwargs = {"retry": DEFAULT_RETRY_POLICY, "validate": True}
-    else:  # legacy strict path: no retry loop, no validator
-        kwargs = {"retry": None, "validate": False}
-    return run_fleet(policy, world, perception, braking, MIX,
-                     REFERENCE_HOURS, SEED, workers=1,
-                     chunk_hours=CHUNK_HOURS, **kwargs)
+        return run_fleet(policy, world, perception, braking, MIX,
+                         REFERENCE_HOURS, SEED, workers=1,
+                         chunk_hours=CHUNK_HOURS,
+                         retry=DEFAULT_RETRY_POLICY)
+    chunks = plan_chunks(REFERENCE_HOURS, CHUNK_HOURS)
+    seeds = np.random.SeedSequence(SEED).spawn(len(chunks))
+    return SimulationResult.merge_many(
+        simulate_mix(policy, world, perception, braking, MIX, chunk.size,
+                     np.random.default_rng(seed), time_offset_h=chunk.start,
+                     engine="vectorized")
+        for chunk, seed in zip(chunks, seeds))
 
 
 def test_fault_free_overhead(benchmark, save_artifact, output_dir):
@@ -64,12 +75,12 @@ def test_fault_free_overhead(benchmark, save_artifact, output_dir):
     _run(world, perception, braking, policy, resilient=False)
     _run(world, perception, braking, policy, resilient=True)
 
-    legacy_a = legacy_b = resilient_best = float("inf")
+    bare_a = bare_b = resilient_best = float("inf")
     for _ in range(ROUNDS):
         start = time.perf_counter()
-        result_legacy = _run(world, perception, braking, policy,
-                             resilient=False)
-        legacy_a = min(legacy_a, time.perf_counter() - start)
+        result_bare = _run(world, perception, braking, policy,
+                           resilient=False)
+        bare_a = min(bare_a, time.perf_counter() - start)
 
         start = time.perf_counter()
         result_resilient = _run(world, perception, braking, policy,
@@ -79,28 +90,28 @@ def test_fault_free_overhead(benchmark, save_artifact, output_dir):
         start = time.perf_counter()
         result_noise = _run(world, perception, braking, policy,
                             resilient=False)
-        legacy_b = min(legacy_b, time.perf_counter() - start)
+        bare_b = min(bare_b, time.perf_counter() - start)
 
-    # The determinism contract across orchestration paths: retry loop,
+    # The determinism contract through the runner: retry loop,
     # pristine-seed handling and validate-then-commit must not perturb a
     # single draw.
-    assert result_legacy == result_resilient == result_noise
+    assert result_bare == result_resilient == result_noise
 
     benchmark.pedantic(
         lambda: _run(world, perception, braking, policy, resilient=True),
         rounds=1, iterations=1)
 
-    legacy_s = min(legacy_a, legacy_b)
-    overhead_pct = 100.0 * (resilient_best - legacy_s) / legacy_s
-    noise_floor_pct = 100.0 * abs(legacy_a - legacy_b) / legacy_s
+    bare_s = min(bare_a, bare_b)
+    overhead_pct = 100.0 * (resilient_best - bare_s) / bare_s
+    noise_floor_pct = 100.0 * abs(bare_a - bare_b) / bare_s
     n_chunks = int(REFERENCE_HOURS / CHUNK_HOURS)
 
     rows = [
-        ["legacy strict (sample A)", f"{legacy_a * 1e3:.2f}", "--"],
-        ["legacy strict (sample B)", f"{legacy_b * 1e3:.2f}",
+        ["bare chunk loop (sample A)", f"{bare_a * 1e3:.2f}", "--"],
+        ["bare chunk loop (sample B)", f"{bare_b * 1e3:.2f}",
          f"{noise_floor_pct:.3f}% spread (noise floor)"],
-        ["resilient (retry+validate)", f"{resilient_best * 1e3:.2f}",
-         f"{overhead_pct:+.3f}% vs legacy"],
+        ["run_fleet (retry+validate)", f"{resilient_best * 1e3:.2f}",
+         f"{overhead_pct:+.3f}% vs bare loop"],
     ]
     save_artifact("fault_tolerance_overhead", render_table(
         ["orchestration path", "wall clock (ms)", "overhead"], rows,
@@ -113,9 +124,9 @@ def test_fault_free_overhead(benchmark, save_artifact, output_dir):
                      "seed": SEED, "policy": "nominal",
                      "engine": "vectorized", "workers": 1,
                      "rounds_best_of": ROUNDS},
-        "legacy_s_sample_a": legacy_a,
-        "legacy_s_sample_b": legacy_b,
-        "legacy_s": legacy_s,
+        "bare_loop_s_sample_a": bare_a,
+        "bare_loop_s_sample_b": bare_b,
+        "bare_loop_s": bare_s,
         "resilient_s": resilient_best,
         "overhead_pct": overhead_pct,
         "noise_floor_pct": noise_floor_pct,
@@ -127,5 +138,5 @@ def test_fault_free_overhead(benchmark, save_artifact, output_dir):
     # reference campaign.  Wall clock cannot resolve differences below
     # its own noise floor, so the bound allows for it explicitly.
     assert overhead_pct <= OVERHEAD_LIMIT_PCT + noise_floor_pct, (
-        f"fault-free resilient path costs {overhead_pct:.3f}% over legacy "
+        f"fault-free run_fleet costs {overhead_pct:.3f}% over the bare loop "
         f"(> {OVERHEAD_LIMIT_PCT}% + {noise_floor_pct:.3f}% noise floor)")

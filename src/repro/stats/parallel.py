@@ -19,17 +19,17 @@ the generic machinery the traffic layer builds on:
 Together the three legs give the bit-for-bit guarantee the test suite
 enforces: ``run_chunked(seed, workers=k)`` is identical for every ``k``.
 
-Fault tolerance (DESIGN §9) rides on top without touching the contract:
-pass a :class:`~repro.stats.fault_tolerance.RetryPolicy` (or any other
-fault-tolerance argument) and the runner gains bounded per-chunk retry
-with backoff+jitter from a dedicated non-result RNG, per-chunk timeouts,
-``BrokenProcessPool`` recovery (rebuild the pool, resubmit only
-unfinished chunks), graceful degradation to inline execution after
-repeated pool breakage, validate-then-commit via a caller-supplied
-``validator``, and a quarantine list that converts "one poison chunk
-aborts everything" into :class:`~repro.stats.fault_tolerance.CampaignPartialFailure`
-carrying every completed result.  A retried chunk re-runs from the
-*same* ``SeedSequence`` child, so any mix of faults yields bit-for-bit
+Fault tolerance (DESIGN §9) rides on the same path without touching
+the contract: a :class:`~repro.stats.fault_tolerance.RetryPolicy`
+bounds per-chunk retry with backoff+jitter from a dedicated non-result
+RNG, per-chunk timeouts, ``BrokenProcessPool`` recovery (rebuild the
+pool, resubmit only unfinished chunks) and graceful degradation to
+inline execution after repeated pool breakage; a caller-supplied
+``validator`` gives validate-then-commit; and a quarantine list converts
+"one poison chunk aborts everything" into
+:class:`~repro.stats.fault_tolerance.CampaignPartialFailure` carrying
+every completed result.  A retried chunk re-runs from the *same*
+``SeedSequence`` child, so any mix of faults yields bit-for-bit
 identical merged results.
 
 A :class:`ChunkProgress` callback streams observability (chunks done,
@@ -222,7 +222,7 @@ def _kill_pool(pool: ProcessPoolExecutor) -> None:
 
 
 class _ResilientRun:
-    """State machine for the fault-tolerant execution path.
+    """State machine for chunk execution under a retry policy.
 
     One instance per :func:`run_chunked` call.  The determinism story is
     carried entirely by what this class does *not* do: it never touches
@@ -630,7 +630,7 @@ def run_chunked(worker: Callable[[Chunk, np.random.SeedSequence], Any],
                 *,
                 workers: Optional[int] = None,
                 progress: Optional[Callable[[ChunkProgress], None]] = None,
-                retry: Optional[RetryPolicy] = None,
+                retry: RetryPolicy = RetryPolicy(),
                 validator: Optional[Callable[[Chunk, Any],
                                              Optional[str]]] = None,
                 completed: Optional[Mapping[int, Any]] = None,
@@ -651,10 +651,10 @@ def run_chunked(worker: Callable[[Chunk, np.random.SeedSequence], Any],
     worker finished first, so a deterministic merge is simply a fold over
     the return value.
 
-    Fault tolerance (all optional; supplying any of them enables the
-    resilient path, with ``retry`` defaulting to ``RetryPolicy()``):
+    Fault tolerance:
 
-    * ``retry`` — a :class:`~repro.stats.fault_tolerance.RetryPolicy`:
+    * ``retry`` — a :class:`~repro.stats.fault_tolerance.RetryPolicy`
+      (``max_attempts=1`` quarantines a chunk on its first failure):
       bounded per-chunk retries with backoff+jitter from a dedicated
       non-result RNG, per-chunk ``timeout_s`` (pool path only),
       ``BrokenProcessPool`` recovery and degradation to inline execution
@@ -678,19 +678,16 @@ def run_chunked(worker: Callable[[Chunk, np.random.SeedSequence], Any],
       :class:`~repro.stats.fault_tolerance.ChunkFailure` is appended to,
       so recovered (non-fatal) faults remain auditable in manifests.
 
-    ``unpack`` is orthogonal to fault tolerance (supplying it alone does
-    *not* enable the resilient path): ``unpack(raw)`` runs on the
-    coordinator for every harvested worker output, before validation and
-    commit, converting the transport form (e.g. a shared-memory block
-    handle) into the domain result.  On the fault-tolerant path a
+    ``unpack(raw)`` runs on the coordinator for every harvested worker
+    output, before validation and commit, converting the transport form
+    (e.g. a shared-memory block handle) into the domain result.  A
     failing ``unpack`` is an ordinary retried chunk failure, and
     transport payloads of discarded (timed-out) results are drained so
     their OS resources are released.
 
-    Without any of these the legacy strict path runs: the first worker
-    exception propagates and tears the pool down.  Either way the
-    determinism contract holds — a retried chunk re-runs from the same
-    ``SeedSequence`` child, and results commit exactly once.
+    The determinism contract holds throughout — a retried chunk re-runs
+    from the same ``SeedSequence`` child, and results commit exactly
+    once.
 
     A raising ``progress`` callback **cannot** corrupt the result: the
     exception is downgraded to a :class:`RuntimeWarning` and execution
@@ -717,10 +714,6 @@ def run_chunked(worker: Callable[[Chunk, np.random.SeedSequence], Any],
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
 
-    fault_tolerant = (retry is not None or validator is not None
-                      or completed is not None or on_commit is not None
-                      or failure_sink is not None)
-
     session = active_session()
     if session is not None:
         metrics = session.metrics
@@ -734,7 +727,6 @@ def run_chunked(worker: Callable[[Chunk, np.random.SeedSequence], Any],
     by_index = {c.index: c for c in chunks}
     chunks_resumed = len(completed_map)
     units_resumed = math.fsum(by_index[i].size for i in completed_map)
-    results: List[Any] = [None] * len(chunks)
     done = chunks_resumed
     units_done = units_resumed
 
@@ -761,44 +753,8 @@ def run_chunked(worker: Callable[[Chunk, np.random.SeedSequence], Any],
                     RuntimeWarning, stacklevel=3)
 
     with maybe_span("run_chunked"):
-        if fault_tolerant:
-            run = _ResilientRun(
-                worker=worker, chunks=chunks, seeds=seeds, seed=seed,
-                workers=workers,
-                retry=retry if retry is not None else RetryPolicy(),
-                validator=validator, on_commit=on_commit, report=_report,
-                completed=completed_map, failure_sink=failure_sink,
-                unpack=unpack)
-            return run.execute()
-
-        if workers == 1:
-            for chunk in chunks:
-                result = worker(chunk, seeds[chunk.index])
-                if unpack is not None:
-                    result = unpack(result)
-                results[chunk.index] = result
-                _report(chunk, result)
-            return results
-
-        with _new_pool(min(workers, len(chunks))) as pool:
-            future_chunk = {
-                pool.submit(worker, chunk, seeds[chunk.index]): chunk
-                for chunk in chunks}
-            pending = set(future_chunk)
-            try:
-                while pending:
-                    finished, pending = wait(pending,
-                                             return_when=FIRST_COMPLETED)
-                    for future in finished:
-                        chunk = future_chunk[future]
-                        result = future.result()  # re-raises worker exceptions
-                        if unpack is not None:
-                            result = unpack(result)
-                        results[chunk.index] = result
-                        _report(chunk, result)
-            except KeyboardInterrupt:
-                for future in pending:
-                    future.cancel()
-                _kill_pool(pool)
-                raise
-    return results
+        return _ResilientRun(
+            worker=worker, chunks=chunks, seeds=seeds, seed=seed,
+            workers=workers, retry=retry, validator=validator,
+            on_commit=on_commit, report=_report, completed=completed_map,
+            failure_sink=failure_sink, unpack=unpack).execute()

@@ -145,8 +145,7 @@ def naive_collision_rate(policy: TacticalPolicy,
         result = simulate_vectorized(policy, generator, perception, braking,
                                      context, hours_per_replication, rng,
                                      config)
-        return sum(1 for r in result.records if r.is_collision) \
-            / hours_per_replication
+        return result.collision_count() / hours_per_replication
 
     estimate = stratified_rate(
         simulate_one, weights, seed=seed,

@@ -45,7 +45,6 @@ import numpy as np
 
 from dataclasses import dataclass, field
 
-from ..core.incident import IncidentRecord
 from ..core.taxonomy import ActorClass
 from ..obs.session import active_session, maybe_span
 from ..stats.importance import WeightDiagnostics, bernoulli_log_ratio
@@ -58,9 +57,8 @@ from .policy import TacticalPolicy
 
 from .records import RecordBlock, actor_code
 
-__all__ = ["resolve_batch", "resolve_batch_traced", "resolve_block_traced",
-           "simulate_vectorized", "simulate_importance", "ImportanceRun",
-           "CROSSING_CLASSES"]
+__all__ = ["resolve_batch", "resolve_block_traced", "simulate_vectorized",
+           "simulate_importance", "ImportanceRun", "CROSSING_CLASSES"]
 
 CROSSING_CLASSES = frozenset({ActorClass.VRU, ActorClass.ANIMAL,
                               ActorClass.STATIC_OBJECT})
@@ -118,24 +116,6 @@ def resolve_block_traced(batch: EncounterBatch, policy: TacticalPolicy,
     with maybe_span("resolve_batch"):
         return _resolve_batch_body(batch, policy, perception, braking,
                                    config, rng, time_offset_h)
-
-
-def resolve_batch_traced(batch: EncounterBatch, policy: TacticalPolicy,
-                         perception: PerceptionModel, braking: BrakingSystem,
-                         config: "SimulationConfig",
-                         rng: np.random.Generator,
-                         time_offset_h: float = 0.0,
-                         ) -> Tuple[List[IncidentRecord], List[int],
-                                    np.ndarray, int]:
-    """:func:`resolve_block_traced` with the rows materialised.
-
-    The object-view compatibility wrapper for callers that walk records
-    one by one (the importance sampler aligning per-record weights);
-    identical draws, identical values.
-    """
-    block, sources, degraded, n_hard = resolve_block_traced(
-        batch, policy, perception, braking, config, rng, time_offset_h)
-    return block.to_records(), [int(i) for i in sources], degraded, n_hard
 
 
 def _resolve_batch_body(batch: EncounterBatch, policy: TacticalPolicy,
@@ -260,10 +240,10 @@ def simulate_vectorized(policy: TacticalPolicy,
 
     Statistically interchangeable with the scalar engine but with a
     different, documented RNG layout (module docstring) — use one engine
-    consistently within a campaign.  The result is block-backed: the
-    incident stream stays columnar end-to-end (``result.record_block``)
-    and materialises :class:`IncidentRecord` objects only when
-    ``result.records`` is first touched, in canonical sorted order.
+    consistently within a campaign.  The incident stream stays columnar
+    end to end (``result.record_block``, in canonical order); no
+    :class:`IncidentRecord` object exists until ``result.records`` is
+    first touched.
     """
     from .simulator import (SimulationConfig, SimulationResult,
                             _record_sim_metrics)
@@ -312,9 +292,10 @@ class ImportanceRun:
     """One importance-sampled run: proposal-law output plus weights.
 
     ``result`` holds the raw *proposal-law* observations (its counts and
-    rates are NOT nominal-law estimates); ``record_weights`` aligns with
-    ``result.records`` and carries each record's likelihood-ratio weight,
-    so ``Σ w·1[condition]`` is an unbiased nominal-law count estimate.
+    rates are NOT nominal-law estimates); ``record_weights`` aligns row
+    for row with ``result.record_block`` (and so with ``result.records``)
+    and carries each record's likelihood-ratio weight, so
+    ``Σ w·1[condition]`` is an unbiased nominal-law count estimate.
     ``diagnostics`` pools the weights of **all** proposal encounters (not
     only those that became records) — the ensemble whose effective sample
     size certifies the tilt.
@@ -325,15 +306,16 @@ class ImportanceRun:
     diagnostics: WeightDiagnostics = field(default_factory=WeightDiagnostics)
 
     def __post_init__(self) -> None:
-        if len(self.record_weights) != len(self.result.records):
+        if len(self.record_weights) != self.result.num_records:
             raise ValueError(
                 f"{len(self.record_weights)} weights for "
-                f"{len(self.result.records)} records")
+                f"{self.result.num_records} records")
 
     def weighted_collision_count(self) -> float:
-        return float(sum(w for r, w in zip(self.result.records,
-                                           self.record_weights)
-                         if r.is_collision))
+        # A left-to-right Python sum, not np.sum's pairwise one: pinned
+        # IS estimates depend on the summation order.
+        collided = self.result.record_block.array["is_collision"]
+        return float(sum(self.record_weights[collided].tolist()))
 
     def weighted_collision_rate_per_hour(self) -> float:
         """Unbiased nominal-law collision rate from this run."""
@@ -368,7 +350,7 @@ def simulate_importance(policy: TacticalPolicy,
     — same records, same draws — with every weight exactly 1.0.
     """
     from .simulator import (SimulationConfig, SimulationResult,
-                            _record_sim_metrics, _record_sort_key)
+                            _record_sim_metrics)
     if config is None:
         config = SimulationConfig()
     if time_offset_h < 0 or not math.isfinite(time_offset_h):
@@ -384,8 +366,8 @@ def simulate_importance(policy: TacticalPolicy,
     nominal_profile = generator.profile(context)
     classes = proposal.active_classes(context)
     streams = rng.spawn(len(classes)) if classes else []
-    records: List[IncidentRecord] = []
-    weights: List[float] = []
+    blocks: List[RecordBlock] = []
+    weights: List[np.ndarray] = []
     diagnostics = WeightDiagnostics()
     encounters_resolved = 0
     hard_demands = 0
@@ -395,8 +377,8 @@ def simulate_importance(policy: TacticalPolicy,
                 context, counterpart, hours, policy.cue_probability, stream)
             log_weights = encounter_log_weights(batch, nominal_profile, tilt)
             encounters_resolved += len(batch)
-            class_records, class_sources, degraded, n_hard = \
-                resolve_batch_traced(batch, policy, perception,
+            class_block, sources, degraded, n_hard = \
+                resolve_block_traced(batch, policy, perception,
                                      proposal_braking, config, stream,
                                      time_offset_h)
             if len(batch):
@@ -405,27 +387,27 @@ def simulate_importance(policy: TacticalPolicy,
             encounter_weights = np.exp(log_weights)
             diagnostics = diagnostics.merged(
                 WeightDiagnostics.from_weights(encounter_weights))
-            records.extend(class_records)
-            weights.extend(float(encounter_weights[i])
-                           for i in class_sources)
+            blocks.append(class_block)
+            weights.append(encounter_weights[sources])
             hard_demands += n_hard
-        order = sorted(range(len(records)),
-                       key=lambda i: _record_sort_key(records[i]))
-        records = [records[i] for i in order]
-        record_weights = np.array([weights[i] for i in order], dtype=float)
+        # One stable permutation orders the rows and their weights alike.
+        block = RecordBlock.concat(blocks)
+        order = block.canonical_order()
+        record_weights = np.concatenate(weights)[order] if weights \
+            else np.zeros(0)
         result = SimulationResult(
             policy_name=policy.name,
             hours=hours,
             context_hours={context: hours},
-            records=records,
+            records=RecordBlock(block.array[order], block.context_table),
             encounters_resolved=encounters_resolved,
             hard_braking_demands=hard_demands,
             hard_braking_threshold_ms2=config.hard_braking_threshold_ms2,
         )
         _record_sim_metrics(
             hours=hours, encounters=encounters_resolved,
-            incidents=len(records),
-            collisions=sum(1 for r in records if r.is_collision),
+            incidents=result.num_records,
+            collisions=result.collision_count(),
             hard_demands=hard_demands)
         return ImportanceRun(result=result, record_weights=record_weights,
                              diagnostics=diagnostics)

@@ -18,9 +18,9 @@ merged in chunk-index order through the associative/commutative
 fleet timeline via ``time_offset_h``, so pooled records keep absolute
 times without any post-hoc shifting.
 
-Campaigns are fault tolerant by default (DESIGN §9): chunk execution
-runs under a :class:`~repro.stats.fault_tolerance.RetryPolicy` (bounded
-retry, per-chunk timeout, ``BrokenProcessPool`` recovery, quarantine →
+Campaigns are fault tolerant (DESIGN §9): chunk execution runs under a
+:class:`~repro.stats.fault_tolerance.RetryPolicy` (bounded retry,
+per-chunk timeout, ``BrokenProcessPool`` recovery, quarantine →
 :class:`~repro.stats.fault_tolerance.CampaignPartialFailure` instead of
 total loss), every chunk output passes :func:`validate_chunk_output`
 before it may enter the merge, and — because a retried chunk re-runs
@@ -41,7 +41,7 @@ import functools
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Dict, List, Mapping, Optional, Union
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
@@ -360,36 +360,21 @@ def validate_chunk_output(chunk: Chunk, output: object) -> Optional[str]:
                 f"but hours is {result.hours!r}")
     window_lo = chunk.start - tol
     window_hi = chunk.start + chunk.size + tol
-    if result.has_block:
-        # Columnar fast path: whole-column finiteness and window checks,
-        # no record materialisation.  Same checks, same messages.
-        array = result.record_block.array
-        for name in ("time_h", "delta_v_kmh", "min_distance_m",
-                     "approach_speed_kmh"):
-            finite = np.isfinite(array[name])
-            if not finite.all():
-                value = float(array[name][int(np.argmin(finite))])
-                return f"record field {name} is not finite: {value!r}"
-        times = array["time_h"]
-        inside = (window_lo <= times) & (times <= window_hi)
-        if not inside.all():
-            time_h = float(times[int(np.argmin(inside))])
-            return (f"record at t={time_h!r} h falls outside this "
-                    f"chunk's window [{chunk.start!r}, "
-                    f"{chunk.start + chunk.size!r}] — result for the "
-                    f"wrong chunk index?")
-        return None
-    for record in result.records:
-        for name in ("time_h", "delta_v_kmh", "min_distance_m",
-                     "approach_speed_kmh"):
-            value = getattr(record, name)
-            if not math.isfinite(value):
-                return f"record field {name} is not finite: {value!r}"
-        if not window_lo <= record.time_h <= window_hi:
-            return (f"record at t={record.time_h!r} h falls outside this "
-                    f"chunk's window [{chunk.start!r}, "
-                    f"{chunk.start + chunk.size!r}] — result for the "
-                    f"wrong chunk index?")
+    array = result.record_block.array
+    for name in ("time_h", "delta_v_kmh", "min_distance_m",
+                 "approach_speed_kmh"):
+        finite = np.isfinite(array[name])
+        if not finite.all():
+            value = float(array[name][int(np.argmin(finite))])
+            return f"record field {name} is not finite: {value!r}"
+    times = array["time_h"]
+    inside = (window_lo <= times) & (times <= window_hi)
+    if not inside.all():
+        time_h = float(times[int(np.argmin(inside))])
+        return (f"record at t={time_h!r} h falls outside this "
+                f"chunk's window [{chunk.start!r}, "
+                f"{chunk.start + chunk.size!r}] — result for the "
+                f"wrong chunk index?")
     return None
 
 
@@ -434,13 +419,20 @@ def _open_checkpoint(checkpoint: Union[str, Path, CampaignCheckpoint],
     return checkpoint
 
 
-def _log_lagging_chunks(checkpoint: CampaignCheckpoint) -> None:
+def _chunk_list(indices: Sequence[int]) -> str:
+    return (f"chunk{'s' if len(indices) > 1 else ''} "
+            f"{', '.join(map(str, indices))}")
+
+
+def _log_lagging_chunks(checkpoint: CampaignCheckpoint,
+                        quarantined: Sequence[int] = ()) -> None:
     """Append the chunks a failed append left out of the checkpoint.
 
     The next commit retries a failed append, so only the last commits'
-    chunks can still be missing when the campaign ends.  If this append
-    fails too, the campaign must not report success over a checkpoint
-    that lags its result.
+    chunks can still be missing when the campaign ends, whether every
+    chunk finished or some were ``quarantined``.  If this append fails
+    too, the campaign must not end over a checkpoint that lags its
+    committed chunks.
     """
     lagging = checkpoint.unlogged()
     if not lagging:
@@ -449,11 +441,14 @@ def _log_lagging_chunks(checkpoint: CampaignCheckpoint) -> None:
         checkpoint.save()
     except CheckpointWriteError as exc:
         cause = exc.__cause__
+        failed = (f"; {_chunk_list(quarantined)} failed and "
+                  f"{'were' if len(quarantined) > 1 else 'was'} quarantined"
+                  if quarantined else "")
         raise CheckpointWriteError(
-            f"campaign finished, but chunk{'s' if len(lagging) > 1 else ''} "
-            f"{', '.join(map(str, lagging))} could not be appended "
-            f"({getattr(cause, 'strerror', None) or cause}); rerun with "
-            f"--resume to simulate only the missing chunks",
+            f"campaign ended, but {_chunk_list(lagging)} could not be "
+            f"appended ({getattr(cause, 'strerror', None) or cause})"
+            f"{failed}; rerun with --resume to simulate only the missing "
+            f"chunks",
             source=checkpoint.path, schema=exc.schema) from exc
 
 
@@ -470,8 +465,7 @@ def run_fleet(policy: TacticalPolicy,
               config: Optional[SimulationConfig] = None,
               progress: Optional[Callable[[FleetProgress], None]] = None,
               engine: str = "vectorized",
-              retry: Optional[RetryPolicy] = DEFAULT_RETRY_POLICY,
-              validate: bool = True,
+              retry: RetryPolicy = DEFAULT_RETRY_POLICY,
               checkpoint: Optional[Union[str, Path,
                                          CampaignCheckpoint]] = None,
               resume: bool = False,
@@ -510,10 +504,10 @@ def run_fleet(policy: TacticalPolicy,
       raises :class:`~repro.stats.fault_tolerance.CampaignPartialFailure`
       whose ``completed`` maps chunk index →
       :class:`SimulationResult` for everything that *did* finish.
-      ``retry=None`` together with ``validate=False`` restores the
-      legacy strict path (first worker exception aborts the campaign).
-    * ``validate`` (default on) runs :func:`validate_chunk_output` on
-      every chunk before it may be merged (validate-then-commit).
+      ``RetryPolicy(max_attempts=1)`` quarantines a chunk on its first
+      failure.
+    * :func:`validate_chunk_output` checks every chunk before it may be
+      merged (validate-then-commit); a rejected chunk is retried.
     * ``checkpoint`` names a :class:`~repro.traffic.checkpoint.CampaignCheckpoint`
       log (or is one, already opened with
       :meth:`~repro.traffic.checkpoint.CampaignCheckpoint.resume`):
@@ -522,9 +516,10 @@ def run_fleet(policy: TacticalPolicy,
       instead of re-simulated (a torn final append is cut first) — the
       merged result is bit-for-bit the uninterrupted run's, for any
       worker count on either side.  A failed append is retried by the
-      next commit and once more when the campaign ends; if that fails
-      too, :class:`~repro.traffic.checkpoint.CheckpointWriteError`
-      names the chunks missing from the checkpoint.
+      next commit and once more when the campaign ends, also when it
+      ends on quarantined chunks; if that fails too,
+      :class:`~repro.traffic.checkpoint.CheckpointWriteError` names the
+      chunks missing from the checkpoint.
     * ``failure_sink`` collects every recovered
       :class:`~repro.stats.fault_tolerance.ChunkFailure` for manifests.
     * ``wrap_worker`` is the chaos-harness seam
@@ -672,8 +667,7 @@ def run_fleet(policy: TacticalPolicy,
         try:
             outputs = run_chunked(
                 worker, chunks, seed, workers=workers, progress=adapter,
-                retry=retry,
-                validator=validate_chunk_output if validate else None,
+                retry=retry, validator=validate_chunk_output,
                 completed=completed, on_commit=on_commit,
                 failure_sink=failure_sink,
                 unpack=functools.partial(_receive_chunk_output,
@@ -684,6 +678,8 @@ def run_fleet(policy: TacticalPolicy,
                           chunks_total=exc.chunks_total,
                           chunks_completed=len(exc.completed),
                           failure_count=len(exc.failures))
+            if campaign_checkpoint is not None:
+                _log_lagging_chunks(campaign_checkpoint, exc.quarantined)
             # Re-raise with domain results (not private _ChunkOutput
             # wrappers) so callers can merge/report what survived.
             raise CampaignPartialFailure(

@@ -61,14 +61,7 @@ def type_counts(result: SimulationResult,
     over the simulated record space this must be zero, and the QRN
     verification treats it as a completeness failure upstream.
     """
-    if result.has_block:
-        # Columnar fast path: whole-column masks per type, no record
-        # materialisation.  Same multi-match error, same counts.
-        return classify_block_counts(result.record_block, list(types))
-    buckets = classify_records(result.records, types)
-    unclassified = len(buckets.pop("<unclassified>"))
-    return {type_id: len(records) for type_id, records in buckets.items()}, \
-        unclassified
+    return classify_block_counts(result.record_block, list(types))
 
 
 def weighted_type_counts(records: Sequence,

@@ -20,9 +20,8 @@ a single structured-numpy array instead:
 * **canonical form**: a block's context table is always sorted and
   pruned to the contexts actually present, so two blocks holding the
   same logical records are array-equal, and the canonical record sort
-  (:meth:`RecordBlock.canonical_sort`) is a pure ``np.lexsort`` over
-  the same field precedence as
-  :func:`~repro.traffic.simulator._record_sort_key`;
+  (:meth:`RecordBlock.canonical_sort`) is one stable ``np.lexsort``
+  over every field;
 * **O(1)-per-block merge**: :meth:`RecordBlock.concat` concatenates
   arrays and remaps context codes — no per-row Python objects anywhere.
 
@@ -186,7 +185,8 @@ class RecordBlock:
 
     @classmethod
     def from_records(cls, records: Iterable[IncidentRecord]) -> "RecordBlock":
-        """Encode materialised records (compat path, not the hot path)."""
+        """Encode materialised records: the boundary where the scalar
+        engine's and a checkpoint load's record lists become columnar."""
         records = list(records)
         if not records:
             return cls.empty()
@@ -255,23 +255,30 @@ class RecordBlock:
 
     # -- canonical order --------------------------------------------------
 
-    def canonical_sort(self) -> "RecordBlock":
-        """The columnar ``_record_sort_key`` order.
+    def canonical_order(self) -> np.ndarray:
+        """The stable permutation that puts the rows in canonical order.
 
-        ``np.lexsort`` keys run least- to most-significant, so the list
-        below is the sort key's field precedence reversed.  Context and
-        counterpart compare by *code*, which equals comparing by string
-        because both tables are sorted.  The key covers every field, so
-        ties are bit-identical rows and stability is moot.
+        Rows compare field by field in this precedence: time, context,
+        counterpart, collision flag, induced flag, Δv, minimum distance,
+        approach speed.  ``np.lexsort`` keys run least- to
+        most-significant, so the list below is that precedence reversed.
+        Context and counterpart compare by *code*, which equals comparing
+        by string because both tables are sorted.  Every pass is stable,
+        so rows that compare equal (bit-identical rows, or rows differing
+        only in the sign of a zero) keep their input order.
         """
+        a = self.array
+        return np.lexsort((a["approach_speed_kmh"], a["min_distance_m"],
+                           a["delta_v_kmh"], a["induced"],
+                           a["is_collision"], a["counterpart"],
+                           a["context"], a["time_h"]))
+
+    def canonical_sort(self) -> "RecordBlock":
+        """The rows in :meth:`canonical_order`."""
         if len(self) <= 1:
             return self
-        a = self.array
-        order = np.lexsort((a["approach_speed_kmh"], a["min_distance_m"],
-                            a["delta_v_kmh"], a["induced"],
-                            a["is_collision"], a["counterpart"],
-                            a["context"], a["time_h"]))
-        return RecordBlock(a[order], self.context_table)
+        return RecordBlock(self.array[self.canonical_order()],
+                           self.context_table)
 
     # -- decode -----------------------------------------------------------
 

@@ -11,6 +11,7 @@ exits 0 while its checkpoint lags its result.
 from __future__ import annotations
 
 import json
+import warnings
 
 import pytest
 
@@ -192,3 +193,78 @@ class TestCheckpointSaveDuringCampaign:
                                               "enospc")
         assert "cut a torn tail" not in err
         assert resumed == uninterrupted
+
+
+class TestPartialCampaignBanksEveryCompletedChunk:
+    """A campaign that ends on a quarantined chunk still appends every
+    completed chunk whose append failed before it reports the partial
+    failure.
+
+    The checkpoint-save hits of this 4-chunk campaign: hit 1 writes the
+    identity line, hits 2–4 append chunks 0–2, chunk 3 fails all three
+    attempts and is quarantined, and hit 5 is the end-of-campaign append
+    of a chunk still unlogged.
+    """
+
+    HOURS, CHUNK_HOURS, SEED = 4.0, 1.0, 9
+
+    def _run(self, checkpoint, **kwargs):
+        from repro.stats import RetryPolicy
+        from repro.traffic import (DEFAULT_MIX, BrakingSystem,
+                                   EncounterGenerator,
+                                   default_context_profiles,
+                                   default_perception, nominal_policy,
+                                   run_fleet)
+
+        return run_fleet(nominal_policy(),
+                         EncounterGenerator(default_context_profiles()),
+                         default_perception(), BrakingSystem(), DEFAULT_MIX,
+                         self.HOURS, self.SEED, workers=1,
+                         chunk_hours=self.CHUNK_HOURS,
+                         retry=RetryPolicy(backoff_base_s=0.0, jitter_s=0.0),
+                         checkpoint=checkpoint, **kwargs)
+
+    def _quarantine_chunk_3(self, tmp_path, monkeypatch, directives):
+        from repro.testing import ChaosScript, ChaosWorker
+
+        state = tmp_path / "chaos"
+        state.mkdir()
+        monkeypatch.setenv(FS_CHAOS_DIR_ENV, str(state))
+        monkeypatch.setenv(FS_CHAOS_ENV, directives)
+        script = ChaosScript(faults={3: ("raise",) * 3})
+        with pytest.warns(RuntimeWarning, match="cannot flush checkpoint"), \
+                warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "chunk 3 failed",
+                                    RuntimeWarning)
+            self._run(tmp_path / "ck.json",
+                      wrap_worker=lambda w: ChaosWorker(w, script,
+                                                        str(state)))
+
+    def test_torn_append_is_banked_before_the_partial_failure(
+            self, tmp_path, monkeypatch):
+        from repro.stats import CampaignPartialFailure
+
+        with pytest.raises(CampaignPartialFailure) as excinfo:
+            self._quarantine_chunk_3(tmp_path, monkeypatch,
+                                     "torn@checkpoint-save#4")
+        assert sorted(excinfo.value.completed) == [0, 1, 2]
+        assert excinfo.value.quarantined == (3,)
+        restored, cut = CampaignCheckpoint.resume(tmp_path / "ck.json")
+        assert cut == 0
+        assert restored.chunk_indices() == (0, 1, 2)
+
+    def test_failed_final_append_names_both_chunks_then_resumes(
+            self, tmp_path, monkeypatch):
+        with pytest.raises(CheckpointWriteError) as excinfo:
+            self._quarantine_chunk_3(
+                tmp_path, monkeypatch,
+                "torn@checkpoint-save#4;enospc@checkpoint-save#5")
+        message = str(excinfo.value)
+        assert "chunk 2 could not be appended" in message
+        assert "chunk 3 failed and was quarantined" in message
+        assert "--resume" in message
+        monkeypatch.delenv(FS_CHAOS_ENV)
+        resumed = self._run(tmp_path / "ck.json", resume=True)
+        assert resumed == self._run(None)
+        assert CampaignCheckpoint.load(tmp_path / "ck.json").chunk_indices() \
+            == (0, 1, 2, 3)

@@ -47,8 +47,12 @@ def _no_jitter(**kwargs) -> RetryPolicy:
 
 
 def _baseline(worker=_stamp_worker, n=6):
+    """The fault-free results, straight from the worker on each chunk's
+    ``SeedSequence`` child — an oracle that does not go through the
+    runner under test."""
     chunks = plan_chunks(float(n) * 10.0, 10.0)
-    return chunks, run_chunked(worker, chunks, seed=42, workers=1)
+    seeds = np.random.SeedSequence(42).spawn(len(chunks))
+    return chunks, [worker(chunk, seed) for chunk, seed in zip(chunks, seeds)]
 
 
 class TestRetryRecovery:
@@ -98,10 +102,13 @@ class TestRetryRecovery:
         assert result == clean
 
     def test_fault_free_resilient_path_equals_strict_path(self):
+        """Fault-free, any retry policy returns the direct worker calls,
+        inline and pooled; ``max_attempts=1`` is what "strict" means."""
         chunks, clean = _baseline()
-        resilient = run_chunked(_stamp_worker, chunks, seed=42, workers=1,
-                                retry=FAST_RETRY)
-        assert resilient == clean
+        for workers in (1, 2):
+            for retry in (FAST_RETRY, RetryPolicy(max_attempts=1)):
+                assert run_chunked(_stamp_worker, chunks, seed=42,
+                                   workers=workers, retry=retry) == clean
 
 
 class TestQuarantine:

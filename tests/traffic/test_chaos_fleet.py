@@ -202,15 +202,3 @@ class TestValidator:
         else:  # exposure-only checks still catch the mismatch via start
             assert validate_chunk_output(
                 Chunk(index=5, start=5.0, size=2.0), output) is not None
-
-    def test_validate_flag_off_skips_validation(self, world, tmp_path,
-                                                fault_free):
-        """``validate=False`` really does disable the validator: garbage
-        then sails into the merge and explodes there instead."""
-        script = ChaosScript(faults={1: ("garbage",)})
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            with pytest.raises(Exception):
-                _run(world, retry=FAST_RETRY, validate=False,
-                     wrap_worker=lambda w: ChaosWorker(
-                         w, script, str(tmp_path)))

@@ -77,10 +77,6 @@ class TestTransportInvariance:
         with pytest.raises(ValueError, match="unknown transport"):
             _run(world, transport="carrier-pigeon")
 
-    def test_results_stay_columnar_through_the_pool(self, world):
-        campaign = _run(world, workers=2, transport="pickle")
-        assert campaign.has_block
-
     @pytest.mark.skipif(not shm_available(), reason="no shared_memory here")
     def test_shm_ships_every_nonempty_chunk(self, world, reference):
         with telemetry_session() as session:
