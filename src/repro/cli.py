@@ -301,6 +301,13 @@ def _cmd_goals(args: argparse.Namespace) -> int:
     print(goals.render_all())
     print()
     print(goals.completeness_argument())
+    print()
+    allocation = goals.allocation
+    for goal in goals:
+        rows = [f"{row} at {100 * allocation.utilisation(row):.0f} %"
+                if row in allocation.norm.class_ids else row
+                for row in allocation.binding()[goal.type_id]]
+        print(f"{goal.goal_id} is set by {' and '.join(rows)}")
     if args.json is not None:
         # Tagged, digest-signed, atomically written (DESIGN §10); older
         # tagless files written before the boundary existed still load.

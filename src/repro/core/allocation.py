@@ -16,9 +16,13 @@ Three strategies are provided, from simplest to most capable:
 * :func:`allocate_proportional` — split each class budget among the types
   touching it in proportion to weights, then take each type's tightest
   implied budget (feasible by construction);
-* :func:`allocate_lp` — linear programming (``scipy.optimize.linprog``),
-  maximising total weighted budget or the minimum budget, under Eq. 1 and
-  arbitrary :class:`~repro.core.ethics.EthicalConstraint` rows.
+* :func:`allocate_lp` — exact linear programming over ``Fraction``
+  (:mod:`repro.core.simplex`) under Eq. 1 and arbitrary
+  :class:`~repro.core.ethics.EthicalConstraint` rows: the leximin point
+  of the weighted budgets (``max-min``), or the leximin point among the
+  allocations of maximal weighted total (``max-total``).  Both are
+  unique, come with a checked dual certificate that names what binds
+  each budget, and an empty polytope comes with a Farkas certificate.
 
 The result is an immutable :class:`Allocation` carrying budgets, per-class
 loads and slacks (the stacked bars of Figs. 3 and 5), and reallocation
@@ -29,7 +33,6 @@ SG for I2" experiment.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -57,8 +60,9 @@ class AllocationError(ValueError):
 class InfeasibleAllocationError(AllocationError):
     """Raised when no budget vector can satisfy Eq. 1 and the constraints.
 
-    ``diagnosis`` describes the conflict — which class budgets are
-    overcommitted by constraint floors, or which constraints clash.
+    ``diagnosis`` names the rows that conflict: those with a positive
+    weight in the checked Farkas certificate, classes by id and ethical
+    constraints by their description.
     """
 
     def __init__(self, message: str, diagnosis: Sequence[str] = ()):  # noqa: D107
@@ -116,6 +120,7 @@ class Allocation:
         self._budgets: Dict[str, Frequency] = {
             t.type_id: budgets[t.type_id] for t in self.types}
         self.strategy = strategy
+        self._binding: Optional[Dict[str, Tuple[str, ...]]] = None
 
     # -- basic queries -------------------------------------------------------
 
@@ -134,6 +139,17 @@ class Allocation:
 
     def budgets(self) -> Dict[str, Frequency]:
         return dict(self._budgets)
+
+    def binding(self) -> Optional[Dict[str, Tuple[str, ...]]]:
+        """Per type, the rows that set its budget; ``None`` unless solved.
+
+        For an :func:`allocate_lp` result: the class ids and constraint
+        descriptions (for ``max-total`` also "the max-total optimum")
+        whose multipliers were positive in the filling round that fixed
+        the type.  Manual and restored allocations carry no certificate,
+        so they return ``None``.
+        """
+        return None if self._binding is None else dict(self._binding)
 
     def type_by_id(self, type_id: str) -> IncidentType:
         for itype in self.types:
@@ -352,10 +368,10 @@ class LpObjective:
     """Objectives for :func:`allocate_lp`."""
 
     MAX_TOTAL = "max-total"
-    """Maximise Σ w_k f_k — the most permissive feasible allocation."""
+    """Maximise Σ w_k f_k; among the optima, take the leximin point."""
 
     MAX_MIN = "max-min"
-    """Maximise min_k f_k / w_k — egalitarian across types."""
+    """Leximin of f_k / w_k — egalitarian across types, and unique."""
 
 
 def allocate_lp(norm: QuantitativeRiskNorm,
@@ -364,146 +380,74 @@ def allocate_lp(norm: QuantitativeRiskNorm,
                 weights: Optional[Mapping[str, float]] = None,
                 constraints: Sequence[EthicalConstraint] = (),
                 ) -> Allocation:
-    """Optimal allocation by linear programming.
+    """Optimal allocation by exact linear programming.
 
-    Decision variables are the per-type budgets ``f_k ≥ 0`` (plus an
-    auxiliary ``t`` for the max-min objective).  Constraints are Eq. 1 per
-    consequence class plus every ethical constraint's LP rows.  Raises
-    :class:`InfeasibleAllocationError` with a diagnosis when the polytope
-    is empty (e.g. floors that overcommit a class).
+    The polytope is ``f >= 0`` under Eq. 1 per consequence class plus
+    every ethical constraint's LP rows.  ``max-min`` returns its leximin
+    point in ``f_k / w_k``: the smallest ratio as large as possible, then
+    the next smallest, and so on.  ``max-total`` first maximises
+    ``Σ w_k f_k`` and then returns the leximin point among those optima.
+    Both are unique, so the goal set is a function of the norm, the
+    types, the weights and the constraints, not of list order.
 
-    Numerical note: safety budgets span many decades (1e-2 … 1e-8/h),
-    far below solver feasibility tolerances.  Each variable is therefore
-    rescaled by its stand-alone maximum budget (``min_j budget_j /
-    split_kj``) so the solve happens over O(1) quantities, and every row
-    is normalised to an O(1) right-hand side.
+    Every LP is solved exactly over ``Fraction`` (:mod:`.simplex`) from
+    the exact values of the float inputs, with its dual checked by
+    strong duality; each budget is rounded to the nearest float once, at
+    the end.  :meth:`Allocation.binding` names, per type, the class
+    budgets and constraints whose multipliers were positive in the
+    filling round that fixed it.  An empty polytope raises
+    :class:`InfeasibleAllocationError` whose diagnosis lists the rows of
+    the Farkas certificate: classes by id, constraints by description.
     """
+    # Imported here: ``fractions`` loads ``decimal``, which the commands
+    # that never allocate (review, verify, fleet) do not need (DESIGN §16).
+    from fractions import Fraction
+    from .simplex import LpError, LpInfeasible, leximin, maximise
+
     _validate_problem(norm, types)
     w = _reference_weights(types, weights)
     type_ids = [t.type_id for t in types]
-    S = _split_matrix(norm, types)
     class_budgets = {cid: norm.budget(cid).rate for cid in norm.class_ids}
-    budget_vec = np.array([class_budgets[cid] for cid in norm.class_ids])
     splits = {t.type_id: {cid: t.split.fraction(cid) for cid in norm.class_ids}
               for t in types}
+    for type_id in type_ids:
+        if not any(fraction > 0 for fraction in splits[type_id].values()):
+            raise AllocationError(
+                f"incident type {type_id!r} contributes to no class")
 
-    n = len(types)
-    # Per-variable scale: the largest budget type k could hold alone.
-    scale = np.empty(n)
-    for k, itype in enumerate(types):
-        implied = [class_budgets[cid] / fraction
-                   for cid, fraction in splits[itype.type_id].items()
-                   if fraction > 0 and class_budgets[cid] > 0]
-        if not implied:
-            zero_touch = [cid for cid, fraction in splits[itype.type_id].items()
-                          if fraction > 0]
-            if zero_touch:
-                # Touches only zero-budget classes: the budget must be 0.
-                scale[k] = 1.0
-            else:
-                raise AllocationError(
-                    f"incident type {itype.type_id!r} contributes to no class")
-        else:
-            scale[k] = min(implied)
-
-    rows: List[np.ndarray] = []
-    bounds_ub: List[float] = []
-    for j in range(S.shape[0]):
-        row = S[j] * scale
-        bound = budget_vec[j]
-        magnitude = max(bound, float(np.max(np.abs(row))), 1e-300)
-        rows.append(row / magnitude)
-        bounds_ub.append(bound / magnitude)
+    rows = [[Fraction(float(v)) for v in row]
+            for row in _split_matrix(norm, types)]
+    bounds = [Fraction(class_budgets[cid]) for cid in norm.class_ids]
+    names = list(norm.class_ids)
     for constraint in constraints:
         extra_rows, extra_b = constraint.lp_rows(type_ids, class_budgets, splits)
-        for raw_row, raw_bound in zip(extra_rows, extra_b):
-            row = np.asarray(raw_row, dtype=float) * scale
-            magnitude = max(abs(raw_bound), float(np.max(np.abs(row))), 1e-300)
-            rows.append(row / magnitude)
-            bounds_ub.append(raw_bound / magnitude)
+        for row, bound in zip(extra_rows, extra_b):
+            rows.append([Fraction(float(v)) for v in row])
+            bounds.append(Fraction(float(bound)))
+            names.append(constraint.describe())
+    exact_w = [Fraction(float(v)) for v in w]
 
-    if objective == LpObjective.MAX_TOTAL:
-        cost_raw = -(w * scale)
-        cost = cost_raw / max(float(np.max(np.abs(cost_raw))), 1e-300)
-        A_ub = np.vstack(rows)
-        b_ub = np.array(bounds_ub)
-        var_bounds = [(0.0, None)] * n
-    elif objective == LpObjective.MAX_MIN:
-        # Variables [x_1..x_n, t]; maximise t with f_k = scale_k x_k >= w_k t.
-        cost = np.zeros(n + 1)
-        cost[-1] = -1.0
-        padded = [np.concatenate([row, [0.0]]) for row in rows]
-        reference = float(np.min(scale / w))
-        for k in range(n):
-            row = np.zeros(n + 1)
-            row[k] = -scale[k] / (w[k] * reference)
-            row[-1] = 1.0
-            padded.append(row)
-            bounds_ub.append(0.0)
-        A_ub = np.vstack(padded)
-        b_ub = np.array(bounds_ub)
-        var_bounds = [(0.0, None)] * n + [(0.0, None)]
-    else:
+    if objective not in (LpObjective.MAX_TOTAL, LpObjective.MAX_MIN):
         raise AllocationError(f"unknown LP objective {objective!r}")
-
-    # Imported here, not at module level: scipy.optimize costs ≈0.5 s to
-    # import, and most commands never solve an LP (DESIGN §16).
-    from scipy.optimize import linprog
-
-    result = linprog(cost, A_ub=A_ub, b_ub=b_ub, bounds=var_bounds,
-                     method="highs")
-    if not result.success:
-        diagnosis = _diagnose_infeasibility(norm, types, constraints,
-                                            class_budgets, splits)
+    try:
+        if objective == LpObjective.MAX_TOTAL:
+            best = maximise(exact_w, rows, bounds).value
+            rows.append([-v for v in exact_w])
+            bounds.append(-best)
+            names.append("the max-total optimum")
+        budgets, binding = leximin(exact_w, rows, bounds)
+    except LpInfeasible as infeasible:
+        diagnosis = [name for name, y in zip(names, infeasible.farkas) if y > 0]
         raise InfeasibleAllocationError(
-            f"LP allocation failed: {result.message}", diagnosis)
-    values = result.x[:n] * scale
-    final = {type_ids[k]: Frequency(max(float(values[k]), 0.0), norm.unit)
-             for k in range(n)}
+            "no budget vector satisfies Eq. 1 and the constraints; "
+            "conflicting rows: " + "; ".join(diagnosis), diagnosis) from None
+    except LpError as error:
+        raise AllocationError(f"LP allocation failed: {error}") from None
+    final = {type_ids[k]: Frequency(float(budgets[k]), norm.unit)
+             for k in range(len(types))}
     allocation = Allocation(norm, types, final, strategy=f"lp:{objective}")
-    # Solver tolerances can leave loads a hair over a budget after
-    # unscaling; shave uniformly rather than return an infeasible result.
-    worst = max((allocation.utilisation(cid) for cid in norm.class_ids),
-                default=0.0)
-    if worst > 1.0:
-        shrink = 1.0 / worst
-        final = {tid: budget * shrink for tid, budget in final.items()}
-        allocation = Allocation(norm, types, final,
-                                strategy=f"lp:{objective}")
+    allocation._binding = {
+        type_ids[k]: tuple(names[i] for i in binding[k])
+        for k in range(len(types))}
     return allocation
 
-
-def _diagnose_infeasibility(norm: QuantitativeRiskNorm,
-                            types: Sequence[IncidentType],
-                            constraints: Sequence[EthicalConstraint],
-                            class_budgets: Mapping[str, float],
-                            splits: Mapping[str, Mapping[str, float]],
-                            ) -> List[str]:
-    """Explain why no feasible budget vector exists.
-
-    The only way Eq. 1 alone can be infeasible is via constraint floors
-    (budgets are otherwise free to shrink to zero), so the diagnosis
-    computes each class's minimum induced load under the floors and
-    reports the overcommitted classes.
-    """
-    from .ethics import BudgetFloor
-
-    floors: Dict[str, float] = {}
-    for constraint in constraints:
-        if isinstance(constraint, BudgetFloor):
-            floors[constraint.type_id] = max(
-                floors.get(constraint.type_id, 0.0), constraint.minimum.rate)
-    notes: List[str] = []
-    for class_id, budget in class_budgets.items():
-        floor_load = sum(
-            floors.get(type_id, 0.0) * splits[type_id].get(class_id, 0.0)
-            for type_id in splits)
-        if floor_load > budget * (1 + 1e-9):
-            notes.append(
-                f"class {class_id}: constraint floors force load "
-                f"{floor_load:.3g} > budget {budget:.3g}")
-    if not notes:
-        notes.append(
-            "Eq. 1 alone is satisfiable (zero budgets); the ethical "
-            "constraints are jointly contradictory")
-    return notes

@@ -40,7 +40,8 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from ..core.taxonomy import ActorClass
-from ..obs.budget_monitor import BudgetMonitor, BudgetUtilisationReport
+from ..obs.budget_monitor import (BudgetMonitor, BudgetUtilisationReport,
+                                 classified_counts)
 from ..stats.importance import WeightDiagnostics
 from ..stats.montecarlo import MonteCarloResult
 from ..stats.rare_event import (StratifiedEstimate, StratumEstimate,
@@ -555,7 +556,6 @@ def adaptive_budget_campaign(policy: TacticalPolicy,
     round_records: List[AdaptiveCampaignRound] = []
     settled = False
     report: Optional[BudgetUtilisationReport] = None
-    from ..core.incident import classify_records
     for round_index in range(rounds):
         if report is None:
             uncertainty = {context: 1.0 for context in contexts}
@@ -576,14 +576,13 @@ def adaptive_budget_campaign(policy: TacticalPolicy,
                     hours_per_replication, streams[cursor], config)
                 cursor += 1
                 round_hours += hours_per_replication
-                monitor.observe_result(result, type_list)
-                buckets = classify_records(result.records, type_list)
+                counts = classified_counts(result, type_list)
+                monitor.observe_counts(counts, result.hours)
                 per_context = context_type_counts[context]
-                for type_id, bucket in buckets.items():
-                    if type_id == "<unclassified>" or not bucket:
-                        continue
-                    per_context[type_id] = \
-                        per_context.get(type_id, 0) + len(bucket)
+                for type_id, count in counts.items():
+                    if count:
+                        per_context[type_id] = \
+                            per_context.get(type_id, 0) + count
         report = monitor.utilisation()
         round_records.append(AdaptiveCampaignRound(
             index=round_index, allocation=dict(allocation),

@@ -41,6 +41,14 @@ class TestGoals:
         assert "SG-I2:" in out
         assert "COMPLETE" in out
 
+    def test_each_goal_names_what_binds_it(self, capsys):
+        assert main(["goals"]) == 0
+        out = capsys.readouterr().out
+        assert out.endswith("COMPLETE.\n\n"
+                            "SG-I1 is set by vQ2 at 100 %\n"
+                            "SG-I2 is set by vS2 at 100 %\n"
+                            "SG-I3 is set by vS3 at 100 %\n")
+
     def test_calibrated_norm(self, capsys):
         assert main(["goals", "--improvement", "10"]) == 0
         assert "SG-I1" in capsys.readouterr().out

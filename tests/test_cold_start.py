@@ -5,11 +5,14 @@ large share of what a user waits for (DESIGN §16).  These tests pin the
 rules that keep it small:
 
 * nothing under ``src/`` imports ``scipy.stats`` — the Gamma and Poisson
-  forms come from ``scipy.special`` (source guard, AST-based so prose
-  in docstrings may still name the module);
+  forms come from ``scipy.special`` — and only the injury-curve fit
+  imports ``scipy.optimize``: allocation solves its LPs exactly in
+  ``repro.core.simplex`` (source guards, AST-based so prose in
+  docstrings may still name the modules);
 * in fresh interpreters, ``import repro.core`` / ``import repro.traffic``
-  and the ``review`` and ``fleet`` commands load no scipy at all, and
-  ``verify`` loads ``scipy.special`` but neither ``scipy.stats`` nor
+  and the ``goals``, ``figures``, ``review`` and ``fleet`` commands load
+  no scipy at all, and ``verify``, ``dossier`` and ``fleet --telemetry``
+  load ``scipy.special`` but neither ``scipy.stats`` nor
   ``scipy.optimize``;
 * writing a goal set loads no ``repro.testing`` module: the filesystem
   fault hook of the atomic write lives in ``repro.io``;
@@ -63,36 +66,52 @@ def _fresh(argv=(), imports=""):
                   if name == "scipy" or name.startswith("scipy.")}
 
 
-def _scipy_stats_imports(tree: ast.AST):
+def _scipy_imports(tree: ast.AST, submodule: str):
+    """Line numbers in ``tree`` that import ``scipy.<submodule>``."""
+    dotted = f"scipy.{submodule}"
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             for alias in node.names:
-                if alias.name.startswith("scipy.stats"):
+                if alias.name.startswith(dotted):
                     yield node.lineno
         elif isinstance(node, ast.ImportFrom) and node.module:
-            if node.module.startswith("scipy.stats") or (
+            if node.module.startswith(dotted) or (
                     node.module == "scipy"
-                    and any(alias.name == "stats" for alias in node.names)):
+                    and any(alias.name == submodule for alias in node.names)):
                 yield node.lineno
-        elif isinstance(node, ast.Attribute) and node.attr == "stats" \
+        elif isinstance(node, ast.Attribute) and node.attr == submodule \
                 and isinstance(node.value, ast.Name) \
                 and node.value.id == "scipy":
             yield node.lineno  # ``scipy.stats`` after a bare ``import scipy``
         elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
-                and node.value.startswith("scipy.stats") \
+                and node.value.startswith(dotted) \
                 and " " not in node.value:
             yield node.lineno  # importlib.import_module("scipy.stats")
 
 
-def test_no_scipy_stats_imports_under_src():
-    offenders = []
+def _source_importers(submodule: str):
+    """``path:line`` of every import of ``scipy.<submodule>`` under src."""
+    found = []
     for path in sorted((SRC / "repro").rglob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
-        offenders += [f"{path.relative_to(SRC.parent)}:{lineno}"
-                      for lineno in _scipy_stats_imports(tree)]
+        found += [f"{path.relative_to(SRC).as_posix()}:{lineno}"
+                  for lineno in _scipy_imports(tree, submodule)]
+    return found
+
+
+def test_no_scipy_stats_imports_under_src():
+    offenders = _source_importers("stats")
     assert not offenders, (
         "scipy.stats costs ≈1 s at import; use the scipy.special form "
         "scipy.stats evaluates (DESIGN §16):\n" + "\n".join(offenders))
+
+
+def test_scipy_optimize_imported_only_by_the_injury_curve_fit():
+    offenders = [site for site in _source_importers("optimize")
+                 if not site.startswith("repro/injury/calibration.py:")]
+    assert not offenders, (
+        "scipy.optimize costs ≈0.5 s at import; allocation LPs go through "
+        "repro.core.simplex (DESIGN §16):\n" + "\n".join(offenders))
 
 
 @pytest.mark.parametrize("module", ["repro.core", "repro.traffic"])
@@ -109,6 +128,30 @@ def goals_file(tmp_path_factory):
 
 
 class TestCommandImports:
+    def test_goals_json_loads_no_scipy(self, tmp_path):
+        code, loaded = _fresh(["goals", "--json", str(tmp_path / "g.json")])
+        assert code == 0
+        assert not loaded
+
+    def test_figures_loads_no_scipy(self):
+        code, loaded = _fresh(["figures"])
+        assert code == 0
+        assert not loaded
+
+    @pytest.mark.parametrize("argv", [
+        ["dossier", "--workers", "1", "--hours", "200"],
+        ["fleet", "--workers", "1", "--hours", "200", "--telemetry", "M"],
+    ], ids=["dossier", "fleet-telemetry"])
+    def test_sim_scale_goal_set_loads_only_scipy_special(self, argv,
+                                                         tmp_path):
+        argv = [str(tmp_path / part) if part == "M" else part
+                for part in argv]
+        code, loaded = _fresh(argv)
+        assert code == 0
+        assert "scipy.special" in loaded
+        assert not {name for name in loaded
+                    if name.startswith(("scipy.stats", "scipy.optimize"))}
+
     def test_review_loads_no_scipy(self, goals_file):
         code, loaded = _fresh(["review", str(goals_file)])
         assert code in (0, 1)

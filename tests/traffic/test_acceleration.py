@@ -15,7 +15,7 @@ import pytest
 
 from repro.core import (ActorClass, Frequency, PER_HOUR, IncidentRecord,
                         allocate_proportional, derive_safety_goals,
-                        figure5_incident_types, human_driver_baseline,
+                        example_norm, figure5_incident_types, human_driver_baseline,
                         norm_from_human_baseline)
 from repro.traffic import (AcceleratedRate, BrakingSystem,
                            EncounterGenerator, ProposalTilt,
@@ -29,6 +29,7 @@ from repro.traffic import (AcceleratedRate, BrakingSystem,
                            encounter_log_weights, weighted_type_counts,
                            type_counts)
 from repro.traffic.engine import CROSSING_CLASSES, ImportanceRun
+from repro.traffic.records import RecordBlock
 from repro.traffic.simulator import SimulationConfig, _resolve_encounter
 from repro.traffic.encounters import Encounter, SIGHT_DISTANCE_CLAMP_M
 from repro.obs import BudgetMonitor
@@ -511,6 +512,42 @@ class TestAdaptiveCampaign:
         assert a.to_dict() == b.to_dict()
         assert [r.allocation for r in a.rounds] == \
             [r.allocation for r in b.rounds]
+
+    def test_classifies_each_replication_once_on_the_columnar_path(
+            self, world, policy, perception, braking, fig5_types,
+            monkeypatch):
+        """Counts feed both the monitor and the per-context shares, so no
+        replication is decoded into record objects; the result is the
+        one the two-pass classifier produced (I1 is open and seen in
+        urban traffic only, so the round-2 scores differ by context)."""
+        decodes = []
+        to_records = RecordBlock.to_records
+
+        def counting(block):
+            decodes.append(len(block))
+            return to_records(block)
+
+        monkeypatch.setattr(RecordBlock, "to_records", counting)
+        goals = derive_safety_goals(allocate_proportional(
+            example_norm().tightened(10), fig5_types))
+        result = adaptive_budget_campaign(
+            policy, world, perception, braking, goals, fig5_types,
+            {"urban": 0.75, "rural": 0.25}, seed=4, rounds=2,
+            replications_per_round=8, hours_per_replication=5.0)
+        assert decodes == []
+        assert [r.uncertainty for r in result.rounds] == [
+            {"rural": 1.0, "urban": 1.0},
+            {"rural": 21211.871721249812, "urban": 21214.316301533865}]
+        assert [r.allocation for r in result.rounds] == \
+            [{"urban": 6, "rural": 2}] * 2
+        assert result.to_dict() == {
+            "settled": False, "rounds": 2, "total_hours": 80.0,
+            "worst_utilisation": 1.0000000000000002,
+            "verdict_uncertainty": {"I1": 2.2879308254443425,
+                                    "I2": 2766.6595905854506,
+                                    "I3": 18444.397270569676}}
+        assert [row.observed for row in result.report.rows[:3]] == \
+            [4.0, 0.0, 0.0]
 
     def test_validates_inputs(self, world, policy, perception, braking,
                               fig5_types, allocation):
