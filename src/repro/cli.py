@@ -59,7 +59,8 @@ import argparse
 import json
 import math
 import sys
-from contextlib import nullcontext
+from contextlib import ExitStack
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Optional, Sequence
 
@@ -436,69 +437,112 @@ def _run_campaign(policy, hours: float, seed: int,
         record_sink=record_sink)
 
 
-def _open_record_sink(args: argparse.Namespace):
-    """The --record-sink spill directory as a context, or a no-op."""
-    if getattr(args, "record_sink", None) is None:
-        return nullcontext(None)
-    from repro.traffic import RecordSink
-    return RecordSink(args.record_sink)
+@dataclass
+class _Campaign:
+    """A finished campaign and the durable legs that watched it: the
+    telemetry session, record sink and flight recorder (``None`` where
+    no flag asked for one) and the recovered-fault log."""
+
+    result: object = None
+    session: object = None
+    record_sink: object = None
+    recorder: object = None
+    failures: list = field(default_factory=list)
 
 
-def _open_recorder(args: argparse.Namespace, goals=None, types=None):
-    """The --flight-recorder directory as a context, or a no-op.
+def _campaign(args: argparse.Namespace, policy, goals=None, types=None,
+              show=None):
+    """The one campaign runner of ``fleet`` and ``dossier``.
 
-    A pre-existing journal without ``--resume`` raises
-    ``FileExistsError`` — the same same-path discipline (and exit code
-    2) as ``--checkpoint``.
+    Opens the telemetry session, record sink and flight recorder the
+    flags ask for, restores the ``--resume`` checkpoint once for the
+    recorder and the run, and feeds every committed chunk to the
+    recorder and then to ``show``.  Returns the :class:`_Campaign`, or
+    the exit code of one that did not finish: 2 when a checkpoint or
+    journal clashes with the flags (an existing one without
+    ``--resume``, a mismatched identity), 3 after the per-chunk report
+    of a campaign that quarantined chunks.
     """
-    if getattr(args, "flight_recorder", None) is None:
-        return nullcontext(None)
-    from repro.obs import FlightRecorder
-    return FlightRecorder(args.flight_recorder, goals=goals, types=types,
-                          resume=bool(getattr(args, "resume", False)))
+    from repro.obs import FlightRecorder, telemetry_session
+    from repro.stats import CampaignPartialFailure
+    from repro.traffic import (CampaignCheckpoint, CheckpointMismatchError,
+                               RecordSink)
 
-
-def _restored_checkpoint(args: argparse.Namespace):
-    """The --resume checkpoint, opened once for the recorder and the run.
-
-    A provably torn tail (the append in flight when the last run died)
-    is cut and reported here; interior damage raises (exit 4).  ``None``
-    when there is nothing to resume.
-    """
-    if not args.resume or args.checkpoint is None:
-        return None
-    from repro.traffic import CampaignCheckpoint
-    checkpoint, cut = CampaignCheckpoint.resume(args.checkpoint)
-    if cut:
-        print(f"checkpoint {args.checkpoint}: cut a torn tail of {cut} "
-              f"bytes (an append the last run did not finish); resuming "
-              f"from {len(checkpoint.chunks)} banked chunks",
+    restored = None
+    if args.resume and args.checkpoint is not None:
+        # A provably torn tail (the append in flight when the last run
+        # died) is cut and reported; interior damage raises (exit 4).
+        restored, cut = CampaignCheckpoint.resume(args.checkpoint)
+        if cut:
+            print(f"checkpoint {args.checkpoint}: cut a torn tail of {cut} "
+                  f"bytes (an append the last run did not finish); "
+                  f"resuming from {len(restored.chunks)} banked chunks",
+                  file=sys.stderr)
+    run = _Campaign()
+    try:
+        with ExitStack() as stack:
+            if any(path is not None for path in (
+                    args.telemetry, args.trace_out, args.metrics_out)):
+                run.session = stack.enter_context(telemetry_session())
+            if args.record_sink is not None:
+                run.record_sink = stack.enter_context(
+                    RecordSink(args.record_sink))
+            if args.flight_recorder is not None:
+                run.recorder = stack.enter_context(FlightRecorder(
+                    args.flight_recorder, goals=goals, types=types,
+                    resume=args.resume))
+                if restored is not None:
+                    run.recorder.observe_restored_checkpoint(restored)
+            progress = None
+            if run.recorder is not None or show is not None:
+                def progress(update) -> None:
+                    if run.recorder is not None:
+                        run.recorder.on_progress(update)
+                    if show is not None:
+                        show(update)
+            run.result = _run_campaign(
+                policy, args.hours, args.seed, args.workers,
+                args.chunk_hours, args.engine, progress=progress,
+                retry=_retry_policy(args),
+                checkpoint=args.checkpoint if restored is None else restored,
+                resume=args.resume, failure_sink=run.failures,
+                record_sink=run.record_sink)
+    except (FileExistsError, CheckpointMismatchError) as exc:
+        print(f"checkpoint error: {exc}", file=sys.stderr)
+        return 2
+    except CampaignPartialFailure as exc:
+        print(f"{args.command} campaign failed partially: {exc}",
               file=sys.stderr)
-    return checkpoint
+        # Deterministic diagnostics: the append order of the failure log
+        # depends on thread timing, so sort by (chunk, attempt) before
+        # printing — identical campaigns print identical reports.
+        for failure in sorted(exc.failures,
+                              key=lambda f: (f.chunk_index, f.attempt)):
+            print(f"  chunk {failure.chunk_index} attempt "
+                  f"{failure.attempt} [{failure.kind}]: {failure.message}",
+                  file=sys.stderr)
+        print(f"  quarantined chunks: "
+              f"{', '.join(map(str, exc.quarantined))}", file=sys.stderr)
+        if args.checkpoint is not None:
+            print(f"  completed chunks persisted to {args.checkpoint}; "
+                  f"rerun with --resume after fixing the fault",
+                  file=sys.stderr)
+        return 3
+    return run
 
 
-def _campaign_session(args: argparse.Namespace):
-    """A telemetry session when any consumer of one was requested."""
-    if args.telemetry is None and args.trace_out is None \
-            and args.metrics_out is None:
-        return nullcontext()
-    from repro.obs import telemetry_session
-    return telemetry_session()
-
-
-def _write_exports(args: argparse.Namespace, session, recorder) -> None:
+def _write_exports(args: argparse.Namespace, run: _Campaign) -> None:
     """The --trace-out / --metrics-out leg, after the campaign ended."""
-    if session is None or (args.trace_out is None
-                           and args.metrics_out is None):
+    if args.trace_out is None and args.metrics_out is None:
         return
     from repro.obs import (read_journal, write_chrome_trace,
                            write_prometheus)
 
-    snapshot = session.snapshot()
+    snapshot = run.session.snapshot()
     if args.trace_out is not None:
         events = ()
-        if recorder is not None:
-            events, _ = read_journal(recorder.journal_path)
+        if run.recorder is not None:
+            events, _ = read_journal(run.recorder.journal_path)
         write_chrome_trace(args.trace_out, snapshot.spans, events)
         print(f"trace exported to {args.trace_out}")
     if args.metrics_out is not None:
@@ -517,36 +561,37 @@ def _scaled_goals(scale: float):
     return derive_safety_goals(allocation, taxonomy=figure4_taxonomy()), types
 
 
-def _campaign_telemetry(args: argparse.Namespace, session, campaign,
-                        goals, types, *, command: str, summary=None,
-                        failure_log=None, event_log=None):
+def _campaign_telemetry(args: argparse.Namespace, run: _Campaign, goals,
+                        counts, *, summary=None):
     """Budget utilisation + manifest for one telemetry-enabled campaign.
 
-    Returns ``(snapshot, budget_report)`` and writes the
-    :class:`~repro.obs.manifest.RunManifest` to ``args.telemetry``.
-    ``failure_log`` is the campaign's recovered-fault audit trail (a
-    sequence of :class:`~repro.stats.ChunkFailure` entries), embedded in
-    the manifest when non-empty.
+    ``counts`` is the campaign's one classification (``type_counts``),
+    which the budget table reuses.  Returns ``(snapshot,
+    budget_report)`` and writes the
+    :class:`~repro.obs.manifest.RunManifest` to ``args.telemetry``,
+    with the campaign's recovered-fault log when it is non-empty.
     """
     from repro.obs import BudgetMonitor, build_manifest
     from repro.stats import plan_chunks
     from repro.traffic import DEFAULT_CHUNK_HOURS
 
-    snapshot = session.snapshot()
+    campaign = run.result
+    snapshot = run.session.snapshot()
     monitor = BudgetMonitor(goals)
-    monitor.observe_result(campaign, types)
+    monitor.observe_counts(counts, campaign.hours)
     budget_report = monitor.utilisation()
     chunk_hours = (DEFAULT_CHUNK_HOURS if args.chunk_hours is None
                    else args.chunk_hours)
     manifest = build_manifest(
-        snapshot, command=command, seed=args.seed, engine=args.engine,
-        policy=campaign.policy_name, hours=args.hours, mix=_default_mix(),
-        workers=args.workers, chunk_hours=chunk_hours,
+        snapshot, command=f"repro {args.command}", seed=args.seed,
+        engine=args.engine, policy=campaign.policy_name, hours=args.hours,
+        mix=_default_mix(), workers=args.workers, chunk_hours=chunk_hours,
         n_chunks=len(plan_chunks(args.hours, chunk_hours)),
         budget_report=budget_report, summary=summary,
-        failure_log=(None if not failure_log
-                     else [entry.to_dict() for entry in failure_log]),
-        event_log=event_log)
+        failure_log=(None if not run.failures
+                     else [entry.to_dict() for entry in run.failures]),
+        event_log=(None if run.recorder is None
+                   else str(run.recorder.journal_path)))
     manifest.write(args.telemetry)
     print(f"telemetry manifest written to {args.telemetry}")
     return snapshot, budget_report
@@ -555,50 +600,23 @@ def _campaign_telemetry(args: argparse.Namespace, session, campaign,
 def _cmd_dossier(args: argparse.Namespace) -> int:
     from repro.core.verification import verify_against_counts
     from repro.reporting import build_dossier
-    from repro.stats import CampaignPartialFailure
-    from repro.traffic import (CheckpointMismatchError, cautious_policy,
-                               type_counts)
+    from repro.traffic import cautious_policy, type_counts
 
     goals, types = _scaled_goals(args.scale)
-
-    context = _campaign_session(args)
-    restored = _restored_checkpoint(args)
-    failure_sink: list = []
-    try:
-        with context as session, _open_record_sink(args) as record_sink, \
-                _open_recorder(args, goals, types) as recorder:
-            if recorder is not None and restored is not None:
-                recorder.observe_restored_checkpoint(restored)
-            progress = None
-            if recorder is not None:
-                progress = recorder.on_progress
-            campaign = _run_campaign(
-                cautious_policy(), args.hours, args.seed, args.workers,
-                args.chunk_hours, args.engine, progress=progress,
-                retry=_retry_policy(args),
-                checkpoint=args.checkpoint if restored is None else restored,
-                resume=args.resume, failure_sink=failure_sink,
-                record_sink=record_sink)
-    except (FileExistsError, CheckpointMismatchError) as exc:
-        print(f"checkpoint error: {exc}", file=sys.stderr)
-        return 2
-    except CampaignPartialFailure as exc:
-        print(f"dossier campaign failed partially: {exc}", file=sys.stderr)
-        return 3
-    if record_sink is not None:
-        spilled = record_sink.summary()
+    run = _campaign(args, cautious_policy(), goals, types)
+    if isinstance(run, int):
+        return run
+    if run.record_sink is not None:
+        spilled = run.record_sink.summary()
         print(f"record sink: {spilled['parts']} parts, "
               f"{spilled['records']} records → {spilled['directory']}")
-    counts, _ = type_counts(campaign, types)
-    report = verify_against_counts(goals, counts, campaign.hours)
+    counts, _ = type_counts(run.result, types)
+    report = verify_against_counts(goals, counts, run.result.hours)
     snapshot = budget_report = None
-    if args.telemetry is not None and session is not None:
-        snapshot, budget_report = _campaign_telemetry(
-            args, session, campaign, goals, types, command="repro dossier",
-            failure_log=failure_sink,
-            event_log=(None if recorder is None
-                       else str(recorder.journal_path)))
-    _write_exports(args, session, recorder)
+    if args.telemetry is not None:
+        snapshot, budget_report = _campaign_telemetry(args, run, goals,
+                                                      counts)
+    _write_exports(args, run)
     text = build_dossier(goals, report, telemetry=snapshot,
                          budget_utilisation=budget_report)
     if args.out is not None:
@@ -669,9 +687,7 @@ def _cmd_accelerated(args: argparse.Namespace, policy) -> int:
 def _cmd_fleet(args: argparse.Namespace) -> int:
     from repro.core import figure5_incident_types
     from repro.obs import ThroughputMeter
-    from repro.stats import CampaignPartialFailure
-    from repro.traffic import (CheckpointMismatchError, policy_by_name,
-                               type_counts)
+    from repro.traffic import policy_by_name, type_counts
 
     policy = policy_by_name(args.policy)
 
@@ -679,14 +695,18 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
         return _cmd_accelerated(args, policy)
 
     meter = ThroughputMeter()
+    encounters_run = 0
 
     def show_progress(update) -> None:
         # Rates and ETA come from the ThroughputMeter over the metrics
         # the fleet runner streams — not ad-hoc arithmetic per call site.
-        # Chunks restored from a checkpoint are excluded via the baseline
-        # so a resumed campaign's rate/ETA reflect work actually done
-        # *this* run, not the banked exposure.
+        # A resumed campaign's rates count only the work done *this* run:
+        # chunks and hours above the restored baseline, and the
+        # encounters of the chunks it resolved (restored chunks send no
+        # update), never the banked exposure.
+        nonlocal encounters_run
         from repro.obs import format_bytes
+        encounters_run += update.result.encounters_resolved
         eta = meter.eta_s(update.hours_done, update.hours_total,
                           baseline=update.hours_resumed)
         eta_text = f"{eta:.0f} s" if math.isfinite(eta) else "--"
@@ -698,61 +718,23 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
               f"{update.incidents_found} incidents, "
               f"{update.hard_braking_demands} hard-braking demands | "
               f"{meter.rate_per_s(update.chunks_done, baseline=update.chunks_resumed):.2f} chunks/s, "
-              f"{meter.rate_per_s(update.encounters_resolved):.0f} "
+              f"{meter.rate_per_s(encounters_run):.0f} "
               f"encounters/s, ETA {eta_text} | "
               f"{update.transport or '?'}, "
               f"{format_bytes(update.bytes_shipped)} shipped",
               file=sys.stderr)
 
-    context = _campaign_session(args)
-    goals = goal_types = None
     if args.flight_recorder is not None or args.telemetry is not None:
         # One solve serves the recorder and the manifest: the goal set is
         # deterministic (the MECE certificate seeds its own sampler).
-        goals, goal_types = _scaled_goals(args.scale)
-    restored = _restored_checkpoint(args)
-    failure_sink: list = []
-    try:
-        with context as session, _open_record_sink(args) as record_sink, \
-                _open_recorder(args, goals, goal_types) as recorder:
-            if recorder is not None and restored is not None:
-                recorder.observe_restored_checkpoint(restored)
-            progress = None
-            if recorder is not None or args.progress:
-                def progress(update) -> None:
-                    if recorder is not None:
-                        recorder.on_progress(update)
-                    if args.progress:
-                        show_progress(update)
-            campaign = _run_campaign(
-                policy, args.hours, args.seed, args.workers,
-                args.chunk_hours, args.engine,
-                progress=progress,
-                retry=_retry_policy(args),
-                checkpoint=args.checkpoint if restored is None else restored,
-                resume=args.resume, failure_sink=failure_sink,
-                record_sink=record_sink)
-    except (FileExistsError, CheckpointMismatchError) as exc:
-        print(f"checkpoint error: {exc}", file=sys.stderr)
-        return 2
-    except CampaignPartialFailure as exc:
-        print(f"fleet campaign failed partially: {exc}", file=sys.stderr)
-        # Deterministic diagnostics: the append order of the failure log
-        # depends on thread timing, so sort by (chunk, attempt) before
-        # printing — identical campaigns print identical reports.
-        for failure in sorted(exc.failures,
-                              key=lambda f: (f.chunk_index, f.attempt)):
-            print(f"  chunk {failure.chunk_index} attempt "
-                  f"{failure.attempt} [{failure.kind}]: {failure.message}",
-                  file=sys.stderr)
-        print(f"  quarantined chunks: "
-              f"{', '.join(map(str, exc.quarantined))}", file=sys.stderr)
-        if args.checkpoint is not None:
-            print(f"  completed chunks persisted to {args.checkpoint}; "
-                  f"rerun with --resume after fixing the fault",
-                  file=sys.stderr)
-        return 3
-    types = list(figure5_incident_types())
+        goals, types = _scaled_goals(args.scale)
+    else:
+        goals, types = None, list(figure5_incident_types())
+    run = _campaign(args, policy, goals, types,
+                    show_progress if args.progress else None)
+    if isinstance(run, int):
+        return run
+    campaign = run.result
     counts, unclassified = type_counts(campaign, types)
     # Cheap columnar counters — no record materialisation for the summary.
     collisions = campaign.collision_count()
@@ -785,26 +767,22 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
           f"> {campaign.hard_braking_threshold_ms2:g} m/s²)")
     for type_id, count in sorted(counts.items()):
         print(f"  {type_id}: {count}")
-    if record_sink is not None:
-        spilled = record_sink.summary()
+    if run.record_sink is not None:
+        spilled = run.record_sink.summary()
         summary["record_sink"] = spilled
         print(f"  record sink:           {spilled['parts']} parts, "
               f"{spilled['records']} records "
               f"({spilled['bytes_written']} bytes) → "
               f"{spilled['directory']}")
-    if failure_sink:
-        print(f"  recovered faults:      {len(failure_sink)} "
+    if run.failures:
+        print(f"  recovered faults:      {len(run.failures)} "
               f"(campaign result unaffected; see telemetry failure log)")
-    if args.telemetry is not None and session is not None:
-        _, budget_report = _campaign_telemetry(
-            args, session, campaign, goals, goal_types,
-            command="repro fleet", summary=summary,
-            failure_log=failure_sink,
-            event_log=(None if recorder is None
-                       else str(recorder.journal_path)))
+    if args.telemetry is not None:
+        _, budget_report = _campaign_telemetry(args, run, goals, counts,
+                                               summary=summary)
         print()
         print(budget_report.render())
-    _write_exports(args, session, recorder)
+    _write_exports(args, run)
     if args.json is not None:
         args.json.write_text(json.dumps(summary, indent=2))
         print(f"summary written to {args.json}")

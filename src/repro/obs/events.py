@@ -131,43 +131,92 @@ def _chain_error(path: object, lineno: int, message: str, *,
         source=path, schema=schema)
 
 
-def _iter_journal_lines(path: Path, *,
-                        schema: str = EVENT_LOG_SCHEMA,
-                        ) -> Iterator[Tuple[int, str]]:
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise CorruptArtifactError(
-            f"cannot read event journal: {exc.strerror or exc}",
-            source=path, schema=schema) from exc
-    except UnicodeDecodeError as exc:
-        raise CorruptArtifactError(
-            f"event journal is not valid UTF-8: {exc}",
-            source=path, schema=schema) from exc
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if line.strip():
-            yield lineno, line
+@dataclass
+class JournalScan:
+    """One walk of a chained journal: its valid prefix and first damage.
 
-
-def read_chained_journal(path: Union[str, Path], *,
-                         schema_name: str = EVENT_LOG_SCHEMA_NAME,
-                         ) -> Tuple[List[EventRecord], Optional[str]]:
-    """Read + verify one digest-chained journal file end to end.
-
-    Returns ``(records, head_digest)`` where ``head_digest`` is the last
-    entry's payload sha256 (``None`` for an empty journal) — exactly
-    what an appender needs to continue the chain.  Every line is loaded
-    through the artifact boundary (digest + spec + typed errors) against
-    ``schema_name``, then the chain itself is checked: contiguous
-    ``seq`` from 0 and each ``prev`` equal to the previous entry's
-    digest.  All failures are typed
-    :class:`~repro.errors.ArtifactError` subclasses.
+    ``records`` is the longest valid chain prefix, ``valid_bytes`` the
+    byte length of that prefix in the file (truncating to it yields a
+    journal the strict reader accepts).  ``error`` is the typed
+    exception the walk stopped at (``None`` when the whole file
+    verifies), which :func:`read_chained_journal` raises; ``damage`` is
+    its text.  ``torn_tail`` says whether that damage is *provably*
+    un-acknowledged residue: nothing after the valid prefix parses as a
+    complete signed envelope, so the damage can only be the torn final
+    append of a crashed writer — cutting it loses no committed entry.
+    Interior damage (a valid-looking envelope exists past the break) is
+    NOT a torn tail: cutting there would discard committed audit data,
+    so :func:`repair_journal_tail` refuses it.
     """
-    schema_tag = f"{schema_name}/v{ARTIFACTS.get(schema_name).version}"
-    records: List[EventRecord] = []
+
+    path: Path
+    schema_name: str
+    records: List[EventRecord] = field(default_factory=list)
     head: Optional[str] = None
-    for lineno, line in _iter_journal_lines(Path(path), schema=schema_tag):
+    valid_bytes: int = 0
+    total_bytes: int = 0
+    error: Optional[ValueError] = None
+    damage_lineno: Optional[int] = None
+    torn_tail: bool = False
+
+    @property
+    def damage(self) -> Optional[str]:
+        return None if self.error is None else str(self.error)
+
+    @property
+    def clean(self) -> bool:
+        return self.error is None
+
+
+def scan_journal(path: Union[str, Path], *,
+                 schema_name: str = EVENT_LOG_SCHEMA_NAME) -> JournalScan:
+    """Walk one chained journal file up to its first damage, never raising.
+
+    Walks the file byte-accurately: each newline-terminated line (plus a
+    possible unterminated final fragment) is verified in turn — UTF-8,
+    envelope parse, schema load, digest, ``seq`` contiguity, ``prev``
+    linkage.  The walk stops at the first failure, keeps its typed
+    exception and classifies it (see :class:`JournalScan`).  An
+    unreadable file reports 0 valid bytes with the read error as
+    damage.
+    """
+    path = Path(path)
+    schema_tag = f"{schema_name}/v{ARTIFACTS.get(schema_name).version}"
+    scan = JournalScan(path=path, schema_name=schema_name)
+    try:
+        raw = path.read_bytes()
+    except OSError as exc:
+        scan.error = CorruptArtifactError(
+            f"cannot read event journal: {exc.strerror or exc}",
+            source=path, schema=schema_tag)
+        return scan
+    scan.total_bytes = len(raw)
+
+    # Split into (line_bytes, end_offset) pairs; the final fragment (no
+    # trailing newline) is included — a complete valid envelope there is
+    # accepted.
+    pieces: List[Tuple[bytes, int]] = []
+    start = 0
+    while start < len(raw):
+        newline = raw.find(b"\n", start)
+        if newline < 0:
+            pieces.append((raw[start:], len(raw)))
+            break
+        pieces.append((raw[start:newline], newline + 1))
+        start = newline + 1
+
+    def _verify(line_bytes: bytes,
+                lineno: int) -> Optional[Tuple[EventRecord, str]]:
+        """The line as the chain's next entry (``None`` if blank)."""
         source = f"{path}:{lineno}"
+        try:
+            line = line_bytes.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise CorruptArtifactError(
+                f"event journal line is not valid UTF-8: {exc}",
+                source=source, schema=schema_tag) from exc
+        if not line.strip():
+            return None
         envelope = parse_artifact_text(line, source=source)
         record = ARTIFACTS.load_dict(envelope, schema_name, source=source)
         assert isinstance(record, EventRecord)
@@ -177,18 +226,52 @@ def read_chained_journal(path: Union[str, Path], *,
             raise _chain_error(path, lineno, "entry carries no payload "
                               "digest (chain link missing)",
                               schema=schema_tag)
-        if record.seq != len(records):
+        if record.seq != len(scan.records):
             raise _chain_error(
-                path, lineno, f"expected seq {len(records)}, found "
+                path, lineno, f"expected seq {len(scan.records)}, found "
                 f"{record.seq} (entries dropped, duplicated or reordered)",
                 schema=schema_tag)
-        if record.prev != head:
+        if record.prev != scan.head:
             raise _chain_error(
-                path, lineno, f"prev digest {record.prev!r} does not match "
-                f"the preceding entry's digest {head!r}", schema=schema_tag)
-        records.append(record)
-        head = digest
-    return records, head
+                path, lineno, f"prev digest {record.prev!r} does not "
+                f"match the preceding entry's digest {scan.head!r}",
+                schema=schema_tag)
+        return record, digest
+
+    for lineno, (line_bytes, end_offset) in enumerate(pieces, start=1):
+        try:
+            entry = _verify(line_bytes, lineno)
+        except ValueError as exc:  # every ArtifactError is one
+            scan.error, scan.damage_lineno = exc, lineno
+            scan.torn_tail = not any(
+                _parses_as_envelope(rest, schema_name)
+                for rest, _ in pieces[lineno:])
+            break
+        if entry is not None:  # blank lines are chain-neutral
+            scan.records.append(entry[0])
+            scan.head = entry[1]
+        scan.valid_bytes = end_offset
+    return scan
+
+
+def read_chained_journal(path: Union[str, Path], *,
+                         schema_name: str = EVENT_LOG_SCHEMA_NAME,
+                         ) -> Tuple[List[EventRecord], Optional[str]]:
+    """Read + verify one digest-chained journal file end to end.
+
+    Returns ``(records, head_digest)`` where ``head_digest`` is the last
+    entry's payload sha256 (``None`` for an empty journal) — exactly
+    what an appender needs to continue the chain.  This is
+    :func:`scan_journal` with no damage allowed: the first line that
+    fails the artifact boundary (digest + spec) or the chain (contiguous
+    ``seq`` from 0, each ``prev`` equal to the previous entry's digest)
+    raises the typed :class:`~repro.errors.ArtifactError` the scan
+    stopped at.
+    """
+    scan = scan_journal(path, schema_name=schema_name)
+    if scan.error is not None:
+        raise scan.error
+    return scan.records, scan.head
 
 
 def read_journal(path: Union[str, Path],
@@ -202,135 +285,6 @@ def read_journal(path: Union[str, Path],
 
 
 # -- damage triage + suffix-cut repair -------------------------------------
-
-@dataclass
-class JournalScan:
-    """The lenient sibling of :func:`read_chained_journal` (repair's view).
-
-    ``records`` is the longest valid chain prefix, ``valid_bytes`` the
-    byte length of that prefix in the file (truncating to it yields a
-    journal the strict reader accepts).  ``damage`` describes the first
-    failure past the prefix (``None`` when the whole file verifies), and
-    ``torn_tail`` says whether that damage is *provably* un-acknowledged
-    residue: nothing after the valid prefix parses as a complete signed
-    envelope, so the damage can only be the torn final append of a
-    crashed writer — cutting it loses no committed entry.  Interior
-    damage (a valid-looking envelope exists past the break) is NOT a
-    torn tail: cutting there would discard committed audit data, so
-    :func:`repair_journal_tail` refuses it.
-    """
-
-    path: Path
-    schema_name: str
-    records: List[EventRecord]
-    head: Optional[str]
-    valid_bytes: int
-    total_bytes: int
-    damage: Optional[str] = None
-    damage_lineno: Optional[int] = None
-    torn_tail: bool = False
-
-    @property
-    def clean(self) -> bool:
-        return self.damage is None
-
-
-def scan_journal(path: Union[str, Path], *,
-                 schema_name: str = EVENT_LOG_SCHEMA_NAME) -> JournalScan:
-    """Triage one chained journal file without raising on damage.
-
-    Walks the file byte-accurately: each newline-terminated line (plus a
-    possible unterminated final fragment) is verified exactly as
-    :func:`read_chained_journal` would — envelope parse, schema load,
-    digest, ``seq`` contiguity, ``prev`` linkage.  The walk stops at the
-    first failure and then classifies it (see :class:`JournalScan`).
-    An unreadable file reports 0 valid bytes with the read error as
-    damage.
-    """
-    path = Path(path)
-    schema_tag = f"{schema_name}/v{ARTIFACTS.get(schema_name).version}"
-    try:
-        raw = path.read_bytes()
-    except OSError as exc:
-        return JournalScan(path=path, schema_name=schema_name, records=[],
-                           head=None, valid_bytes=0, total_bytes=0,
-                           damage=f"cannot read journal: "
-                                  f"{exc.strerror or exc}")
-
-    # Split into (line_bytes, end_offset) pairs; the final fragment (no
-    # trailing newline) is included — a complete valid envelope there is
-    # accepted, matching the strict reader's splitlines behaviour.
-    pieces: List[Tuple[bytes, int]] = []
-    start = 0
-    while start < len(raw):
-        newline = raw.find(b"\n", start)
-        if newline < 0:
-            pieces.append((raw[start:], len(raw)))
-            break
-        pieces.append((raw[start:newline], newline + 1))
-        start = newline + 1
-
-    def _verify(line: str, lineno: int, expect_seq: int,
-                expect_prev: Optional[str]) -> Tuple[EventRecord, str]:
-        source = f"{path}:{lineno}"
-        envelope = parse_artifact_text(line, source=source)
-        record = ARTIFACTS.load_dict(envelope, schema_name, source=source)
-        assert isinstance(record, EventRecord)
-        digest = envelope.get(DIGEST_KEY) if isinstance(envelope, dict) \
-            else None
-        if not isinstance(digest, str):
-            raise _chain_error(path, lineno, "entry carries no payload "
-                              "digest (chain link missing)",
-                              schema=schema_tag)
-        if record.seq != expect_seq:
-            raise _chain_error(
-                path, lineno, f"expected seq {expect_seq}, found "
-                f"{record.seq}", schema=schema_tag)
-        if record.prev != expect_prev:
-            raise _chain_error(
-                path, lineno, f"prev digest {record.prev!r} does not "
-                f"match the preceding entry's digest {expect_prev!r}",
-                schema=schema_tag)
-        return record, digest
-
-    records: List[EventRecord] = []
-    head: Optional[str] = None
-    valid_bytes = 0
-    damage: Optional[str] = None
-    damage_lineno: Optional[int] = None
-    damage_index: Optional[int] = None
-    for index, (line_bytes, end_offset) in enumerate(pieces):
-        lineno = index + 1
-        try:
-            line = line_bytes.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            damage = f"line {lineno} is not valid UTF-8: {exc}"
-            damage_lineno, damage_index = lineno, index
-            break
-        if not line.strip():
-            valid_bytes = end_offset  # blank lines are chain-neutral
-            continue
-        try:
-            record, digest = _verify(line, lineno, len(records), head)
-        except (CorruptArtifactError, ValueError) as exc:
-            damage = str(exc)
-            damage_lineno, damage_index = lineno, index
-            break
-        records.append(record)
-        head = digest
-        valid_bytes = end_offset
-
-    torn_tail = False
-    if damage is not None:
-        assert damage_index is not None
-        torn_tail = not any(
-            _parses_as_envelope(line_bytes, schema_name)
-            for line_bytes, _ in pieces[damage_index + 1:])
-    return JournalScan(path=path, schema_name=schema_name, records=records,
-                       head=head, valid_bytes=valid_bytes,
-                       total_bytes=len(raw), damage=damage,
-                       damage_lineno=damage_lineno, torn_tail=torn_tail)
-
 
 def _parses_as_envelope(line_bytes: bytes, schema_name: str) -> bool:
     """Does this line alone verify as a complete signed entry?
@@ -642,6 +596,8 @@ class JournalReplay:
     simply confirms the earlier commit).  All totals derive from it in
     chunk-index order, so replay is independent of completion order —
     the same invariance the merge contract gives the real campaign.
+    ``campaign`` and ``resumed_from`` are the latest
+    ``campaign.started`` and ``campaign.resumed`` payloads.
     """
 
     campaign: Dict[str, object] = field(default_factory=dict)
@@ -657,8 +613,48 @@ class JournalReplay:
     degeneracy_alarms: List[Dict[str, object]] = field(default_factory=list)
     started: int = 0
     resumed: int = 0
+    resumed_from: Optional[Dict[str, object]] = None
     finished: Optional[Dict[str, object]] = None
     failed: Optional[Dict[str, object]] = None
+
+    def observe(self, record: EventRecord) -> None:
+        """Fold one entry in: the one per-kind dispatch over the journal.
+
+        Replay folds a file through it; the flight recorder folds every
+        entry its journal writes, so its live status is this replay.
+        """
+        data = dict(record.data)
+        kind = record.kind
+        if kind == "campaign.started":
+            self.started += 1
+            self.campaign = data
+        elif kind == "campaign.resumed":
+            self.resumed += 1
+            self.resumed_from = data
+        elif kind == "campaign.finished":
+            self.finished = data
+        elif kind == "campaign.failed":
+            self.failed = data
+        elif kind in ("chunk.committed", "chunk.restored"):
+            self.chunks[int(data["chunk_index"])] = data  # type: ignore[arg-type]
+        elif kind == "chunk.failed":
+            self.failures.append(data)
+            if data.get("kind") == "timeout":
+                self.timeouts += 1
+        elif kind == "chunk.retry":
+            self.retries += 1
+        elif kind == "chunk.quarantined":
+            self.quarantined.append(int(data["chunk_index"]))  # type: ignore[arg-type]
+        elif kind == "pool.rebuilt":
+            self.pool_rebuilds += 1
+        elif kind == "pool.degraded":
+            self.pool_degraded = True
+        elif kind == "checkpoint.committed":
+            self.checkpoint_commits += 1
+        elif kind == "budget.verdict":
+            self.verdicts[str(data["budget_id"])] = str(data["verdict"])
+        elif kind == "degeneracy.alarm":
+            self.degeneracy_alarms.append(data)
 
     def _chunk_values(self, key: str) -> List[object]:
         return [self.chunks[index][key] for index in sorted(self.chunks)]
@@ -733,37 +729,7 @@ def replay_journal(events: Union[str, Path, Sequence[EventRecord]],
         records = list(events)
     replay = JournalReplay()
     for record in records:
-        data = dict(record.data)
-        kind = record.kind
-        if kind == "campaign.started":
-            replay.started += 1
-            replay.campaign = data
-        elif kind == "campaign.resumed":
-            replay.resumed += 1
-        elif kind == "campaign.finished":
-            replay.finished = data
-        elif kind == "campaign.failed":
-            replay.failed = data
-        elif kind in ("chunk.committed", "chunk.restored"):
-            replay.chunks[int(data["chunk_index"])] = data  # type: ignore[arg-type]
-        elif kind == "chunk.failed":
-            replay.failures.append(data)
-            if data.get("kind") == "timeout":
-                replay.timeouts += 1
-        elif kind == "chunk.retry":
-            replay.retries += 1
-        elif kind == "chunk.quarantined":
-            replay.quarantined.append(int(data["chunk_index"]))  # type: ignore[arg-type]
-        elif kind == "pool.rebuilt":
-            replay.pool_rebuilds += 1
-        elif kind == "pool.degraded":
-            replay.pool_degraded = True
-        elif kind == "checkpoint.committed":
-            replay.checkpoint_commits += 1
-        elif kind == "budget.verdict":
-            replay.verdicts[str(data["budget_id"])] = str(data["verdict"])
-        elif kind == "degeneracy.alarm":
-            replay.degeneracy_alarms.append(data)
+        replay.observe(record)
     return replay
 
 

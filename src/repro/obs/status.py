@@ -10,7 +10,10 @@ and ETA from :class:`~repro.obs.metrics.ThroughputMeter`, fault and
 quarantine counts, transport + bytes shipped.  ``repro watch PATH``
 re-reads and re-renders that file on an interval, which is the whole
 point of writing it atomically: a reader can never observe a torn
-status, only the previous or the next complete one.
+status, only the previous or the next complete one.  Every count in it
+is read from one :class:`~repro.obs.events.JournalReplay` that folds
+each entry the journal writes (seeded with the continued chain on
+resume), so the status is the journal's replay by construction.
 
 The recorder is pure observation.  It classifies chunk results through
 :func:`~repro.obs.budget_monitor.classified_counts` — the *same* code
@@ -34,7 +37,9 @@ from ..errors import CorruptArtifactError
 from ..io.artifact import parse_artifact_text
 from ..io.atomic import atomic_write_text
 from .budget_monitor import BudgetMonitor, classified_counts
-from .events import EventJournal, EventRecord, journal_event, recording_journal
+from .events import (EventJournal, EventRecord, JournalReplay,
+                     journal_event, read_journal, recording_journal,
+                     replay_journal)
 from .metrics import ThroughputMeter
 
 __all__ = ["STATUS_SCHEMA", "FlightRecorder", "read_status",
@@ -44,6 +49,14 @@ STATUS_SCHEMA = "repro.campaign-status/v1"
 
 JOURNAL_FILENAME = "journal.jsonl"
 STATUS_FILENAME = "status.json"
+
+#: Journal events after which the observer rewrites the status: the
+#: ones that arrive outside :meth:`FlightRecorder._record_chunk` (the
+#: retry layer and the campaign lifecycle emit directly).  Chunk entries
+#: and verdicts are journalled inside it, and it writes next; a
+#: checkpoint commit is followed by its chunk's progress update.
+_OBSERVER_WRITES = ("chunk.failed", "chunk.retry", "chunk.quarantined",
+                    "pool.rebuilt", "campaign.finished", "campaign.failed")
 
 
 def format_bytes(n: int) -> str:
@@ -199,8 +212,19 @@ class FlightRecorder:
                  status_interval_s: float = 0.25,
                  clock: Callable[[], float] = time.monotonic):
         self._dir = Path(directory)
-        self._journal = EventJournal.open(self._dir / JOURNAL_FILENAME,
-                                          resume=resume)
+        journal_path = self._dir / JOURNAL_FILENAME
+        # Every live count is the fold of the journal (one JournalReplay,
+        # fed by the journal observer); a resumed journal seeds it with
+        # the chain it continues, so the status covers the whole journal.
+        if resume and journal_path.exists():
+            records, head = read_journal(journal_path)
+            self._replay = replay_journal(records)
+            self._journal = EventJournal.reopen(
+                journal_path, len(records), head,
+                journal_path.stat().st_size)
+        else:
+            self._replay = JournalReplay()
+            self._journal = EventJournal.open(journal_path)
         self._status_path = self._dir / STATUS_FILENAME
         self._types = None if types is None else list(types)
         self._monitor: Optional[BudgetMonitor] = None
@@ -214,26 +238,8 @@ class FlightRecorder:
         self._state = "running"
         self._scope = None
         self._last_budget_rows: Optional[List[Dict[str, object]]] = None
-        # Progress totals (updated by on_progress / restored checkpoints).
-        self._chunks_done = 0
-        self._chunks_total = 0
-        self._chunks_resumed = 0
-        self._hours_done = 0.0
-        self._hours_total = 0.0
-        self._hours_resumed = 0.0
-        self._encounters = 0
-        self._incidents = 0
-        self._hard_braking = 0
-        self._transport: Optional[str] = None
+        # No event carries the shipped bytes per chunk.
         self._bytes_shipped = 0
-        # Fault counters (updated by the journal observer, so emission
-        # sites anywhere in the process feed the live status).
-        self._failures = 0
-        self._retries = 0
-        self._timeouts = 0
-        self._quarantined = 0
-        self._pool_rebuilds = 0
-        self._checkpoint_commits = 0
         self._journal.add_observer(self._observe_event)
         self._write_status(force=True)
 
@@ -280,34 +286,11 @@ class FlightRecorder:
     # -- event-driven bookkeeping ----------------------------------------
 
     def _observe_event(self, record: EventRecord) -> None:
-        # Chunk commits and budget verdicts are journalled from inside
-        # :meth:`_record_chunk`, which ends with its own status write —
-        # rewriting here too would turn one chunk into a dozen atomic
-        # rewrites.  The observer only refreshes the status for events
-        # that arrive *outside* that path (the retry layer, checkpoint
-        # writer and campaign lifecycle emit directly).
+        self._replay.observe(record)
         kind = record.kind
-        write = True
-        if kind == "chunk.failed":
-            self._failures += 1
-            if record.data.get("kind") == "timeout":
-                self._timeouts += 1
-        elif kind == "chunk.retry":
-            self._retries += 1
-        elif kind == "chunk.quarantined":
-            self._quarantined += 1
-        elif kind == "pool.rebuilt":
-            self._pool_rebuilds += 1
-        elif kind == "checkpoint.committed":
-            self._checkpoint_commits += 1
-            write = False  # the committing chunk's update writes next
-        elif kind == "campaign.finished":
-            self._state = "finished"
-        elif kind == "campaign.failed":
-            self._state = "failed"
-        else:
-            write = False
-        if write:
+        if kind in ("campaign.finished", "campaign.failed"):
+            self._state = kind[len("campaign."):]
+        if kind in _OBSERVER_WRITES:
             self._write_status(force=kind.startswith("campaign."))
 
     # -- campaign hooks ---------------------------------------------------
@@ -321,25 +304,9 @@ class FlightRecorder:
         verdict transitions.  Safe to compose with a user progress
         callback — it only reads the update.
         """
-        self._chunks_done = update.chunks_done
-        self._chunks_total = update.chunks_total
-        self._chunks_resumed = getattr(update, "chunks_resumed", 0)
-        self._hours_done = update.hours_done
-        self._hours_total = update.hours_total
-        self._hours_resumed = getattr(update, "hours_resumed", 0.0)
-        self._encounters = update.encounters_resolved
-        self._incidents = update.incidents_found
-        self._hard_braking = update.hard_braking_demands
-        transport = getattr(update, "transport", None)
-        if transport is not None:
-            self._transport = transport
-        self._bytes_shipped = getattr(update, "bytes_shipped",
-                                      self._bytes_shipped)
-        result = getattr(update, "result", None)
-        if result is not None:
-            self._record_chunk("chunk.committed", update.chunk_index, result)
-        else:
-            self._write_status()
+        self._bytes_shipped = update.bytes_shipped
+        self._record_chunk("chunk.committed", update.chunk_index,
+                           update.result)
 
     def observe_restored_checkpoint(self, checkpoint) -> None:
         """Re-journal a restored checkpoint's banked chunks.
@@ -357,12 +324,11 @@ class FlightRecorder:
         the kill landed.
         """
         restored = checkpoint.completed_results()
-        self._chunks_resumed = len(restored)
-        self._hours_resumed = math.fsum(r.hours for r in restored.values())
         journal_event("campaign.resumed",
                       checkpoint=str(checkpoint.path),
                       chunk_indices=sorted(restored),
-                      hours_resumed=self._hours_resumed)
+                      hours_resumed=math.fsum(
+                          r.hours for r in restored.values()))
         for index in sorted(restored):
             self._record_chunk("chunk.restored", index, restored[index])
         self._write_status(force=True)
@@ -388,31 +354,41 @@ class FlightRecorder:
     # -- the status artifact ----------------------------------------------
 
     def status_document(self) -> Dict[str, object]:
-        """The complete live snapshot as a plain JSON-safe dict."""
-        rate = self._meter.rate_per_s(self._hours_done,
-                                      baseline=self._hours_resumed)
-        eta = self._meter.eta_s(self._hours_done, self._hours_total,
-                                baseline=self._hours_resumed)
+        """The complete live snapshot as a plain JSON-safe dict.
+
+        Every count is read from the fold of the journal, so the status
+        equals :func:`~repro.obs.events.replay_journal` of the journal
+        at every write; only ``bytes_shipped`` is the recorder's own.
+        """
+        replay = self._replay
+        started = replay.campaign
+        resumed = replay.resumed_from or {}
+        hours_done = replay.hours
+        hours_total = float(started.get("hours", 0.0))
+        hours_resumed = float(resumed.get("hours_resumed", 0.0))
+        rate = self._meter.rate_per_s(hours_done, baseline=hours_resumed)
+        eta = self._meter.eta_s(hours_done, hours_total,
+                                baseline=hours_resumed)
         return {
             "schema": STATUS_SCHEMA,
             "state": self._state,
             "updated_utc": datetime.now(timezone.utc).isoformat(),
-            "chunks_done": self._chunks_done,
-            "chunks_total": self._chunks_total,
-            "chunks_resumed": self._chunks_resumed,
-            "hours_done": self._hours_done,
-            "hours_total": self._hours_total,
-            "hours_resumed": self._hours_resumed,
-            "encounters_resolved": self._encounters,
-            "incidents_found": self._incidents,
-            "hard_braking_demands": self._hard_braking,
-            "failures": self._failures,
-            "retries": self._retries,
-            "timeouts": self._timeouts,
-            "quarantined": self._quarantined,
-            "pool_rebuilds": self._pool_rebuilds,
-            "checkpoint_commits": self._checkpoint_commits,
-            "transport": self._transport,
+            "chunks_done": len(replay.chunks),
+            "chunks_total": int(started.get("n_chunks", 0)),
+            "chunks_resumed": len(resumed.get("chunk_indices", ())),
+            "hours_done": hours_done,
+            "hours_total": hours_total,
+            "hours_resumed": hours_resumed,
+            "encounters_resolved": replay.encounters_resolved,
+            "incidents_found": replay.incidents_found,
+            "hard_braking_demands": replay.hard_braking_demands,
+            "failures": len(replay.failures),
+            "retries": replay.retries,
+            "timeouts": replay.timeouts,
+            "quarantined": len(replay.quarantined),
+            "pool_rebuilds": replay.pool_rebuilds,
+            "checkpoint_commits": replay.checkpoint_commits,
+            "transport": started.get("transport"),
             "bytes_shipped": self._bytes_shipped,
             "rate_hours_per_s": rate,
             "eta_s": None if not math.isfinite(eta) else eta,

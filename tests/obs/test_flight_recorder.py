@@ -1,6 +1,6 @@
 """The flight recorder's end-to-end invariants (DESIGN §13).
 
-Three contracts are pinned here:
+Four contracts are pinned here:
 
 1. **Replay ≡ manifest** — folding a verified journal back through
    :func:`~repro.obs.replay_journal` reconstructs the campaign's
@@ -11,6 +11,9 @@ Three contracts are pinned here:
    extends to the recorder).
 3. **Crash consistency** — a campaign killed mid-flight leaves a valid
    (shorter) chain, and the resumed journal still verifies end to end.
+4. **Status ≡ replay** — every count in ``status.json`` equals the same
+   count folded from the journal file, on a fresh campaign at any
+   worker count and across a kill-and-resume.
 """
 
 from __future__ import annotations
@@ -24,6 +27,8 @@ from repro.core import (allocate_lp, derive_safety_goals, example_norm,
 from repro.obs import (BudgetMonitor, FlightRecorder, read_journal,
                        read_status, replay_journal)
 from repro.obs.budget_monitor import classified_counts
+from repro.stats import RetryPolicy
+from repro.testing.chaos import ChaosScript, ChaosWorker
 from repro.traffic import (BrakingSystem, CampaignCheckpoint,
                            EncounterGenerator, cautious_policy,
                            default_context_profiles, default_perception,
@@ -241,3 +246,79 @@ class TestLiveStatus:
         with FlightRecorder(tmp_path / "flight") as recorder:
             doc = recorder.status_document()
             assert doc["eta_s"] is None or math.isfinite(doc["eta_s"])
+
+
+def _replayed_status(journal):
+    """The status counts, folded from the journal file alone."""
+    records, _ = read_journal(journal)
+    replay = replay_journal(records)
+    started = replay.campaign
+    resumed = [r.data for r in records if r.kind == "campaign.resumed"]
+    restored = resumed[-1] if resumed else {}
+    return {
+        "chunks_done": len(replay.chunks),
+        "chunks_total": started["n_chunks"],
+        "chunks_resumed": len(restored.get("chunk_indices", [])),
+        "hours_done": replay.hours,
+        "hours_total": started["hours"],
+        "hours_resumed": restored.get("hours_resumed", 0.0),
+        "encounters_resolved": replay.encounters_resolved,
+        "incidents_found": replay.incidents_found,
+        "hard_braking_demands": replay.hard_braking_demands,
+        "failures": len(replay.failures),
+        "retries": replay.retries,
+        "timeouts": replay.timeouts,
+        "quarantined": len(replay.quarantined),
+        "pool_rebuilds": replay.pool_rebuilds,
+        "checkpoint_commits": replay.checkpoint_commits,
+        "transport": started["transport"],
+        "event_seq": len(records),
+    }
+
+
+def _status_counts(flight, keys):
+    doc = read_status(flight / "status.json")
+    return {key: doc[key] for key in keys}
+
+
+class TestStatusIsTheReplay:
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_fresh_status_equals_replay(self, world, tmp_path, goal_set,
+                                        workers):
+        checkpoint = tmp_path / "campaign.ck"
+        _, recorder = _recorded_run(world, tmp_path, 2020, goal_set,
+                                    workers=workers, checkpoint=checkpoint)
+        flight = tmp_path / "flight"
+        replayed = _replayed_status(recorder.journal_path)
+        assert replayed["chunks_total"] == replayed["chunks_done"] \
+            == replayed["checkpoint_commits"] == N_CHUNKS
+        assert _status_counts(flight, replayed) == replayed
+
+    def test_resumed_status_counts_the_whole_journal(self, world, tmp_path,
+                                                     goal_set):
+        """A retried chunk, a kill after 2 of 4 chunks, then a resume:
+        the fault counters cover both runs, as the progress totals do."""
+        goals, types = goal_set
+        flight = tmp_path / "flight"
+        checkpoint = tmp_path / "campaign.ck"
+        (tmp_path / "chaos").mkdir()
+        script = ChaosScript({1: ("raise",)})
+        with pytest.raises(KeyboardInterrupt), \
+                pytest.warns(RuntimeWarning, match="chunk 1 failed"):
+            with FlightRecorder(flight, goals=goals, types=types) as rec:
+                _run(world, 2020, checkpoint=checkpoint,
+                     retry=RetryPolicy(backoff_base_s=0.0, jitter_s=0.0),
+                     wrap_worker=lambda worker: ChaosWorker(
+                         worker, script, str(tmp_path / "chaos")),
+                     progress=TestKillAndResume._KillAfter(rec, 2))
+        with FlightRecorder(flight, goals=goals, types=types,
+                            resume=True) as rec:
+            rec.observe_restored_checkpoint(
+                CampaignCheckpoint.load(checkpoint))
+            _run(world, 2020, checkpoint=checkpoint, resume=True,
+                 progress=rec.on_progress)
+        replayed = _replayed_status(flight / "journal.jsonl")
+        assert (replayed["failures"], replayed["retries"],
+                replayed["checkpoint_commits"], replayed["chunks_done"],
+                replayed["chunks_resumed"]) == (1, 1, N_CHUNKS, N_CHUNKS, 2)
+        assert _status_counts(flight, replayed) == replayed

@@ -262,7 +262,6 @@ class TestMergeAlgebra:
             SimulationResult.merge_many([a, b])
 
 
-@pytest.mark.slow
 class TestFleetDeterminismAtScale:
     """The same contract over a long campaign with many chunks."""
 

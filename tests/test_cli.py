@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
@@ -535,10 +536,55 @@ class TestFleetFaultTolerance:
         err = capsys.readouterr().err
         assert "--resume" not in err
 
-    def test_resumed_progress_marks_restored_chunks(self, tmp_path, capsys):
-        """--resume --progress annotates the stream with the restored
-        baseline so the ETA reflects only this run's work."""
+    def test_dossier_partial_failure_reports_like_fleet(
+            self, tmp_path, monkeypatch, capsys):
+        """``dossier`` runs the same campaign runner, so its exit-3
+        report is fleet's: sorted chunk lines, the quarantined chunks
+        and the --resume hint."""
+        from repro.stats import CampaignPartialFailure, ChunkFailure
+
         import repro.cli as cli
+
+        failures = [
+            ChunkFailure(chunk_index=3, attempt=1, kind="timeout",
+                         message="no heartbeat"),
+            ChunkFailure(chunk_index=1, attempt=1, kind="exception",
+                         message="worker died"),
+        ]
+
+        def partial(*args, **kwargs):
+            raise CampaignPartialFailure(
+                completed={}, failures=failures, quarantined=(3, 1),
+                chunks_total=4)
+
+        monkeypatch.setattr(cli, "_run_campaign", partial)
+        ck = tmp_path / "ck.json"
+        assert main(["dossier", "--hours", "4", "--chunk-hours", "1",
+                     "--workers", "1", "--checkpoint", str(ck)]) == 3
+        err = capsys.readouterr().err
+        assert "dossier campaign failed partially" in err
+        assert [line.strip() for line in err.splitlines()
+                if line.startswith("  chunk ")] == [
+            "chunk 1 attempt 1 [exception]: worker died",
+            "chunk 3 attempt 1 [timeout]: no heartbeat",
+        ]
+        assert "quarantined chunks: 1, 3" in err
+        assert err.count("--resume") == 1 and str(ck) in err
+
+    def test_resumed_progress_marks_restored_chunks(self, tmp_path, capsys,
+                                                    monkeypatch):
+        """--resume --progress annotates the stream with the restored
+        baseline, and every rate counts only this run's work: with one
+        second on the meter's clock, chunks/s is the chunks and
+        encounters/s the encounters this run resolved."""
+        import repro.cli as cli
+        import repro.obs
+        from repro.traffic import CampaignCheckpoint
+
+        class OneSecondMeter(repro.obs.ThroughputMeter):
+            def __init__(self):
+                ticks = iter([0.0])
+                super().__init__(clock=lambda: next(ticks, 1.0))
 
         ck = tmp_path / "ck.json"
 
@@ -565,11 +611,22 @@ class TestFleetFaultTolerance:
         finally:
             cli._run_campaign = real
         capsys.readouterr()
+        restored = sum(result.encounters_resolved for result in
+                       CampaignCheckpoint.load(ck).completed_results()
+                       .values())
+        monkeypatch.setattr(repro.obs, "ThroughputMeter", OneSecondMeter)
         assert main(self.FLEET + ["--checkpoint", str(ck), "--resume",
                                   "--progress"]) == 0
         err = capsys.readouterr().err
         assert "(2 restored)" in err
         assert "chunk 4/4" in err
+        lines = re.findall(
+            r"chunk (\d)/4 \(2 restored\): \S+ h, (\d+) encounters, .*? "
+            r"\| ([\d.]+) chunks/s, (\d+) encounters/s", err)
+        assert [int(chunk) for chunk, *_ in lines] == [3, 4]
+        for chunk, encounters, chunks_per_s, encounters_per_s in lines:
+            assert float(chunks_per_s) == int(chunk) - 2
+            assert int(encounters_per_s) == int(encounters) - restored
 
 
 class TestArtifactErrorDiagnostics:
@@ -837,6 +894,34 @@ class TestFlightRecorderCLI:
             out_single.replace(str(single), "M")
         assert RunManifest.read(both).budget_utilisation == \
             RunManifest.read(single).budget_utilisation
+
+    def test_telemetry_classifies_the_merged_campaign_once(
+            self, tmp_path, capsys, monkeypatch):
+        """The recorder classifies each of the 4 chunks; the summary and
+        the manifest's budget table share one classification of the
+        merged campaign."""
+        import repro.traffic.incidents as incidents
+        import repro.traffic.records as records
+
+        real = records.classify_block_counts
+        sizes = []
+
+        def counting(block, types):
+            sizes.append(len(block))
+            return real(block, types)
+
+        monkeypatch.setattr(records, "classify_block_counts", counting)
+        monkeypatch.setattr(incidents, "classify_block_counts", counting)
+        summary = tmp_path / "summary.json"
+        assert main(["fleet", "--hours", "160", "--seed", "3",
+                     "--chunk-hours", "40", "--workers", "1",
+                     "--flight-recorder", str(tmp_path / "flight"),
+                     "--telemetry", str(tmp_path / "manifest.json"),
+                     "--json", str(summary)]) == 0
+        capsys.readouterr()
+        incidents_found = json.loads(summary.read_text())["incidents"]
+        assert len(sizes) == 5
+        assert sum(sizes) == 2 * incidents_found
 
     def test_resume_with_recorder_cuts_a_torn_checkpoint_tail(
             self, tmp_path, capsys):
