@@ -58,6 +58,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from contextlib import ExitStack
 from dataclasses import dataclass, field
@@ -857,9 +858,26 @@ _COMMANDS = {
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "resume", False) and args.checkpoint is None:
+        # Without a checkpoint nothing is restored: the run would start
+        # afresh and append a second campaign to a continued journal.
+        print("error: --resume needs --checkpoint, the campaign log it "
+              "restores", file=sys.stderr)
+        return 2
     try:
         _check_numeric_flags(args)
-        return _COMMANDS[args.command](args)
+        code = _COMMANDS[args.command](args)
+        # Flush here, so a reader that left early surfaces below rather
+        # than in the interpreter's exit flush.
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader went away (``repro goals | head -1``).  Point stdout
+        # at devnull so the exit flush cannot raise again; 141 is
+        # 128 + SIGPIPE, what a shell reports for a writer the signal
+        # killed.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except ReproError as exc:
         # The typed artifact-error taxonomy (DESIGN §10): corrupt,
         # truncated, mis-typed, or wrong-schema artifacts surface as a

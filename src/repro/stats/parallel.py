@@ -40,7 +40,6 @@ nondeterministic surface and is explicitly excluded from the contract.
 
 from __future__ import annotations
 
-import copy
 import math
 import os
 import time
@@ -254,7 +253,8 @@ class _ResilientRun:
         self.report = report
         self.failure_sink = failure_sink
         self.unpack = unpack
-        self.backoff_rng = retry.rng(seed)
+        self.seed = seed
+        self._backoff_rng: Optional[np.random.Generator] = None
 
         self.results: List[Any] = [None] * len(self.chunks)
         self.committed: Dict[int, bool] = {}
@@ -323,7 +323,11 @@ class _ResilientRun:
             return None
         if metrics is not None:
             metrics.counter("parallel.retries").inc()
-        backoff = self.retry.backoff_s(count, self.backoff_rng)
+        if self._backoff_rng is None:
+            # Built on the first retry: a fault-free campaign never
+            # draws a jitter, so it need not pay for the generator.
+            self._backoff_rng = self.retry.rng(self.seed)
+        backoff = self.retry.backoff_s(count, self._backoff_rng)
         journal_chunk_failure(failure, quarantined=False, backoff_s=backoff)
         return backoff
 
@@ -381,17 +385,25 @@ class _ResilientRun:
     # -- inline execution -------------------------------------------------
 
     def _pristine_seed(self, chunk: Chunk) -> np.random.SeedSequence:
-        """A fresh copy of the chunk's seed for one execution.
+        """The chunk's seed as :func:`_chunk_seeds` minted it.
 
         ``SeedSequence.spawn`` is stateful (``n_children_spawned``
         advances), and workers legitimately spawn sub-streams from their
         chunk seed.  Pool executions are immune because pickling hands
-        the worker process a copy; an in-process re-execution after a
-        fault would see the advanced state and draw *differently*.
-        Copying per execution keeps the stored seed pristine, so a
-        retried chunk reproduces the fault-free draws exactly.
+        the worker process a copy; an in-process execution advances the
+        stored seed itself, and a re-execution after a fault would see
+        the advanced state and draw *differently*.  Seeds are minted
+        with no children spawned, so the stored seed is handed out while
+        that still holds, and once an inline run has spawned from it,
+        each later execution gets a rebuild from its entropy and spawn
+        key: a retried chunk reproduces the fault-free draws exactly,
+        and a fault-free campaign copies nothing.
         """
-        return copy.deepcopy(self.seeds[chunk.index])
+        seed = self.seeds[chunk.index]
+        if seed.n_children_spawned == 0:
+            return seed
+        return np.random.SeedSequence(seed.entropy, spawn_key=seed.spawn_key,
+                                      pool_size=seed.pool_size)
 
     def _run_inline(self, chunk: Chunk) -> None:
         """Execute one chunk to commitment or quarantine, inline.

@@ -140,6 +140,12 @@ class EncounterBatch:
     class and context stay scalar because every encounter in the batch
     shares them — exactly the grouping the per-(context × class) RNG
     sub-stream layout works in.
+
+    Values are valid by construction, so only the shapes are checked:
+    :meth:`EncounterGenerator.sample_class_batch` clamps sight distances
+    to :data:`SIGHT_DISTANCE_CLAMP_M`, floors speeds at 0 and stamps
+    times in ``[0, hours)``, and :meth:`from_encounters` packs
+    :class:`Encounter` objects, which validate themselves.
     """
 
     counterpart: ActorClass
@@ -159,26 +165,9 @@ class EncounterBatch:
                 raise ValueError(
                     f"batch arrays must share one length; {name} has shape "
                     f"{getattr(self, name).shape}, expected ({n},)")
-        if n:
-            if np.any(self.sight_distance_m <= 0):
-                raise ValueError("sight distance must be positive")
-            if np.any(self.counterpart_speed_kmh < 0):
-                raise ValueError("counterpart speed must be >= 0")
-            if np.any(self.time_h < 0):
-                raise ValueError("time stamp must be >= 0")
 
     def __len__(self) -> int:
         return int(self.time_h.shape[0])
-
-    def to_encounters(self) -> List[Encounter]:
-        """Materialise scalar :class:`Encounter` objects (tests/debugging)."""
-        return [Encounter(counterpart=self.counterpart, context=self.context,
-                          sight_distance_m=float(self.sight_distance_m[i]),
-                          counterpart_speed_kmh=float(
-                              self.counterpart_speed_kmh[i]),
-                          cue_available=bool(self.cue_available[i]),
-                          time_h=float(self.time_h[i]))
-                for i in range(len(self))]
 
     @classmethod
     def from_encounters(cls, encounters: List[Encounter]) -> "EncounterBatch":
@@ -364,16 +353,13 @@ class EncounterGenerator:
         except KeyError:
             raise KeyError(
                 f"context {context!r} has no rate for {counterpart}") from None
-        empty = EncounterBatch(
-            counterpart=counterpart, context=context,
-            time_h=np.empty(0), sight_distance_m=np.empty(0),
-            counterpart_speed_kmh=np.empty(0),
-            cue_available=np.empty(0, dtype=bool))
-        if rate == 0.0:
-            return empty
-        count = int(rng.poisson(rate * hours))
+        count = int(rng.poisson(rate * hours)) if rate > 0.0 else 0
         if count == 0:
-            return empty
+            return EncounterBatch(
+                counterpart=counterpart, context=context,
+                time_h=np.empty(0), sight_distance_m=np.empty(0),
+                counterpart_speed_kmh=np.empty(0),
+                cue_available=np.empty(0, dtype=bool))
         times = np.sort(rng.uniform(0.0, hours, size=count))
         mean_d, std_d = profile.sight_distance_m[counterpart]
         mean_v, std_v = profile.counterpart_speed_kmh[counterpart]

@@ -12,7 +12,6 @@ in line with Sec. V's cause-agnostic budgets.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Tuple
 
 import numpy as np
 
@@ -52,34 +51,26 @@ class BrakingSystem:
             return self.degraded_ms2
         return self.nominal_ms2
 
-    def sample_capability_array(self, rng: np.random.Generator,
-                                size: int) -> np.ndarray:
-        """Actual peak decelerations for a batch of encounters.
+    def sample_degraded_array(self, rng: np.random.Generator,
+                              size: int) -> np.ndarray:
+        """Fault states for a batch of encounters.
 
         One uniform per encounter, compared against the degradation
         occupancy — the whole-array analogue of
-        :meth:`sample_capability`, and the first resolution draw in the
-        vectorized engine's per-(context, class) stream layout.
-        """
-        capability, _ = self.sample_capability_array_traced(rng, size)
-        return capability
-
-    def sample_capability_array_traced(self, rng: np.random.Generator,
-                                       size: int,
-                                       ) -> Tuple[np.ndarray, np.ndarray]:
-        """:meth:`sample_capability_array` plus the degraded-state mask.
-
-        Same single whole-array uniform draw; the mask is the Bernoulli
-        outcome itself, which the importance sampler needs to reweight a
-        tilted ``degradation_occupancy`` exactly (inferring the state
-        from the capability value would be ambiguous when degraded and
-        nominal capabilities coincide).
+        :meth:`sample_capability`'s draw, and the first resolution draw
+        on each (context, class) stream of the vectorized engine.  The
+        mask is the Bernoulli outcome itself, which the importance
+        sampler needs to reweight a tilted ``degradation_occupancy``
+        exactly (inferring the state from the capability value would be
+        ambiguous when degraded and nominal capabilities coincide).
         """
         if size < 0:
             raise ValueError("size must be >= 0")
-        degraded = rng.uniform(size=size) < self.degradation_occupancy
-        return np.where(degraded, self.degraded_ms2, self.nominal_ms2), \
-            degraded
+        return rng.uniform(size=size) < self.degradation_occupancy
+
+    def capability_array(self, degraded: np.ndarray) -> np.ndarray:
+        """Actual peak decelerations for the given fault states."""
+        return np.where(degraded, self.degraded_ms2, self.nominal_ms2)
 
     def known_capability_array(self, actual_ms2: np.ndarray) -> np.ndarray:
         """Vectorized :meth:`known_capability`."""

@@ -17,7 +17,7 @@ shapes that matter to the QRN arguments:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Mapping, Tuple
 
 import numpy as np
 
@@ -61,6 +61,10 @@ class PerceptionModel:
                     f"context factor for {context!r} must be in (0, 1], "
                     f"got {factor}")
 
+    def context_factor(self, context: str) -> float:
+        """The nominal-fraction multiplier of one context label."""
+        return self.context_factors.get(context, 1.0)
+
     def detection_distance(self, sight_distance_m: float, context: str,
                            rng: np.random.Generator) -> float:
         """Sample the distance at which the counterpart is detected.
@@ -70,7 +74,7 @@ class PerceptionModel:
         """
         if sight_distance_m <= 0:
             raise ValueError("sight distance must be positive")
-        factor = self.context_factors.get(context, 1.0)
+        factor = self.context_factor(context)
         if rng.uniform() < self.miss_probability:
             fraction = self.late_fraction * factor
         else:
@@ -79,29 +83,38 @@ class PerceptionModel:
         fraction = min(max(fraction, 0.01), 1.0)
         return sight_distance_m * fraction
 
-    def detection_distance_array(self, sight_distance_m: np.ndarray,
-                                 context: str,
-                                 rng: np.random.Generator) -> np.ndarray:
-        """Vectorized :meth:`detection_distance` over a batch of encounters.
+    def sample_detection_array(self, rng: np.random.Generator, size: int,
+                               context: str,
+                               ) -> Tuple[np.ndarray, np.ndarray]:
+        """The detection draws of a batch of encounters in one context.
 
-        Draw layout (part of the vectorized engine's documented RNG
-        contract, see DESIGN §6): one uniform per encounter (the miss
-        test) followed by one normal per encounter (the nominal
-        fraction).  Unlike the scalar path — which skips the normal on a
-        miss — the normal is drawn for *every* element so the layout is a
-        pure function of the batch length; the unused draws are
-        independent of everything they are ``where``-d out of, so the
-        outcome distribution is identical.  A size-1 batch yields the
-        scalar value bit-for-bit on the non-miss branch.
+        Returns ``(missed, nominal)``.  Draw layout (part of the
+        vectorized engine's documented RNG contract, see DESIGN §6): one
+        uniform per encounter (the miss test) followed by one normal per
+        encounter (the nominal fraction).  Unlike the scalar path — which
+        skips the normal on a miss — the normal is drawn for *every*
+        element so the layout is a pure function of the batch length;
+        the unused draws are independent of everything they are
+        ``where``-d out of, so the outcome distribution is identical.
+        """
+        missed = rng.uniform(size=size) < self.miss_probability
+        nominal = rng.normal(self.nominal_fraction * self.context_factor(
+            context), self.fraction_std, size=size)
+        return missed, nominal
+
+    def detection_distance_array(self, sight_distance_m: np.ndarray,
+                                 factor: np.ndarray, missed: np.ndarray,
+                                 nominal: np.ndarray) -> np.ndarray:
+        """Vectorized :meth:`detection_distance` from drawn variates.
+
+        ``factor`` is each encounter's :meth:`context_factor`; ``missed``
+        and ``nominal`` come from :meth:`sample_detection_array`.  A
+        size-1 batch yields the scalar value bit-for-bit on the non-miss
+        branch.
         """
         sight_distance_m = np.asarray(sight_distance_m, dtype=float)
         if sight_distance_m.size and np.any(sight_distance_m <= 0):
             raise ValueError("sight distance must be positive")
-        factor = self.context_factors.get(context, 1.0)
-        n = sight_distance_m.shape[0] if sight_distance_m.ndim else 1
-        missed = rng.uniform(size=n) < self.miss_probability
-        nominal = rng.normal(self.nominal_fraction * factor,
-                             self.fraction_std, size=n)
         fraction = np.where(missed, self.late_fraction * factor, nominal)
         fraction = np.clip(fraction, 0.01, 1.0)
         return sight_distance_m * fraction

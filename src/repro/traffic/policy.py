@@ -171,13 +171,16 @@ class TacticalPolicy:
                                         braking_capability_ms2),
         )
 
-    def approach_speed_ms_array(self, context: str, cued: np.ndarray,
+    def approach_speed_ms_array(self, target_speed_ms: np.ndarray,
+                                cued: np.ndarray,
                                 braking_capability_ms2: np.ndarray,
                                 nominal_capability_ms2: float) -> np.ndarray:
         """Vectorized :meth:`approach_speed_ms` over a batch of encounters.
 
-        Same multiplication order as the scalar path (target × cue factor
-        × capability factor), so a size-1 batch reproduces the scalar
+        ``target_speed_ms`` holds each encounter's
+        :meth:`target_speed_ms`, so one batch may span contexts.  Same
+        multiplication order as the scalar path (target × cue factor ×
+        capability factor), so a size-1 batch reproduces the scalar
         value bit-for-bit.
         """
         braking_capability_ms2 = np.asarray(braking_capability_ms2,
@@ -186,10 +189,9 @@ class TacticalPolicy:
                 (braking_capability_ms2.size
                  and np.any(braking_capability_ms2 <= 0)):
             raise ValueError("braking capabilities must be positive")
-        speed = np.full(braking_capability_ms2.shape,
-                        self.target_speed_ms(context))
         speed = np.where(np.asarray(cued, dtype=bool),
-                         speed * (1.0 - self.proactive_slowdown), speed)
+                         target_speed_ms * (1.0 - self.proactive_slowdown),
+                         target_speed_ms)
         if self.capability_aware:
             degraded = braking_capability_ms2 < nominal_capability_ms2
             scale = np.where(
@@ -217,14 +219,15 @@ class TacticalPolicy:
         return (-t_r * decel
                 + np.sqrt((t_r * decel) ** 2 + 2.0 * decel * budgeted))
 
-    def encounter_speed_ms_array(self, context: str, cued: np.ndarray,
+    def encounter_speed_ms_array(self, target_speed_ms: np.ndarray,
+                                 cued: np.ndarray,
                                  sight_distance_m: np.ndarray,
                                  braking_capability_ms2: np.ndarray,
                                  nominal_capability_ms2: float) -> np.ndarray:
         """Vectorized :meth:`encounter_speed_ms`: elementwise minimum of
-        the context/cue/capability speed and the sight-geometry limit."""
+        the target/cue/capability speed and the sight-geometry limit."""
         return np.minimum(
-            self.approach_speed_ms_array(context, cued,
+            self.approach_speed_ms_array(target_speed_ms, cued,
                                          braking_capability_ms2,
                                          nominal_capability_ms2),
             self.sight_limited_speed_ms_array(sight_distance_m,

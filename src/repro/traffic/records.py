@@ -94,6 +94,11 @@ RECORD_DTYPE = np.dtype([
 
 _FLOAT_COLUMNS = ("delta_v_kmh", "min_distance_m", "approach_speed_kmh",
                   "time_h")
+_FLOAT_OFFSET = RECORD_DTYPE.fields[_FLOAT_COLUMNS[0]][1]
+assert all(RECORD_DTYPE.fields[name] == (np.dtype(np.float64),
+                                         _FLOAT_OFFSET + 8 * i)
+           for i, name in enumerate(_FLOAT_COLUMNS)), (
+    "record_floats needs the float columns back to back")
 
 SHM_NAME_PREFIX = "repro-blk-"
 """Shared-memory segments are named ``repro-blk-<pid>-<seq>`` so an
@@ -106,6 +111,20 @@ _shm_sequence = 0
 def actor_code(counterpart: ActorClass) -> int:
     """The fixed ``uint8`` code of one counterpart class."""
     return _ACTOR_CODES[counterpart]
+
+
+def record_floats(array: np.ndarray) -> np.ndarray:
+    """The float columns of a record array as one ``(n, 4)`` view.
+
+    Columns in ``RECORD_DTYPE`` order — Δv, minimum distance, approach
+    speed, time — which the dtype lays out back to back, so one
+    reduction covers every float of a block.
+    """
+    array = np.ascontiguousarray(array)
+    if not len(array):
+        return np.empty((0, len(_FLOAT_COLUMNS)))
+    return np.ndarray((len(array), len(_FLOAT_COLUMNS)), np.float64, array,
+                      _FLOAT_OFFSET, (array.itemsize, 8))
 
 
 class RecordBlock:

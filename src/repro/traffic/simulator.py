@@ -47,20 +47,23 @@ def _check_engine(engine: str) -> None:
         raise ValueError(f"unknown engine {engine!r}; choose from {ENGINES}")
 
 
-def _record_sim_metrics(*, hours: float, encounters: int, incidents: int,
-                        collisions: int, hard_demands: int) -> None:
+def _record_sim_metrics(*, context_hours: Iterable[float], encounters: int,
+                        incidents: int, collisions: int,
+                        hard_demands: int) -> None:
     """Fold one completed run into the active telemetry session (if any).
 
-    Called once per ``simulate``/``simulate_vectorized`` run — batch
-    granularity, never per encounter (DESIGN §8).  A no-op (one global
-    read, one ``None`` check) when telemetry is disabled, and RNG-free
-    always.
+    Called once per run — batch granularity, never per encounter
+    (DESIGN §8).  ``context_hours`` are added one context at a time, so
+    ``sim.hours`` sums a mix's exact split in order.  A no-op (one
+    global read, one ``None`` check) when telemetry is disabled, and
+    RNG-free always.
     """
     session = active_session()
     if session is None:
         return
     metrics = session.metrics
-    metrics.counter("sim.hours").inc(hours)
+    for hours in context_hours:
+        metrics.counter("sim.hours").inc(hours)
     metrics.counter("sim.encounters").inc(encounters)
     metrics.counter("sim.incidents").inc(incidents)
     metrics.counter("sim.collisions").inc(collisions)
@@ -415,7 +418,7 @@ def simulate(policy: TacticalPolicy,
             hard_braking_threshold_ms2=config.hard_braking_threshold_ms2,
         )
         _record_sim_metrics(
-            hours=hours, encounters=result.encounters_resolved,
+            context_hours=[hours], encounters=result.encounters_resolved,
             incidents=result.num_records,
             collisions=result.collision_count(),
             hard_demands=hard_demands)
@@ -468,7 +471,10 @@ def simulate_mix(policy: TacticalPolicy,
     sum back to ``hours`` bit-for-bit even for weights that don't divide
     it evenly (see :func:`_split_hours`).  ``time_offset_h`` shifts the
     whole run on a global fleet timeline, for chunked parallel execution.
-    ``engine`` selects the per-context resolution path (:data:`ENGINES`).
+    ``engine`` selects the resolution path (:data:`ENGINES`): the scalar
+    engine runs :func:`simulate` per context; the vectorized engine
+    samples every (context × class) stream and resolves them all in one
+    pass, with exactly the draws of per-context ``simulate`` calls.
     """
     _check_engine(engine)
     if not mix:
@@ -482,24 +488,29 @@ def simulate_mix(policy: TacticalPolicy,
     if not contexts:
         raise ValueError("context mix has no positive weights")
     part_hours = _split_hours(hours, [w for _, w in contexts])
-    parts: List[SimulationResult] = []
+    parts: List[Tuple[str, float, float]] = []
     offset = time_offset_h
+    for (context, _), ctx_hours in zip(contexts, part_hours):
+        parts.append((context, ctx_hours, offset))
+        offset += ctx_hours
     with maybe_span("simulate_mix"):
-        for (context, _), ctx_hours in zip(contexts, part_hours):
-            parts.append(simulate(policy, generator, perception, braking,
-                                  context, ctx_hours, rng, config,
-                                  time_offset_h=offset, engine=engine))
-            offset += ctx_hours
+        if engine == "vectorized":
+            from .engine import _simulate_pass
+            return _simulate_pass(policy, generator, perception, braking,
+                                  parts, hours, rng, config)
+        results = [simulate(policy, generator, perception, braking, context,
+                            ctx_hours, rng, config, time_offset_h=offset)
+                   for context, ctx_hours, offset in parts]
     # Construct directly (rather than via merge_many) so the result's
     # total is the *requested* hours bit-for-bit, not a re-summation.
     return SimulationResult(
         policy_name=policy.name,
         hours=hours,
         context_hours={context: ctx_hours
-                       for (context, _), ctx_hours in zip(contexts, part_hours)},
+                       for context, ctx_hours, _ in parts},
         records=RecordBlock.concat(
-            [part.record_block for part in parts]).canonical_sort(),
-        encounters_resolved=sum(p.encounters_resolved for p in parts),
-        hard_braking_demands=sum(p.hard_braking_demands for p in parts),
-        hard_braking_threshold_ms2=parts[0].hard_braking_threshold_ms2,
+            [result.record_block for result in results]).canonical_sort(),
+        encounters_resolved=sum(r.encounters_resolved for r in results),
+        hard_braking_demands=sum(r.hard_braking_demands for r in results),
+        hard_braking_threshold_ms2=results[0].hard_braking_threshold_ms2,
     )

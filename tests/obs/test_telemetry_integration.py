@@ -126,7 +126,9 @@ class TestWorkerCountIndependence:
         chunk_spans = spans.child("fleet.chunks")
         assert chunk_spans.child("simulate_mix").count == 4
         mix = chunk_spans.child("simulate_mix")
-        assert mix.child("simulate.vectorized").count == 4 * len(MIX)
+        # One resolution pass per chunk, over every (context × class).
+        assert mix.child("resolve_batch").count == 4
+        assert counters["engine.batches"] == 4
 
 
 class TestChunkOrderIndependence:

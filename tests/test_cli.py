@@ -3,11 +3,17 @@
 from __future__ import annotations
 
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from repro.cli import build_parser, main
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 class TestParser:
@@ -347,6 +353,24 @@ class TestFleetFaultTolerance:
                       "--chunk-hours", "1", "--workers", "1"]
         assert main(other_seed + ["--checkpoint", str(ck), "--resume"]) == 2
         assert "checkpoint error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["fleet", "dossier"])
+    def test_resume_without_checkpoint_exits_2(self, tmp_path, capsys,
+                                               command):
+        """--resume restores a checkpoint; without one the run would
+        start afresh and append a second campaign to the journal."""
+        flight = tmp_path / "flight"
+        assert main(self.FLEET + ["--flight-recorder", str(flight)]) == 0
+        journal = (flight / "journal.jsonl").read_bytes()
+        capsys.readouterr()
+        argv = [command, "--hours", "2", "--seed", "3", "--workers", "1",
+                "--flight-recorder", str(flight), "--resume"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: --resume needs --checkpoint")
+        assert captured.err.count("\n") == 1
+        assert (flight / "journal.jsonl").read_bytes() == journal
 
     def test_keyboard_interrupt_exits_130_with_resume_hint(self, tmp_path,
                                                            monkeypatch,
@@ -967,6 +991,29 @@ class TestFlightRecorderCLI:
         doc = read_status(tmp_path / "flight" / "status.json")
         assert doc["state"] == "finished"
         assert isinstance(doc["budget"], list) and doc["budget"]
+
+
+class TestBrokenPipe:
+    """A reader that leaves early (``repro goals | head -1``) ends the
+    command with 141 (128 + SIGPIPE) and no traceback."""
+
+    @pytest.mark.parametrize("buffered", [True, False])
+    def test_closed_stdout_exits_141_silently(self, buffered):
+        env = dict(os.environ, PYTHONPATH=str(SRC), PYTHONUNBUFFERED="1")
+        if buffered:
+            # Block-buffered, the failing write is main's final flush;
+            # unbuffered, it is the command's first print.
+            del env["PYTHONUNBUFFERED"]
+        child = subprocess.Popen(
+            [sys.executable, "-m", "repro", "goals"], env=env,
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        # The reader leaves before the first line arrives, so the
+        # writer's next write fails whatever the scheduling.
+        child.stdout.close()
+        err = child.stderr.read()
+        child.stderr.close()
+        assert child.wait(timeout=300) == 141
+        assert err == b""
 
 
 class TestWatch:

@@ -313,6 +313,11 @@ class TestMisuse:
         with pytest.raises(FileExistsError, match="--resume"):
             _run(world, checkpoint=path)
 
+    def test_resume_without_checkpoint_refused(self, world):
+        """Nothing to restore: resuming would silently start afresh."""
+        with pytest.raises(ValueError, match="checkpoint"):
+            _run(world, resume=True)
+
     def test_resume_against_different_campaign_refused(self, tmp_path,
                                                        world):
         path = tmp_path / "ck.json"
