@@ -35,8 +35,7 @@ from .incident import (ContributionSplit, IncidentRecord, IncidentType,
 from .product_line import ProductLine, Variant, VariantConformance
 from .quantities import (PER_HOUR, PER_KM, PER_MISSION, ExposureBase,
                          ExposureProfile, Frequency, FrequencyBand,
-                         FrequencyUnit, UnitMismatchError, geometric_ladder,
-                         sum_frequencies)
+                         FrequencyUnit, UnitMismatchError, sum_frequencies)
 from .refinement import (Combination, ElementRequirement, RefinementError,
                          RefinementNode, apportion_or, combine_and,
                          combine_k_of_n, combine_or, drivable_area_example,
@@ -67,7 +66,7 @@ __all__ = [
     # quantities
     "Frequency", "FrequencyUnit", "FrequencyBand", "ExposureBase",
     "ExposureProfile", "UnitMismatchError", "PER_HOUR", "PER_KM",
-    "PER_MISSION", "sum_frequencies", "geometric_ladder",
+    "PER_MISSION", "sum_frequencies",
     # severity / consequence
     "SeverityDomain", "IsoSeverity", "UnifiedSeverity", "iso_to_unified",
     "unified_to_iso", "ConsequenceClass", "ConsequenceScale", "example_scale",

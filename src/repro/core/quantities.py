@@ -21,7 +21,7 @@ import math
 import re
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator, Union
+from typing import Iterable, Union
 
 __all__ = [
     "ExposureBase",
@@ -328,21 +328,3 @@ class ExposureProfile:
         if base is ExposureBase.MISSION:
             return freq.rate / self.mean_mission_hours
         raise ValueError(f"unknown base {base}")  # pragma: no cover
-
-
-def geometric_ladder(top: Frequency, decades_per_step: float, steps: int) -> Iterator[Frequency]:
-    """Yield ``steps`` frequencies descending from ``top`` by fixed decades.
-
-    Risk norms are naturally expressed as order-of-magnitude ladders (cf.
-    Fig. 3, where each more severe class gets a visibly smaller budget);
-    this helper builds such ladders for norm construction and sweeps.
-    """
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
-    if decades_per_step <= 0:
-        raise ValueError("decades_per_step must be positive")
-    factor = 10.0 ** (-decades_per_step)
-    rate = top.rate
-    for _ in range(steps):
-        yield Frequency(rate, top.unit)
-        rate *= factor

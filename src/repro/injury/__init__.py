@@ -7,8 +7,6 @@ logistic severity-vs-Δv dose–response curves per counterpart
 per-incident consequence draws from them (:mod:`.classifier`).
 """
 
-from .calibration import (FitResult, fit_exceedance_curve,
-                          fit_risk_model, sample_outcomes)
 from .classifier import (classify_record_severity, derive_splits,
                          sample_consequence_class, split_for_proximity,
                          split_for_speed_band)
@@ -25,8 +23,4 @@ __all__ = [
     "derive_splits",
     "classify_record_severity",
     "sample_consequence_class",
-    "FitResult",
-    "fit_exceedance_curve",
-    "fit_risk_model",
-    "sample_outcomes",
 ]

@@ -95,29 +95,15 @@ class BudgetUtilisation:
         return self.rate_upper / self.budget_rate
 
     @property
-    def verdict_uncertainty(self) -> float:
-        """CI width while this budget's verdict is still open, else 0.
-
-        A budget is *settled* once its confidence interval no longer
-        straddles the budget line: upper utilisation ≤ 1 demonstrates
-        compliance, lower utilisation > 1 demonstrates violation.  Until
-        then the open question is exactly the utilisation CI width, which
-        the adaptive allocation uses as its per-budget score.
-        """
-        if self.utilisation_upper <= 1.0 or self.utilisation_lower > 1.0:
-            return 0.0
-        return self.utilisation_upper - self.utilisation_lower
-
-    @property
     def verdict(self) -> str:
         """``"demonstrated"`` / ``"violated"`` / ``"inconclusive"``.
 
-        The same settlement rule as :attr:`verdict_uncertainty`, named:
-        the whole CI below the budget line demonstrates compliance, the
-        whole CI above it demonstrates violation, anything straddling is
-        still open.  The flight recorder journals every transition of
-        this value (``budget.verdict`` events), so a journal replay can
-        reconstruct when each budget settled.
+        A budget is *settled* once its confidence interval no longer
+        straddles the budget line: the whole CI below it demonstrates
+        compliance, the whole CI above it demonstrates violation,
+        anything straddling is still open.  The flight recorder journals
+        every transition of this value (``budget.verdict`` events), so a
+        journal replay can reconstruct when each budget settled.
         """
         if self.utilisation_upper <= 1.0:
             return "demonstrated"
@@ -166,19 +152,6 @@ class BudgetUtilisationReport:
     def worst_utilisation(self) -> float:
         """The tightest budget's point utilisation (0 with no rows)."""
         return max((r.utilisation for r in self.rows), default=0.0)
-
-    def verdict_uncertainty(self) -> Dict[str, float]:
-        """Per-incident-type unresolved CI width (0 once settled).
-
-        Only type rows contribute — class budgets are split-propagated
-        combinations of the same counts, so steering effort by them would
-        double-count the underlying types.
-        """
-        return {r.budget_id: r.verdict_uncertainty for r in self.type_rows()}
-
-    def all_settled(self) -> bool:
-        """True once every type budget's verdict no longer straddles 1."""
-        return all(u == 0.0 for u in self.verdict_uncertainty().values())
 
     def to_rows(self) -> List[Dict[str, object]]:
         return [row.to_dict() for row in self.rows]

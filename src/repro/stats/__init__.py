@@ -8,7 +8,6 @@ and stratified rare-event estimation (:mod:`.rare_event`).
 
 from .counting import CountedEvent, CountingLog
 from .montecarlo import (BatchMeans, MonteCarloResult, estimate_mean,
-                         estimate_probability, run_until_precision,
                          spawn_generators)
 from .poisson import (RateEstimate, demonstration_power,
                       exposure_to_demonstrate, max_acceptable_count,
@@ -18,15 +17,11 @@ from .bayes import (JEFFREYS, GammaRatePrior,
                     field_exposure_to_demonstrate, prior_from_simulation)
 from .sequential import (SprtDecision, SprtPlan, SprtState,
                          expected_acceptance_exposure)
-from .rare_event import (StratifiedEstimate, StratumEstimate,
-                         optimal_replication_split, stratified_rate,
-                         uncertainty_replication_split)
-from .importance import (ImportanceEstimate, WeightDegeneracyError,
-                         WeightDiagnostics, bernoulli_log_ratio,
-                         clamped_lognormal_log_ratio,
-                         floored_normal_log_ratio, importance_estimate,
-                         normal_cdf, normal_log_ratio,
-                         poisson_count_log_ratio)
+from .rare_event import StratifiedEstimate, StratumEstimate, stratified_rate
+from .importance import (WeightDegeneracyError, WeightDiagnostics,
+                         bernoulli_log_ratio, clamped_lognormal_log_ratio,
+                         floored_normal_log_ratio, normal_cdf,
+                         normal_log_ratio)
 from .splitting import (LevelPassage, SplittingEstimate, adaptive_levels,
                         multilevel_splitting, replicated_splitting)
 from .parallel import (Chunk, ChunkProgress, default_worker_count,
@@ -40,8 +35,6 @@ __all__ = [
     "BatchMeans",
     "MonteCarloResult",
     "estimate_mean",
-    "estimate_probability",
-    "run_until_precision",
     "spawn_generators",
     "RateEstimate",
     "demonstration_power",
@@ -53,19 +46,14 @@ __all__ = [
     "rate_upper_bound",
     "StratifiedEstimate",
     "StratumEstimate",
-    "optimal_replication_split",
     "stratified_rate",
-    "uncertainty_replication_split",
-    "ImportanceEstimate",
     "WeightDegeneracyError",
     "WeightDiagnostics",
     "bernoulli_log_ratio",
     "clamped_lognormal_log_ratio",
     "floored_normal_log_ratio",
-    "importance_estimate",
     "normal_cdf",
     "normal_log_ratio",
-    "poisson_count_log_ratio",
     "LevelPassage",
     "SplittingEstimate",
     "adaptive_levels",

@@ -22,12 +22,9 @@ This module is the distribution-agnostic substrate:
   is worth.
 * exact log-likelihood ratios for the tilted families the traffic layer
   uses (:func:`clamped_lognormal_log_ratio`,
-  :func:`floored_normal_log_ratio`, :func:`poisson_count_log_ratio`) —
+  :func:`floored_normal_log_ratio`, :func:`bernoulli_log_ratio`) —
   including the point masses their clamps introduce, which naive density
   ratios silently get wrong.
-* :func:`importance_estimate` — a seeded replication driver mirroring
-  :func:`~repro.stats.montecarlo.estimate_mean`, for estimands that can
-  be phrased as one ``(value, log_weight)`` pair per replication.
 
 The traffic-specific proposal tilts (which parameters to shift, and the
 per-encounter Campbell/marked-Poisson weights) live in
@@ -40,23 +37,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Tuple, Union
+from typing import Iterable, Union
 
 import numpy as np
-
-from .montecarlo import BatchMeans, MonteCarloResult, spawn_generators
 
 __all__ = [
     "WeightDegeneracyError",
     "WeightDiagnostics",
-    "ImportanceEstimate",
-    "importance_estimate",
     "normal_cdf",
     "normal_log_ratio",
     "clamped_lognormal_log_ratio",
     "floored_normal_log_ratio",
     "bernoulli_log_ratio",
-    "poisson_count_log_ratio",
 ]
 
 _SQRT2 = math.sqrt(2.0)
@@ -205,64 +197,6 @@ class WeightDiagnostics:
         }
 
 
-@dataclass(frozen=True)
-class ImportanceEstimate:
-    """A reweighted estimate plus the weight health that qualifies it."""
-
-    mean: float
-    std_error: float
-    replications: int
-    diagnostics: WeightDiagnostics
-
-    def as_result(self) -> MonteCarloResult:
-        return MonteCarloResult(mean=self.mean, std_error=self.std_error,
-                                replications=self.replications)
-
-    def ci(self, z: float = 1.96) -> Tuple[float, float]:
-        return self.as_result().ci(z)
-
-    def relative_error(self) -> float:
-        return self.as_result().relative_error()
-
-
-def importance_estimate(sample: Callable[[np.random.Generator],
-                                         Tuple[float, float]],
-                        *, seed: int, replications: int,
-                        min_ess_fraction: float = 0.0,
-                        ) -> ImportanceEstimate:
-    """Estimate ``E_p[f]`` from proposal-law replications.
-
-    ``sample(rng)`` draws once under the proposal and returns
-    ``(value, log_weight)`` with ``log_weight = log p(x) - log q(x)``
-    (``-inf`` allowed: a sample impossible under the nominal law weighs
-    zero).  The estimator is the unnormalised mean of ``value · w`` —
-    exactly unbiased, unlike self-normalised variants.
-
-    ``min_ess_fraction > 0`` arms the degeneracy alarm: the returned
-    estimate is only released if the weight ensemble passes
-    :meth:`WeightDiagnostics.check`.
-    """
-    if replications < 2:
-        raise ValueError("need at least two replications")
-    acc = BatchMeans()
-    weights = np.empty(replications)
-    for i, rng in enumerate(spawn_generators(seed, replications)):
-        value, log_weight = sample(rng)
-        if math.isnan(log_weight) or log_weight == math.inf:
-            raise ValueError(
-                f"log weight must be finite or -inf, got {log_weight}")
-        weight = math.exp(log_weight)
-        weights[i] = weight
-        acc.add(float(value) * weight)
-    diagnostics = WeightDiagnostics.from_weights(weights)
-    if min_ess_fraction > 0.0:
-        diagnostics.check(min_ess_fraction=min_ess_fraction)
-    result = acc.result()
-    return ImportanceEstimate(mean=result.mean, std_error=result.std_error,
-                              replications=result.replications,
-                              diagnostics=diagnostics)
-
-
 # ---------------------------------------------------------------------------
 # Exact log-likelihood ratios for the tilted families the traffic layer
 # draws from.  Each mirrors the *sampling code* of its distribution —
@@ -326,8 +260,7 @@ def clamped_lognormal_log_ratio(x: ArrayLike, *, mu_p: float, mu_q: float,
         log_x = np.log(np.maximum(x, clamp))  # guard: x==clamp exact
         density = normal_log_ratio(log_x, mean_p=mu_p, mean_q=mu_q,
                                    std=sigma)
-        atom = _log_mass_ratio(atom_p, atom_q)
-        return np.where(x == clamp, atom, density)
+        return _with_atom_ratio(x == clamp, atom_p, atom_q, density)
     if x < clamp:
         raise ValueError(f"samples below the clamp {clamp} are impossible "
                          f"under this law")
@@ -362,8 +295,7 @@ def floored_normal_log_ratio(x: ArrayLike, *, mean_p: float, mean_q: float,
             raise ValueError("samples below the floor 0 are impossible "
                              "under this law")
         density = normal_log_ratio(x, mean_p=mean_p, mean_q=mean_q, std=std)
-        atom = _log_mass_ratio(atom_p, atom_q)
-        return np.where(x == 0.0, atom, density)
+        return _with_atom_ratio(x == 0.0, atom_p, atom_q, density)
     if x < 0:
         raise ValueError("samples below the floor 0 are impossible under "
                          "this law")
@@ -397,22 +329,15 @@ def bernoulli_log_ratio(outcome: Union[bool, np.ndarray], *, p_p: float,
     return _log_mass_ratio(1.0 - p_p, 1.0 - p_q)
 
 
-def poisson_count_log_ratio(count: int, *, mean_p: float,
-                            mean_q: float) -> float:
-    """``log P(N=count; mean_p) - log P(N=count; mean_q)`` for Poisson N.
+def _with_atom_ratio(on_atom: np.ndarray, mass_p: float, mass_q: float,
+                     density: np.ndarray) -> np.ndarray:
+    """``density`` with the atom's mass ratio on the rows that sit on it.
 
-    The whole-path arrival-count ratio used when a replication's weight
-    must cover a tilted arrival *rate* (the per-record Campbell weights
-    in the traffic layer fold the rate tilt in per event instead; this
-    form is kept for path-level estimators and the verification tier).
+    The ratio is taken only when some row does: a mean far from the
+    atom underflows its mass to 0, an error only for a sample on it.
     """
-    if count < 0 or count != int(count):
-        raise ValueError(f"count must be a non-negative integer, got {count}")
-    if mean_p < 0 or mean_q <= 0:
-        raise ValueError("Poisson means must be >= 0 (proposal > 0)")
-    if mean_p == 0.0:
-        return -math.inf if count > 0 else mean_q
-    return (mean_q - mean_p) + count * math.log(mean_p / mean_q)
+    atom = _log_mass_ratio(mass_p, mass_q) if on_atom.any() else 0.0
+    return np.where(on_atom, atom, density)
 
 
 def _log_mass_ratio(mass_p: float, mass_q: float) -> float:

@@ -1,11 +1,11 @@
 """Monte-Carlo estimation harness.
 
 Shared machinery for every simulation-based estimate in the repository:
-seeded run management, batching with batch-means error bars, and sequential
-sampling until a target precision.  All stochastic components in the
-repository take explicit :class:`numpy.random.Generator` instances; this
-module is where generators are minted so that any experiment is exactly
-reproducible from one seed.
+seeded run management and batching with batch-means error bars.  All
+stochastic components in the repository take explicit
+:class:`numpy.random.Generator` instances; this module is where
+generators are minted so that any experiment is exactly reproducible
+from one seed.
 """
 
 from __future__ import annotations
@@ -16,15 +16,11 @@ from typing import Callable, List, Sequence, Tuple
 
 import numpy as np
 
-from ..obs.session import active_session, maybe_span
-
 __all__ = [
     "spawn_generators",
     "BatchMeans",
     "MonteCarloResult",
     "estimate_mean",
-    "estimate_probability",
-    "run_until_precision",
 ]
 
 
@@ -119,71 +115,4 @@ def estimate_mean(simulate: Callable[[np.random.Generator], float],
     acc = BatchMeans()
     for rng in spawn_generators(seed, replications):
         acc.add(float(simulate(rng)))
-    return acc.result()
-
-
-def estimate_probability(trial: Callable[[np.random.Generator], bool],
-                         *, seed: int, replications: int) -> MonteCarloResult:
-    """Estimate ``P[trial(rng)]`` with binomial standard error."""
-    if replications < 2:
-        raise ValueError("need at least two replications")
-    successes = 0
-    for rng in spawn_generators(seed, replications):
-        if trial(rng):
-            successes += 1
-    p = successes / replications
-    se = math.sqrt(max(p * (1.0 - p), 0.0) / replications)
-    return MonteCarloResult(mean=p, std_error=se, replications=replications)
-
-
-def run_until_precision(simulate: Callable[[np.random.Generator], float],
-                        *, seed: int,
-                        target_relative_error: float,
-                        min_replications: int = 16,
-                        max_replications: int = 100_000,
-                        ) -> MonteCarloResult:
-    """Sample sequentially until the relative standard error hits target.
-
-    Grows the replication count geometrically (×2) so the stopping check
-    runs O(log) times; returns early once ``relative_error <= target`` or
-    at ``max_replications`` (whichever first).
-    """
-    if not (0 < target_relative_error < 1):
-        raise ValueError("target relative error must be in (0, 1)")
-    if min_replications < 2:
-        raise ValueError("min_replications must be >= 2")
-    acc = BatchMeans()
-    # Generators are minted lazily, one goal-doubling at a time:
-    # ``SeedSequence.spawn`` continues its child counter across calls, so
-    # incremental spawning yields exactly the same streams as spawning
-    # all ``max_replications`` up front (the prefix-stability property
-    # tests.stats.test_montecarlo pins) — but an early stop at, say, 16
-    # replications no longer pays for 100 000 generator constructions.
-    seq = np.random.SeedSequence(seed)
-    generators: List[np.random.Generator] = []
-    index = 0
-    goal = min(min_replications, max_replications)
-    session = active_session()
-    with maybe_span("montecarlo.run_until_precision"):
-        while index < max_replications:
-            if goal > len(generators):
-                generators.extend(
-                    np.random.default_rng(child)
-                    for child in seq.spawn(goal - len(generators)))
-            added = 0
-            while index < goal:
-                acc.add(float(simulate(generators[index])))
-                index += 1
-                added += 1
-            if session is not None:
-                # Batch granularity: one counter update per goal-doubling,
-                # never per replication (DESIGN §8).
-                session.metrics.counter("montecarlo.replications").inc(added)
-                session.metrics.counter("montecarlo.goal_doublings").inc()
-            result = acc.result()
-            if result.relative_error() <= target_relative_error:
-                return result
-            goal = min(max_replications, goal * 2)
-            if index >= max_replications:
-                break
     return acc.result()

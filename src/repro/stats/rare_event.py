@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, Mapping, Tuple
+from typing import Callable, Mapping, Tuple
 
 import numpy as np
 
@@ -27,8 +27,6 @@ __all__ = [
     "StratumEstimate",
     "StratifiedEstimate",
     "stratified_rate",
-    "optimal_replication_split",
-    "uncertainty_replication_split",
 ]
 
 
@@ -134,88 +132,3 @@ def stratified_rate(simulate: Callable[[str, np.random.Generator], float],
         strata.append(StratumEstimate(context, float(weights[context]),
                                       acc.result()))
     return StratifiedEstimate(tuple(strata))
-
-
-def optimal_replication_split(weights: Mapping[str, float],
-                              pilot_std: Mapping[str, float],
-                              total_replications: int) -> Dict[str, int]:
-    """Neyman allocation of replications across strata.
-
-    Proportional to ``w_c · σ_c`` from a pilot run: contexts that are both
-    heavily used and noisy get the simulation budget.  Each active stratum
-    is guaranteed at least 2 replications so its variance is estimable.
-    """
-    _validate_weights(weights)
-    scores = {}
-    for context, weight in weights.items():
-        if weight <= 0:
-            continue
-        sigma = pilot_std.get(context)
-        if sigma is None:
-            raise KeyError(f"pilot std missing for context {context!r}")
-        if sigma < 0 or not math.isfinite(sigma):
-            raise ValueError(f"pilot std for {context!r} must be finite and >= 0")
-        scores[context] = weight * sigma
-    return _exact_allocation(scores, total_replications)
-
-
-def uncertainty_replication_split(weights: Mapping[str, float],
-                                  uncertainty: Mapping[str, float],
-                                  total_replications: int) -> Dict[str, int]:
-    """Allocate replications proportional to remaining verdict uncertainty.
-
-    The adaptive-campaign analogue of :func:`optimal_replication_split`:
-    scores are ``w_c · u_c`` where ``u_c`` is a per-context uncertainty
-    measure — in the accelerated tier, the budget monitor's unresolved CI
-    width (:meth:`repro.obs.budget_monitor.BudgetUtilisationReport.verdict_uncertainty`)
-    apportioned to the contexts producing those incidents.  Contexts whose
-    verdicts are all settled score 0 and receive only the 2-replication
-    floor; fresh effort flows where the budget question is still open.
-    """
-    _validate_weights(weights)
-    scores = {}
-    for context, weight in weights.items():
-        if weight <= 0:
-            continue
-        u = uncertainty.get(context)
-        if u is None:
-            raise KeyError(f"uncertainty missing for context {context!r}")
-        if u < 0 or not math.isfinite(u):
-            raise ValueError(
-                f"uncertainty for {context!r} must be finite and >= 0")
-        scores[context] = weight * u
-    return _exact_allocation(scores, total_replications)
-
-
-def _exact_allocation(scores: Mapping[str, float],
-                      total: int) -> Dict[str, int]:
-    """Largest-remainder apportionment with a floor of 2 per stratum.
-
-    Allocations sum to exactly ``total`` whenever ``total`` covers the
-    floors (``2 × #strata``) — no drift in either direction.  A zero
-    total score degrades to an even split.  Ties break on the sorted
-    context name so the allocation is a pure function of its inputs.
-    """
-    if total < 2 * len(scores):
-        raise ValueError("too few replications to cover all active strata")
-    total_score = math.fsum(scores.values())
-    if total_score == 0:
-        # Degenerate scores (no signal anywhere): split evenly.
-        targets = {context: total / len(scores) for context in scores}
-    else:
-        targets = {context: total * score / total_score
-                   for context, score in scores.items()}
-    allocation = {context: max(2, math.floor(target))
-                  for context, target in targets.items()}
-    # Floors can land above or below the total; walk to it one step at a
-    # time, spending on the largest shortfall (target - allocated) and
-    # reclaiming from the largest excess among strata above the floor.
-    while sum(allocation.values()) < total:
-        context = max(sorted(allocation),
-                      key=lambda c: targets[c] - allocation[c])
-        allocation[context] += 1
-    while sum(allocation.values()) > total:
-        eligible = [c for c in sorted(allocation) if allocation[c] > 2]
-        context = max(eligible, key=lambda c: allocation[c] - targets[c])
-        allocation[context] -= 1
-    return allocation

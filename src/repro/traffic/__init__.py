@@ -6,7 +6,7 @@ exposure-is-a-design-choice), perception decides when they are seen
 (:mod:`.perception`), kinematics resolves the outcome (:mod:`.dynamics`,
 including degraded braking from :mod:`.faults`), and the simulator
 (:mod:`.simulator`) records incidents that :mod:`.incidents` turns into
-QRN inputs: per-type rates and empirical contribution splits.
+QRN inputs: per-type incident counts.
 """
 
 from .dynamics import (KMH_PER_MS, BrakingArrays, BrakingOutcome,
@@ -21,12 +21,9 @@ from .encounters import (ContextProfile, Encounter, EncounterBatch,
 from .engine import (ImportanceRun, resolve_batch, simulate_importance,
                      simulate_vectorized)
 from .faults import BrakingSystem
-from .incidents import (TypeRates, empirical_splits, estimate_type_rates,
-                        type_counts, weighted_type_counts)
-from .acceleration import (ACCELERATORS, AcceleratedRate,
-                           AdaptiveCampaignResult, AdaptiveCampaignRound,
-                           SeverityChannel, accelerated_collision_rate,
-                           adaptive_budget_campaign,
+from .incidents import type_counts
+from .acceleration import (ACCELERATORS, AcceleratedRate, SeverityChannel,
+                           accelerated_collision_rate,
                            importance_collision_rate, naive_collision_rate,
                            severity_channels, splitting_collision_rate)
 from .perception import (PerceptionModel, default_perception,
@@ -70,15 +67,12 @@ __all__ = [
     "shm_available",
     "CHECKPOINT_SCHEMA", "CampaignCheckpoint", "CheckpointMismatchError",
     "CheckpointWriteError", "DEFAULT_MIX", "POLICY_NAMES", "policy_by_name",
-    "TypeRates", "estimate_type_rates", "empirical_splits", "type_counts",
-    "weighted_type_counts",
+    "type_counts",
     "ProposalTilt", "encounter_log_weights", "ImportanceRun",
     "simulate_importance",
-    "ACCELERATORS", "AcceleratedRate", "AdaptiveCampaignResult",
-    "AdaptiveCampaignRound", "SeverityChannel",
-    "accelerated_collision_rate", "adaptive_budget_campaign",
-    "importance_collision_rate", "naive_collision_rate",
-    "severity_channels", "splitting_collision_rate",
+    "ACCELERATORS", "AcceleratedRate", "SeverityChannel",
+    "accelerated_collision_rate", "importance_collision_rate",
+    "naive_collision_rate", "severity_channels", "splitting_collision_rate",
     "Scenario", "ScenarioOutcome", "ScenarioStatistics", "ScenarioSuite",
     "CrossingPedestrian", "LeadVehicleBraking", "CutIn",
     "ObstacleBehindCurve", "AnimalRunOut", "run_scenario",

@@ -26,26 +26,22 @@ so both remain *exactly* unbiased for the nominal law (DESIGN §11):
 Both return the same :class:`AcceleratedRate` shape as the naive
 stratified baseline (:func:`naive_collision_rate`), so the statistical
 verification tier can compare all three against each other on calibrated
-workloads.  :func:`adaptive_budget_campaign` adds the third ISSUE lever:
-stratified allocation steered round by round by the budget monitor's
-live per-incident-type Poisson CIs.
+workloads.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
 from ..core.taxonomy import ActorClass
-from ..obs.budget_monitor import (BudgetMonitor, BudgetUtilisationReport,
-                                 classified_counts)
 from ..stats.importance import WeightDiagnostics
 from ..stats.montecarlo import MonteCarloResult
 from ..stats.rare_event import (StratifiedEstimate, StratumEstimate,
-                                stratified_rate, uncertainty_replication_split)
+                                stratified_rate)
 from ..stats.splitting import adaptive_levels, replicated_splitting
 from .dynamics import kmh_to_ms, required_deceleration
 from .encounters import (SIGHT_DISTANCE_CLAMP_M, EncounterGenerator,
@@ -66,9 +62,6 @@ __all__ = [
     "importance_collision_rate",
     "splitting_collision_rate",
     "accelerated_collision_rate",
-    "AdaptiveCampaignRound",
-    "AdaptiveCampaignResult",
-    "adaptive_budget_campaign",
 ]
 
 ACCELERATORS = ("none", "is", "splitting")
@@ -453,144 +446,3 @@ def accelerated_collision_rate(policy: TacticalPolicy,
     return splitting_collision_rate(
         policy, generator, perception, braking, weights, seed=seed,
         runs=runs, particles=particles)
-
-
-# ---------------------------------------------------------------------------
-# Adaptive stratified allocation driven by live budget-monitor CIs.
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class AdaptiveCampaignRound:
-    """One allocation round of an adaptive campaign."""
-
-    index: int
-    allocation: Mapping[str, int]
-    uncertainty: Mapping[str, float]
-    exposure_hours: float
-
-
-@dataclass(frozen=True)
-class AdaptiveCampaignResult:
-    """Outcome of :func:`adaptive_budget_campaign`."""
-
-    report: BudgetUtilisationReport
-    rounds: Tuple[AdaptiveCampaignRound, ...]
-    settled: bool
-    total_hours: float
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "settled": self.settled,
-            "rounds": len(self.rounds),
-            "total_hours": self.total_hours,
-            "worst_utilisation": self.report.worst_utilisation(),
-            "verdict_uncertainty": dict(self.report.verdict_uncertainty()),
-        }
-
-
-def _context_uncertainty(type_uncertainty: Mapping[str, float],
-                         context_type_counts: Mapping[str,
-                                                      Mapping[str, int]],
-                         contexts: Sequence[str]) -> Dict[str, float]:
-    """Apportion per-type verdict uncertainty onto contexts.
-
-    Each open type budget's CI width flows to contexts in proportion to
-    their observed share of that type's incidents, Laplace-smoothed (+1
-    per context) so a type nobody has produced yet spreads its
-    uncertainty evenly instead of starving every context of effort.
-    """
-    scores = {context: 0.0 for context in contexts}
-    for type_id, uncertainty in type_uncertainty.items():
-        if uncertainty <= 0.0:
-            continue
-        counts = {context: context_type_counts.get(context, {})
-                  .get(type_id, 0) for context in contexts}
-        total = sum(counts.values()) + len(contexts)
-        for context in contexts:
-            scores[context] += uncertainty * (counts[context] + 1) / total
-    return scores
-
-
-def adaptive_budget_campaign(policy: TacticalPolicy,
-                             generator: EncounterGenerator,
-                             perception: PerceptionModel,
-                             braking: BrakingSystem,
-                             goals,
-                             types,
-                             mix: Mapping[str, float],
-                             *, seed: int,
-                             rounds: int = 4,
-                             replications_per_round: int = 32,
-                             hours_per_replication: float = 10.0,
-                             config: Optional[SimulationConfig] = None,
-                             confidence: float = 0.95,
-                             ) -> AdaptiveCampaignResult:
-    """Stratified simulation steered by live budget-monitor CIs.
-
-    Round 1 allocates replications by exposure mix alone (every verdict
-    equally open).  After each round the cumulative
-    :class:`~repro.obs.budget_monitor.BudgetMonitor` report is consulted:
-    budgets whose Poisson CI has left the budget line (demonstrated or
-    violated) contribute zero uncertainty, the rest contribute their CI
-    width, apportioned to contexts by observed incident shares and fed
-    to :func:`~repro.stats.rare_event.uncertainty_replication_split` —
-    fresh simulation flows to the contexts still holding up open
-    verdicts.  Stops early once every type budget is settled.
-
-    Determinism: round ``k`` draws from the ``k``-th child of ``seed``
-    regardless of how earlier rounds allocated, so a campaign is a pure
-    function of its inputs even though allocations adapt.
-    """
-    if rounds < 1:
-        raise ValueError("need at least one round")
-    _require_positive("hours_per_replication", hours_per_replication)
-    type_list = list(types)
-    monitor = BudgetMonitor(goals, confidence=confidence)
-    contexts = [c for c, w in sorted(mix.items()) if w > 0]
-    if not contexts:
-        raise ValueError("context mix has no positive weights")
-    context_type_counts: Dict[str, Dict[str, int]] = {
-        context: {} for context in contexts}
-    round_seeds = np.random.SeedSequence(seed).spawn(rounds)
-    round_records: List[AdaptiveCampaignRound] = []
-    settled = False
-    report: Optional[BudgetUtilisationReport] = None
-    for round_index in range(rounds):
-        if report is None:
-            uncertainty = {context: 1.0 for context in contexts}
-        else:
-            uncertainty = _context_uncertainty(
-                report.verdict_uncertainty(), context_type_counts, contexts)
-        allocation = uncertainty_replication_split(
-            mix, uncertainty, replications_per_round)
-        streams = [np.random.default_rng(child) for child in
-                   round_seeds[round_index].spawn(
-                       sum(allocation[c] for c in contexts))]
-        cursor = 0
-        round_hours = 0.0
-        for context in contexts:
-            for _ in range(allocation[context]):
-                result = simulate_vectorized(
-                    policy, generator, perception, braking, context,
-                    hours_per_replication, streams[cursor], config)
-                cursor += 1
-                round_hours += hours_per_replication
-                counts = classified_counts(result, type_list)
-                monitor.observe_counts(counts, result.hours)
-                per_context = context_type_counts[context]
-                for type_id, count in counts.items():
-                    if count:
-                        per_context[type_id] = \
-                            per_context.get(type_id, 0) + count
-        report = monitor.utilisation()
-        round_records.append(AdaptiveCampaignRound(
-            index=round_index, allocation=dict(allocation),
-            uncertainty=dict(uncertainty), exposure_hours=round_hours))
-        if report.all_settled():
-            settled = True
-            break
-    assert report is not None
-    return AdaptiveCampaignResult(
-        report=report, rounds=tuple(round_records), settled=settled,
-        total_hours=monitor.exposure)

@@ -10,8 +10,7 @@ from hypothesis import given, strategies as st
 from repro.core.quantities import (PER_HOUR, PER_KM, PER_MISSION,
                                    ExposureBase, ExposureProfile, Frequency,
                                    FrequencyBand, FrequencyUnit,
-                                   UnitMismatchError, geometric_ladder,
-                                   sum_frequencies)
+                                   UnitMismatchError, sum_frequencies)
 
 rates = st.floats(min_value=0.0, max_value=1e6, allow_nan=False,
                   allow_infinity=False)
@@ -239,19 +238,3 @@ class TestExposureProfile:
             ExposureProfile(0.0, 1.0)
         with pytest.raises(ValueError):
             ExposureProfile(50.0, 0.0)
-
-
-class TestGeometricLadder:
-    def test_ladder_values(self):
-        ladder = list(geometric_ladder(Frequency.per_hour(1e-2), 1.0, 3))
-        assert [f.rate for f in ladder] == pytest.approx([1e-2, 1e-3, 1e-4])
-
-    def test_fractional_decades(self):
-        ladder = list(geometric_ladder(Frequency.per_hour(1.0), 0.5, 3))
-        assert ladder[1].rate == pytest.approx(10 ** -0.5)
-
-    def test_invalid_args_rejected(self):
-        with pytest.raises(ValueError):
-            list(geometric_ladder(Frequency.per_hour(1.0), 1.0, 0))
-        with pytest.raises(ValueError):
-            list(geometric_ladder(Frequency.per_hour(1.0), -1.0, 2))

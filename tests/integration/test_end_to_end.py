@@ -10,14 +10,13 @@ import numpy as np
 import pytest
 
 from repro.assurance.safety_case import build_qrn_safety_case
-from repro.core import (IncidentType, allocate_lp, derive_safety_goals,
-                        figure4_taxonomy, figure5_incident_types)
+from repro.core import (allocate_lp, derive_safety_goals, figure4_taxonomy,
+                        figure5_incident_types)
 from repro.core.verification import Verdict, verify_against_counts
-from repro.injury import default_risk_model
 from repro.traffic import (BrakingSystem, EncounterGenerator,
                            cautious_policy, default_context_profiles,
-                           default_perception, empirical_splits,
-                           nominal_policy, simulate_mix, type_counts)
+                           default_perception, nominal_policy, simulate_mix,
+                           type_counts)
 
 MIX = {"urban": 0.5, "suburban": 0.2, "rural": 0.2, "highway": 0.1}
 
@@ -36,22 +35,6 @@ def campaign(world):
 
 
 class TestFullWorkflow:
-    def test_simulation_grounded_goal_set(self, norm, campaign):
-        """Splits derived from data, budgets allocated, goals emitted —
-        and the resulting artefacts are mutually consistent."""
-        base_types = list(figure5_incident_types())
-        model = default_risk_model()
-        splits = empirical_splits(campaign, base_types, model, norm.scale)
-        grounded = [
-            IncidentType(t.type_id, t.ego, t.counterpart, t.margin,
-                         splits[t.type_id], t.description, t.taxonomy_leaf)
-            for t in base_types
-        ]
-        allocation = allocate_lp(norm, grounded)
-        goals = derive_safety_goals(allocation, taxonomy=figure4_taxonomy())
-        assert goals.is_complete()
-        assert allocation.is_feasible()
-
     def test_verification_against_simulated_counts(self, norm, campaign):
         """The statistical verdicts behave sensibly on simulated data:
         a cautious policy demonstrates the quality goals within feasible

@@ -163,28 +163,3 @@ class TestChunkOrderIndependence:
         # merging a single snapshot is the identity on counters
         assert (MetricsSnapshot.merge_many([snapshot.metrics]).counters()
                 == snapshot.metrics.counters())
-
-
-class TestMonteCarloInstrumentation:
-    def test_goal_doublings_counted(self):
-        from repro.stats import run_until_precision
-
-        with telemetry_session() as session:
-            result = run_until_precision(
-                lambda rng: rng.normal(10.0, 1.0), seed=42,
-                target_relative_error=0.01, min_replications=16,
-                max_replications=4096)
-        counters = session.metrics.snapshot().counters()
-        assert counters["montecarlo.replications"] == result.replications
-        assert counters["montecarlo.goal_doublings"] >= 1
-        spans = session.snapshot().spans
-        assert spans.child("montecarlo.run_until_precision").count == 1
-
-    def test_uninstrumented_when_disabled(self):
-        from repro.stats import run_until_precision
-
-        result = run_until_precision(
-            lambda rng: rng.normal(10.0, 1.0), seed=42,
-            target_relative_error=0.05, min_replications=16)
-        assert result.replications >= 16  # and no session was touched
-        assert active_session() is None

@@ -1,22 +1,24 @@
 """Unit tests for the importance-sampling substrate (repro.stats.importance).
 
 Covers the weight-moment diagnostics (merge algebra, ESS, degeneracy
-gates), the seeded replication driver, and the closed-form log-likelihood
-ratios cross-checked against scipy — including the point masses the
-clamps introduce, which a naive density ratio would get wrong.
+gates) and the closed-form log-likelihood ratios cross-checked against
+scipy — including the point masses the clamps introduce, which a naive
+density ratio would get wrong — and the array paths against the scalar
+ones, out to means whose atom mass underflows.
 """
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats as sps
 
 from repro.stats import (WeightDegeneracyError, WeightDiagnostics,
                          bernoulli_log_ratio, clamped_lognormal_log_ratio,
-                         floored_normal_log_ratio, importance_estimate,
-                         normal_cdf, normal_log_ratio,
-                         poisson_count_log_ratio)
+                         floored_normal_log_ratio, normal_cdf,
+                         normal_log_ratio)
 
 
 class TestWeightDiagnostics:
@@ -108,63 +110,6 @@ class TestWeightDiagnostics:
         assert payload["ess"] == pytest.approx(d.ess)
 
 
-class TestImportanceEstimate:
-    def test_identity_proposal_matches_plain_mean(self):
-        def sample(rng):
-            return float(rng.normal()), 0.0
-
-        est = importance_estimate(sample, seed=3, replications=64)
-        assert abs(est.mean) < 5 * est.std_error
-        assert est.replications == 64
-        assert est.diagnostics.count == 64
-        assert est.diagnostics.ess_fraction == pytest.approx(1.0)
-
-    def test_tilted_tail_probability_unbiased(self):
-        # P(Z > 4) under N(0,1), sampled from N(4,1): classic exact-LR
-        # mean-shift tilt.  The analytic answer is normal_cdf(-4).
-        shift = 4.0
-        truth = normal_cdf(-shift)
-
-        def sample(rng):
-            x = rng.normal(loc=shift)
-            log_w = normal_log_ratio(x, mean_p=0.0, mean_q=shift, std=1.0)
-            return (1.0 if x > shift else 0.0), log_w
-
-        est = importance_estimate(sample, seed=17, replications=400)
-        assert abs(est.mean - truth) < 5 * est.std_error
-        # The tilt makes the event common: relative error far below what
-        # 400 naive samples of a 3e-5 event could achieve.
-        assert est.relative_error() < 0.5
-
-    def test_rejects_nan_and_positive_inf_log_weights(self):
-        with pytest.raises(ValueError):
-            importance_estimate(lambda rng: (1.0, math.nan), seed=1,
-                                replications=4)
-        with pytest.raises(ValueError):
-            importance_estimate(lambda rng: (1.0, math.inf), seed=1,
-                                replications=4)
-
-    def test_negative_inf_log_weight_is_zero_weight(self):
-        est = importance_estimate(lambda rng: (1.0, -math.inf), seed=1,
-                                  replications=8)
-        assert est.mean == 0.0
-
-    def test_requires_two_replications(self):
-        with pytest.raises(ValueError):
-            importance_estimate(lambda rng: (0.0, 0.0), seed=1,
-                                replications=1)
-
-    def test_seed_determinism(self):
-        def sample(rng):
-            x = rng.normal(loc=1.0)
-            return x * x, normal_log_ratio(x, mean_p=0.0, mean_q=1.0,
-                                           std=1.0)
-
-        a = importance_estimate(sample, seed=23, replications=32)
-        b = importance_estimate(sample, seed=23, replications=32)
-        assert a.mean == b.mean and a.std_error == b.std_error
-
-
 class TestNormalCdf:
     def test_matches_scipy_including_deep_tails(self):
         xs = np.array([-40.0, -8.0, -4.0, -1.0, 0.0, 1.0, 4.0, 8.0])
@@ -239,6 +184,13 @@ class TestClampedLognormalLogRatio:
         out = clamped_lognormal_log_ratio(x, mu_p=2.0, mu_q=2.0, sigma=0.5,
                                           clamp=1.0)
         assert np.all(out == 0.0)
+        # Sight (150, 15) m: the clamp atom lies 50σ below the mean, so
+        # its mass underflows to 0 — harmless while no sample is on it.
+        sigma = math.sqrt(math.log(1.01))
+        mu = math.log(150.0) - sigma ** 2 / 2.0
+        out = clamped_lognormal_log_ratio(np.array([140.0, 160.0]), mu_p=mu,
+                                          mu_q=mu, sigma=sigma, clamp=1.0)
+        assert np.all(out == 0.0)
 
     def test_validates_parameters(self):
         with pytest.raises(ValueError):
@@ -299,6 +251,63 @@ class TestFlooredNormalLogRatio:
         with pytest.raises(ValueError):
             floored_normal_log_ratio(1.0, mean_p=0.0, mean_q=0.0, std=-1.0)
 
+    def test_identity_tilt_is_exactly_zero(self):
+        out = floored_normal_log_ratio(np.array([0.0, 1.0, 5.0]), mean_p=2.0,
+                                       mean_q=2.0, std=1.0)
+        assert np.all(out == 0.0)
+        # Speed (110, 2) km/h: the floor atom lies 55σ below the mean, so
+        # its mass underflows to 0 — harmless while no sample is on it.
+        out = floored_normal_log_ratio(np.array([108.0, 111.0]),
+                                       mean_p=110.0, mean_q=110.0, std=2.0)
+        assert np.all(out == 0.0)
+        assert floored_normal_log_ratio(108.0, mean_p=110.0, mean_q=110.0,
+                                        std=2.0) == 0.0
+        with pytest.raises(ValueError, match="zero mass"):
+            floored_normal_log_ratio(np.array([0.0, 111.0]), mean_p=110.0,
+                                     mean_q=110.0, std=2.0)
+
+
+@st.composite
+def atom_laws(draw):
+    """``(log_ratio, law, samples)``: a floored normal or a clamped
+    lognormal whose nominal and proposal means lie up to 300σ either side
+    of the floor or clamp, and samples on or above its atom."""
+    z = st.floats(-300.0, 300.0)
+    if draw(st.booleans()):
+        std = draw(st.floats(0.01, 50.0))
+        law = dict(mean_p=draw(z) * std, mean_q=draw(z) * std, std=std)
+        above = st.floats(0.0, 310.0 * std)
+        return floored_normal_log_ratio, law, draw(st.lists(
+            st.one_of(st.just(0.0), above), min_size=1, max_size=8))
+    sigma = draw(st.floats(0.05, 2.0))
+    clamp = draw(st.floats(0.1, 10.0))
+    law = dict(mu_p=math.log(clamp) + draw(z) * sigma,
+               mu_q=math.log(clamp) + draw(z) * sigma, sigma=sigma,
+               clamp=clamp)
+    above = st.floats(0.0, 310.0 * sigma).map(
+        lambda u: clamp * math.exp(u))
+    return clamped_lognormal_log_ratio, law, draw(st.lists(
+        st.one_of(st.just(clamp), above), min_size=1, max_size=8))
+
+
+class TestArrayMatchesScalar:
+    @given(case=atom_laws())
+    @settings(max_examples=300, deadline=None)
+    def test_atom_log_ratios(self, case):
+        """The array path raises exactly when the scalar path raises on
+        some element, and otherwise agrees with it elementwise.  Off the
+        atom the two differ by a few ulps (``np.log`` is not
+        ``math.log``), so agreement is to a tolerance, not bitwise."""
+        log_ratio, law, samples = case
+        try:
+            scalar = [log_ratio(x, **law) for x in samples]
+        except ValueError:
+            with pytest.raises(ValueError):
+                log_ratio(np.array(samples), **law)
+            return
+        np.testing.assert_allclose(log_ratio(np.array(samples), **law),
+                                   scalar, rtol=1e-9, atol=1e-9)
+
 
 class TestBernoulliLogRatio:
     def test_scalar_matches_scipy(self):
@@ -334,29 +343,3 @@ class TestBernoulliLogRatio:
             bernoulli_log_ratio(True, p_p=1.5, p_q=0.5)
         with pytest.raises(ValueError):
             bernoulli_log_ratio(True, p_p=0.5, p_q=-0.1)
-
-
-class TestPoissonCountLogRatio:
-    def test_matches_scipy(self):
-        for count, mp, mq in [(0, 2.0, 5.0), (3, 2.0, 5.0), (7, 0.4, 0.4),
-                              (12, 9.0, 3.0)]:
-            got = poisson_count_log_ratio(count, mean_p=mp, mean_q=mq)
-            ref = (sps.poisson.logpmf(count, mp)
-                   - sps.poisson.logpmf(count, mq))
-            assert got == pytest.approx(ref)
-
-    def test_zero_nominal_mean(self):
-        # P(N=0; 0) = 1, so the ratio is +mean_q; any positive count is
-        # impossible under the nominal law.
-        assert poisson_count_log_ratio(0, mean_p=0.0,
-                                       mean_q=2.0) == pytest.approx(2.0)
-        assert poisson_count_log_ratio(3, mean_p=0.0,
-                                       mean_q=2.0) == -math.inf
-
-    def test_validates_inputs(self):
-        with pytest.raises(ValueError):
-            poisson_count_log_ratio(-1, mean_p=1.0, mean_q=1.0)
-        with pytest.raises(ValueError):
-            poisson_count_log_ratio(2, mean_p=-1.0, mean_q=1.0)
-        with pytest.raises(ValueError):
-            poisson_count_log_ratio(2, mean_p=1.0, mean_q=0.0)

@@ -8,8 +8,7 @@ import numpy as np
 import pytest
 
 from repro.stats.montecarlo import (BatchMeans, MonteCarloResult,
-                                    estimate_mean, estimate_probability,
-                                    run_until_precision, spawn_generators)
+                                    estimate_mean, spawn_generators)
 
 
 class TestSpawnGenerators:
@@ -144,12 +143,6 @@ class TestEstimators:
         assert low < 5.0 < high
         assert result.replications == 400
 
-    def test_estimate_probability(self):
-        result = estimate_probability(lambda rng: rng.uniform() < 0.3,
-                                      seed=2, replications=2000)
-        assert result.mean == pytest.approx(0.3, abs=0.05)
-        assert 0 < result.std_error < 0.02
-
     def test_too_few_replications_rejected(self):
         with pytest.raises(ValueError):
             estimate_mean(lambda rng: 0.0, seed=1, replications=1)
@@ -162,60 +155,3 @@ class TestEstimators:
     def test_relative_error_zero_mean(self):
         result = estimate_mean(lambda rng: 0.0, seed=1, replications=10)
         assert math.isinf(result.relative_error())
-
-
-class TestRunUntilPrecision:
-    def test_stops_at_target(self):
-        result = run_until_precision(lambda rng: rng.normal(10.0, 1.0),
-                                     seed=4, target_relative_error=0.01,
-                                     min_replications=16,
-                                     max_replications=50_000)
-        assert result.relative_error() <= 0.01
-
-    def test_respects_max_replications(self):
-        result = run_until_precision(lambda rng: rng.normal(0.0, 100.0),
-                                     seed=5, target_relative_error=1e-6,
-                                     min_replications=16,
-                                     max_replications=64)
-        assert result.replications == 64
-
-    def test_invalid_target(self):
-        with pytest.raises(ValueError):
-            run_until_precision(lambda rng: 1.0, seed=1,
-                                target_relative_error=2.0)
-
-    def test_spawns_generators_lazily(self, monkeypatch):
-        """An early stop must not pay for max_replications generators.
-
-        The harness historically spawned all 100 000 children up front;
-        it now mints them one goal-doubling at a time, so a run that
-        stops at 16 replications spawns exactly 16 children.
-        """
-        minted = []
-        original = np.random.default_rng
-
-        def counting(*args, **kwargs):
-            minted.append(1)
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(np.random, "default_rng", counting)
-        result = run_until_precision(lambda rng: rng.normal(10.0, 1e-3),
-                                     seed=4, target_relative_error=0.5,
-                                     min_replications=16,
-                                     max_replications=100_000)
-        assert result.replications == 16
-        assert sum(minted) == 16
-
-    def test_incremental_spawn_matches_eager_streams(self):
-        """Lazy minting must reproduce the eager streams bit-for-bit —
-        SeedSequence.spawn's child counter continues across calls, so the
-        k-th replication sees the same generator either way."""
-        draws = []
-        result = run_until_precision(lambda rng: draws.append(rng.uniform())
-                                     or draws[-1],
-                                     seed=11, target_relative_error=0.2,
-                                     min_replications=16,
-                                     max_replications=512)
-        eager = [g.uniform()
-                 for g in spawn_generators(11, result.replications)]
-        assert draws == eager

@@ -5,14 +5,10 @@ from __future__ import annotations
 import math
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.stats.montecarlo import MonteCarloResult
 from repro.stats.rare_event import (StratifiedEstimate, StratumEstimate,
-                                    optimal_replication_split,
-                                    stratified_rate,
-                                    uncertainty_replication_split)
+                                    stratified_rate)
 
 
 def simulate(context, rng):
@@ -101,131 +97,6 @@ class TestReweighting:
             estimate.reweighted({"urban": 0.5, "rural": 0.5, "highway": 0.5})
         with pytest.raises(KeyError):
             estimate.reweighted({"urban": 1.0})
-
-
-class TestNeymanSplit:
-    def test_noisy_heavy_strata_get_more(self):
-        split = optimal_replication_split(
-            WEIGHTS, {"urban": 1.0, "rural": 0.1, "highway": 0.1},
-            total_replications=120)
-        assert split["urban"] > split["rural"]
-        assert split["urban"] > split["highway"]
-
-    def test_total_not_exceeded(self):
-        split = optimal_replication_split(
-            WEIGHTS, {"urban": 1.0, "rural": 0.5, "highway": 0.2},
-            total_replications=100)
-        assert sum(split.values()) <= 100
-
-    def test_every_stratum_gets_at_least_two(self):
-        split = optimal_replication_split(
-            WEIGHTS, {"urban": 100.0, "rural": 0.0, "highway": 0.0},
-            total_replications=50)
-        assert all(count >= 2 for count in split.values())
-
-    def test_degenerate_pilot_splits_evenly(self):
-        split = optimal_replication_split(
-            WEIGHTS, {"urban": 0.0, "rural": 0.0, "highway": 0.0},
-            total_replications=30)
-        assert len(set(split.values())) == 1
-
-    def test_missing_pilot_rejected(self):
-        with pytest.raises(KeyError):
-            optimal_replication_split(WEIGHTS, {"urban": 1.0},
-                                      total_replications=30)
-
-    def test_too_few_total_rejected(self):
-        with pytest.raises(ValueError):
-            optimal_replication_split(WEIGHTS, {"urban": 1.0, "rural": 1.0,
-                                                "highway": 1.0},
-                                      total_replications=4)
-
-
-class TestExactAllocation:
-    """The allocation-drift fix: splits sum exactly to the total."""
-
-    def test_sums_exactly_to_total(self):
-        for total in (6, 7, 50, 97, 120, 1001):
-            split = optimal_replication_split(
-                WEIGHTS, {"urban": 1.0, "rural": 0.3, "highway": 0.07},
-                total_replications=total)
-            assert sum(split.values()) == total
-
-    def test_deterministic_tie_breaks(self):
-        weights = {"a": 0.25, "b": 0.25, "c": 0.25, "d": 0.25}
-        sigma = {name: 1.0 for name in weights}
-        first = optimal_replication_split(weights, sigma, 23)
-        for _ in range(5):
-            assert optimal_replication_split(weights, sigma, 23) == first
-        assert sum(first.values()) == 23
-
-    @given(
-        sigmas=st.lists(st.floats(min_value=0.0, max_value=1e6,
-                                  allow_nan=False, allow_infinity=False),
-                        min_size=1, max_size=12),
-        total_extra=st.integers(min_value=0, max_value=500),
-    )
-    @settings(deadline=None, max_examples=200)
-    def test_property_exact_sum_and_floor(self, sigmas, total_extra):
-        """Whenever the total covers the 2-per-stratum floor, the
-        allocation sums to it exactly and respects the floor."""
-        names = [f"c{i}" for i in range(len(sigmas))]
-        weights = {name: 1.0 / len(names) for name in names}
-        pilot = dict(zip(names, sigmas))
-        total = 2 * len(names) + total_extra
-        split = optimal_replication_split(weights, pilot, total)
-        assert sum(split.values()) == total
-        assert all(count >= 2 for count in split.values())
-        assert set(split) == set(names)
-
-    @given(
-        scores=st.lists(st.floats(min_value=1e-3, max_value=1e3,
-                                  allow_nan=False, allow_infinity=False),
-                        min_size=2, max_size=8),
-        total_extra=st.integers(min_value=0, max_value=200),
-    )
-    @settings(deadline=None, max_examples=100)
-    def test_property_monotone_in_score(self, scores, total_extra):
-        """A stratum never receives fewer replications than one with a
-        strictly smaller weight*sigma score (largest-remainder rounding
-        can tie them, but never inverts them by more than 1)."""
-        names = [f"c{i}" for i in range(len(scores))]
-        weights = {name: 1.0 / len(names) for name in names}
-        pilot = dict(zip(names, scores))
-        total = 2 * len(names) + total_extra
-        split = optimal_replication_split(weights, pilot, total)
-        for a in names:
-            for b in names:
-                if pilot[a] > pilot[b]:
-                    assert split[a] >= split[b] - 1
-
-
-class TestUncertaintySplit:
-    def test_settled_contexts_get_floor_only(self):
-        split = uncertainty_replication_split(
-            WEIGHTS, {"urban": 0.8, "rural": 0.0, "highway": 0.0},
-            total_replications=40)
-        assert split["rural"] == 2
-        assert split["highway"] == 2
-        assert split["urban"] == 36
-        assert sum(split.values()) == 40
-
-    def test_all_settled_degrades_to_even(self):
-        split = uncertainty_replication_split(
-            WEIGHTS, {c: 0.0 for c in WEIGHTS}, total_replications=30)
-        assert sum(split.values()) == 30
-        assert len(set(split.values())) == 1
-
-    def test_missing_uncertainty_rejected(self):
-        with pytest.raises(KeyError):
-            uncertainty_replication_split(WEIGHTS, {"urban": 1.0}, 30)
-
-    def test_invalid_uncertainty_rejected(self):
-        for bad in (-1.0, math.inf, math.nan):
-            with pytest.raises(ValueError):
-                uncertainty_replication_split(
-                    WEIGHTS, {"urban": bad, "rural": 0.1, "highway": 0.1},
-                    30)
 
 
 class TestSeedDeterminism:

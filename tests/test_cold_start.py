@@ -5,10 +5,9 @@ large share of what a user waits for (DESIGN §16).  These tests pin the
 rules that keep it small:
 
 * nothing under ``src/`` imports ``scipy.stats`` — the Gamma and Poisson
-  forms come from ``scipy.special`` — and only the injury-curve fit
-  imports ``scipy.optimize``: allocation solves its LPs exactly in
-  ``repro.core.simplex`` (source guards, AST-based so prose in
-  docstrings may still name the modules);
+  forms come from ``scipy.special`` — or ``scipy.optimize``: allocation
+  solves its LPs exactly in ``repro.core.simplex`` (source guards,
+  AST-based so prose in docstrings may still name the modules);
 * in fresh interpreters, ``import repro.core`` / ``import repro.traffic``
   and the ``goals``, ``figures``, ``review`` and ``fleet`` commands load
   no scipy at all, and ``verify``, ``dossier`` and ``fleet --telemetry``
@@ -106,9 +105,8 @@ def test_no_scipy_stats_imports_under_src():
         "scipy.stats evaluates (DESIGN §16):\n" + "\n".join(offenders))
 
 
-def test_scipy_optimize_imported_only_by_the_injury_curve_fit():
-    offenders = [site for site in _source_importers("optimize")
-                 if not site.startswith("repro/injury/calibration.py:")]
+def test_no_scipy_optimize_imports_under_src():
+    offenders = _source_importers("optimize")
     assert not offenders, (
         "scipy.optimize costs ≈0.5 s at import; allocation LPs go through "
         "repro.core.simplex (DESIGN §16):\n" + "\n".join(offenders))

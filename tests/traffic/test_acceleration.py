@@ -2,9 +2,8 @@
 
 Structural and exactness tests run in the fast tier: tilt bookkeeping,
 the identity-tilt bitwise-oracle equivalence, severity-score fidelity to
-the scalar oracle's collision predicate, weighted type counts, verdict
-uncertainty, and the adaptive campaign mechanics.  The heavy 5-sigma
-unbiasedness gates live in the ``stats`` tier
+the scalar oracle's collision predicate, and the estimator dispatch.
+The heavy 5-sigma unbiasedness gates live in the ``stats`` tier
 (tests/stats/test_statistical_verification.py).
 """
 
@@ -13,27 +12,19 @@ import math
 import numpy as np
 import pytest
 
-from repro.core import (ActorClass, Frequency, PER_HOUR, IncidentRecord,
-                        allocate_proportional, derive_safety_goals,
-                        example_norm, figure5_incident_types, human_driver_baseline,
-                        norm_from_human_baseline)
-from repro.traffic import (AcceleratedRate, BrakingSystem,
+from repro.core import ActorClass
+from repro.traffic import (AcceleratedRate, BrakingSystem, ContextProfile,
                            EncounterGenerator, ProposalTilt,
                            accelerated_collision_rate,
-                           adaptive_budget_campaign,
                            default_context_profiles, default_perception,
                            importance_collision_rate, naive_collision_rate,
                            nominal_policy, aggressive_policy,
                            severity_channels, simulate_importance,
                            simulate_vectorized, splitting_collision_rate,
-                           encounter_log_weights, weighted_type_counts,
-                           type_counts)
+                           encounter_log_weights)
 from repro.traffic.engine import CROSSING_CLASSES, ImportanceRun
-from repro.traffic.records import RecordBlock
 from repro.traffic.simulator import SimulationConfig, _resolve_encounter
 from repro.traffic.encounters import Encounter, SIGHT_DISTANCE_CLAMP_M
-from repro.obs import BudgetMonitor
-from repro.obs.budget_monitor import BudgetUtilisation
 
 
 @pytest.fixture
@@ -148,21 +139,30 @@ class TestEncounterLogWeights:
 class TestSimulateImportance:
     def test_identity_tilt_is_bitwise_oracle(self, world, policy, perception,
                                              braking):
-        hours = 50.0
-        run = simulate_importance(policy, world, perception, braking,
-                                  "urban", hours,
-                                  np.random.default_rng(7), None,
-                                  tilt=ProposalTilt())
-        reference = simulate_vectorized(policy, world, perception, braking,
-                                        "urban", hours,
-                                        np.random.default_rng(7), None)
-        assert run.result.records == reference.records
-        assert run.result.encounters_resolved == \
-            reference.encounters_resolved
-        assert np.all(run.record_weights == 1.0)
-        assert run.diagnostics.ess_fraction == pytest.approx(1.0)
-        assert run.weighted_collision_count() == pytest.approx(
-            sum(1 for r in reference.records if r.is_collision))
+        # Besides the default world: one-class VRU worlds whose speed
+        # floor or sight clamp atom has a mass that underflows to 0.
+        cases = [(world, 50.0, 7)] + [
+            (EncounterGenerator({"urban": ContextProfile(
+                "urban", {ActorClass.VRU: 50.0}, {ActorClass.VRU: sight},
+                {ActorClass.VRU: speed})}), 200.0, 3)
+            for sight, speed in (((20.0, 8.0), (110.0, 2.0)),
+                                 ((150.0, 15.0), (10.0, 3.0)))]
+        for generator, hours, seed in cases:
+            run = simulate_importance(policy, generator, perception, braking,
+                                      "urban", hours,
+                                      np.random.default_rng(seed), None,
+                                      tilt=ProposalTilt())
+            reference = simulate_vectorized(policy, generator, perception,
+                                            braking, "urban", hours,
+                                            np.random.default_rng(seed),
+                                            None)
+            assert run.result.records == reference.records
+            assert run.result.encounters_resolved == \
+                reference.encounters_resolved
+            assert np.all(run.record_weights == 1.0)
+            assert run.diagnostics.ess_fraction == pytest.approx(1.0)
+            assert run.weighted_collision_count() == pytest.approx(
+                sum(1 for r in reference.records if r.is_collision))
 
     def test_run_validates_weight_alignment(self, world, policy, perception,
                                             braking):
@@ -311,78 +311,6 @@ class TestSeverityChannel:
         assert car.score(state) == 0.0
 
 
-class TestWeightedTypeCounts:
-    def _records(self):
-        return [
-            IncidentRecord(counterpart=ActorClass.VRU, is_collision=False,
-                           delta_v_kmh=0.0, min_distance_m=0.5,
-                           approach_speed_kmh=20.0, time_h=0.1,
-                           context="urban"),
-            IncidentRecord(counterpart=ActorClass.VRU, is_collision=True,
-                           delta_v_kmh=5.0, min_distance_m=0.0,
-                           approach_speed_kmh=20.0, time_h=0.2,
-                           context="urban"),
-            IncidentRecord(counterpart=ActorClass.CAR, is_collision=True,
-                           delta_v_kmh=30.0, min_distance_m=0.0,
-                           approach_speed_kmh=50.0, time_h=0.3,
-                           context="urban"),
-        ]
-
-    def test_unit_weights_match_plain_counts(self, fig5_types):
-        records = self._records()
-        totals, unclassified = weighted_type_counts(
-            records, np.ones(len(records)), fig5_types)
-        assert totals == {"I1": 1.0, "I2": 1.0, "I3": 0.0}
-        assert unclassified == 1.0  # the CAR collision matches no type
-
-    def test_weights_scale_contributions(self, fig5_types):
-        records = self._records()
-        totals, unclassified = weighted_type_counts(
-            records, [0.25, 4.0, 10.0], fig5_types)
-        assert totals == {"I1": 0.25, "I2": 4.0, "I3": 0.0}
-        assert unclassified == 10.0
-
-    def test_validates_weights(self, fig5_types):
-        records = self._records()
-        with pytest.raises(ValueError):
-            weighted_type_counts(records, [1.0], fig5_types)
-        with pytest.raises(ValueError):
-            weighted_type_counts(records, [1.0, -1.0, 1.0], fig5_types)
-        with pytest.raises(ValueError):
-            weighted_type_counts(records, [1.0, math.nan, 1.0], fig5_types)
-
-
-def _utilisation(lower, upper):
-    return BudgetUtilisation(kind="incident_type", budget_id="T",
-                             budget_rate=1.0, observed=1.0, exposure=10.0,
-                             rate=(lower + upper) / 2, rate_lower=lower,
-                             rate_upper=upper, confidence=0.95)
-
-
-class TestVerdictUncertainty:
-    def test_demonstrated_budget_is_settled(self):
-        assert _utilisation(0.01, 0.9).verdict_uncertainty == 0.0
-
-    def test_violated_budget_is_settled(self):
-        assert _utilisation(1.5, 3.0).verdict_uncertainty == 0.0
-
-    def test_open_budget_reports_ci_width(self):
-        row = _utilisation(0.5, 2.0)
-        assert row.verdict_uncertainty == pytest.approx(1.5)
-
-    def test_report_uses_type_rows_only(self, allocation):
-        goals = derive_safety_goals(allocation)
-        monitor = BudgetMonitor(goals)
-        monitor.observe_counts({tid: 0 for tid in
-                                goals.allocation.type_ids}, 10.0)
-        report = monitor.utilisation()
-        uncertainty = report.verdict_uncertainty()
-        assert set(uncertainty) == set(goals.allocation.type_ids)
-        # At 10 h against 1e-6-class budgets every verdict is open.
-        assert all(u > 0 for u in uncertainty.values())
-        assert not report.all_settled()
-
-
 class TestAcceleratedRate:
     def test_rejects_unknown_method(self, world, policy, perception,
                                     braking):
@@ -459,115 +387,3 @@ class TestEstimators:
         assert a.estimate.std_error == b.estimate.std_error
         assert a.estimate.mean >= 0.0
         assert a.diagnostics is None
-
-
-def _generous_goals():
-    baseline = {sev: Frequency(100.0, PER_HOUR)
-                for sev in human_driver_baseline()}
-    norm = norm_from_human_baseline("generous", 1.0, baseline=baseline)
-    return derive_safety_goals(
-        allocate_proportional(norm, figure5_incident_types()))
-
-
-class TestAdaptiveCampaign:
-    def test_settles_early_under_generous_budgets(self, world, policy,
-                                                  perception, braking,
-                                                  fig5_types):
-        result = adaptive_budget_campaign(
-            policy, world, perception, braking, _generous_goals(),
-            fig5_types, {"urban": 1.0}, seed=4, rounds=3,
-            replications_per_round=8, hours_per_replication=2.0)
-        assert result.settled
-        assert len(result.rounds) == 1  # settled after the first round
-        assert result.report.all_settled()
-        assert result.total_hours == pytest.approx(8 * 2.0)
-
-    def test_open_budgets_run_all_rounds(self, world, policy, perception,
-                                         braking, fig5_types, allocation):
-        goals = derive_safety_goals(allocation)
-        result = adaptive_budget_campaign(
-            policy, world, perception, braking, goals, fig5_types,
-            {"urban": 0.75, "rural": 0.25}, seed=4, rounds=2,
-            replications_per_round=8, hours_per_replication=1.0)
-        assert not result.settled
-        assert len(result.rounds) == 2
-        for round_record in result.rounds:
-            assert sum(round_record.allocation.values()) == 8
-            assert set(round_record.allocation) == {"urban", "rural"}
-        # Round 1 is mix-driven (uniform uncertainty); later rounds carry
-        # the budget-monitor scores.
-        assert result.rounds[0].uncertainty == {"urban": 1.0, "rural": 1.0}
-        assert all(u >= 0.0 for u in result.rounds[1].uncertainty.values())
-        assert result.total_hours == pytest.approx(16.0)
-
-    def test_campaign_is_deterministic(self, world, policy, perception,
-                                       braking, fig5_types, allocation):
-        goals = derive_safety_goals(allocation)
-        kw = dict(seed=31, rounds=2, replications_per_round=6,
-                  hours_per_replication=1.0)
-        a = adaptive_budget_campaign(policy, world, perception, braking,
-                                     goals, fig5_types, {"urban": 1.0}, **kw)
-        b = adaptive_budget_campaign(policy, world, perception, braking,
-                                     goals, fig5_types, {"urban": 1.0}, **kw)
-        assert a.to_dict() == b.to_dict()
-        assert [r.allocation for r in a.rounds] == \
-            [r.allocation for r in b.rounds]
-
-    def test_classifies_each_replication_once_on_the_columnar_path(
-            self, world, policy, perception, braking, fig5_types,
-            monkeypatch):
-        """Counts feed both the monitor and the per-context shares, so no
-        replication is decoded into record objects; the result is the
-        one the two-pass classifier produced (I1 is open and seen in
-        urban traffic only, so the round-2 scores differ by context)."""
-        decodes = []
-        to_records = RecordBlock.to_records
-
-        def counting(block):
-            decodes.append(len(block))
-            return to_records(block)
-
-        monkeypatch.setattr(RecordBlock, "to_records", counting)
-        goals = derive_safety_goals(allocate_proportional(
-            example_norm().tightened(10), fig5_types))
-        result = adaptive_budget_campaign(
-            policy, world, perception, braking, goals, fig5_types,
-            {"urban": 0.75, "rural": 0.25}, seed=4, rounds=2,
-            replications_per_round=8, hours_per_replication=5.0)
-        assert decodes == []
-        assert [r.uncertainty for r in result.rounds] == [
-            {"rural": 1.0, "urban": 1.0},
-            {"rural": 21211.871721249812, "urban": 21214.316301533865}]
-        assert [r.allocation for r in result.rounds] == \
-            [{"urban": 6, "rural": 2}] * 2
-        assert result.to_dict() == {
-            "settled": False, "rounds": 2, "total_hours": 80.0,
-            "worst_utilisation": 1.0000000000000002,
-            "verdict_uncertainty": {"I1": 2.2879308254443425,
-                                    "I2": 2766.6595905854506,
-                                    "I3": 18444.397270569676}}
-        assert [row.observed for row in result.report.rows[:3]] == \
-            [4.0, 0.0, 0.0]
-
-    def test_validates_inputs(self, world, policy, perception, braking,
-                              fig5_types, allocation):
-        goals = derive_safety_goals(allocation)
-        with pytest.raises(ValueError):
-            adaptive_budget_campaign(policy, world, perception, braking,
-                                     goals, fig5_types, {"urban": 1.0},
-                                     seed=1, rounds=0)
-        with pytest.raises(ValueError):
-            adaptive_budget_campaign(policy, world, perception, braking,
-                                     goals, fig5_types, {"urban": 0.0},
-                                     seed=1)
-
-    def test_to_dict_shape(self, world, policy, perception, braking,
-                           fig5_types):
-        result = adaptive_budget_campaign(
-            policy, world, perception, braking, _generous_goals(),
-            fig5_types, {"urban": 1.0}, seed=2, rounds=1,
-            replications_per_round=4, hours_per_replication=1.0)
-        payload = result.to_dict()
-        assert set(payload) == {"settled", "rounds", "total_hours",
-                                "worst_utilisation", "verdict_uncertainty"}
-        assert set(payload["verdict_uncertainty"]) == {"I1", "I2", "I3"}

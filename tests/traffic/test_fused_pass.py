@@ -241,17 +241,15 @@ def profiles(draw, name):
     classes = draw(st.lists(st.sampled_from(CLASSES), min_size=1,
                             max_size=len(CLASSES), unique=True))
     rates, sights, speeds = {}, {}, {}
-    # Spreads stay wide enough that the clamp and floor atoms keep a
-    # mass above double underflow, which the likelihood ratios need.
     for counterpart in classes:
         rates[counterpart] = draw(st.one_of(
             st.just(0.0), st.floats(0.05, 40.0, **finite)))
         mean_d = draw(st.floats(2.0, 150.0, **finite))
-        sights[counterpart] = (mean_d, draw(st.floats(0.3, 1.5, **finite))
+        sights[counterpart] = (mean_d, draw(st.floats(0.02, 1.5, **finite))
                                * mean_d)
         mean_v = draw(st.floats(0.0, 110.0, **finite))
-        std_v = draw(st.one_of(st.just(0.0), st.floats(
-            max(0.5, mean_v / 20.0), 25.0, **finite)))
+        std_v = draw(st.one_of(st.just(0.0), st.floats(0.5, 25.0,
+                                                       **finite)))
         static = counterpart is ActorClass.STATIC_OBJECT
         speeds[counterpart] = (0.0, 0.0) if static else (mean_v, std_v)
     return ContextProfile(name=name, encounter_rates=rates,

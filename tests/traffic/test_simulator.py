@@ -9,8 +9,7 @@ from repro.core.incident import figure5_incident_types
 from repro.core.taxonomy import ActorClass
 from repro.traffic.encounters import EncounterGenerator, default_context_profiles
 from repro.traffic.faults import BrakingSystem
-from repro.traffic.incidents import (empirical_splits, estimate_type_rates,
-                                     type_counts)
+from repro.traffic.incidents import type_counts
 from repro.traffic.perception import default_perception, degraded_perception
 from repro.traffic.policy import (aggressive_policy, cautious_policy,
                                   nominal_policy)
@@ -143,24 +142,6 @@ class TestIncidentPipeline:
         # unclassified bucket holds non-VRU counterparts and outliers.
         assert covered <= len(vru_records)
         assert covered + unclassified == len(nominal_run.records)
-
-    def test_rate_estimates(self, nominal_run):
-        types = list(figure5_incident_types())
-        rates = estimate_type_rates(nominal_run, types)
-        for type_id in ("I1", "I2", "I3"):
-            estimate = rates.rate(type_id)
-            assert estimate.lower <= estimate.point <= estimate.upper
-
-    def test_empirical_splits_valid(self, nominal_run, norm):
-        types = list(figure5_incident_types())
-        splits = empirical_splits(nominal_run, types,
-                                  __import__("repro.injury",
-                                             fromlist=["default_risk_model"]
-                                             ).default_risk_model(),
-                                  norm.scale)
-        for type_id, split in splits.items():
-            assert split.total() <= 1.0 + 1e-9
-            split.validate_against(norm.scale)
 
     def test_counting_log_conversion(self, nominal_run):
         types = list(figure5_incident_types())
