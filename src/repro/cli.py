@@ -562,25 +562,23 @@ def _scaled_goals(scale: float):
     return derive_safety_goals(allocation, taxonomy=figure4_taxonomy()), types
 
 
-def _campaign_telemetry(args: argparse.Namespace, run: _Campaign, goals,
-                        counts, *, summary=None):
-    """Budget utilisation + manifest for one telemetry-enabled campaign.
+def _campaign_telemetry(args: argparse.Namespace, run: _Campaign, report,
+                        *, summary=None):
+    """The manifest of one telemetry-enabled campaign.
 
-    ``counts`` is the campaign's one classification (``type_counts``),
-    which the budget table reuses.  Returns ``(snapshot,
-    budget_report)`` and writes the
-    :class:`~repro.obs.manifest.RunManifest` to ``args.telemetry``,
-    with the campaign's recovered-fault log when it is non-empty.
+    ``report`` is the campaign's
+    :class:`~repro.core.verification.VerificationReport`, whose rows
+    are the manifest's budget table.  Writes the
+    :class:`~repro.obs.manifest.RunManifest` to ``args.telemetry``, with
+    the campaign's recovered-fault log when it is non-empty, and
+    returns the telemetry snapshot.
     """
-    from repro.obs import BudgetMonitor, build_manifest
+    from repro.obs import build_manifest
     from repro.stats import plan_chunks
     from repro.traffic import DEFAULT_CHUNK_HOURS
 
     campaign = run.result
     snapshot = run.session.snapshot()
-    monitor = BudgetMonitor(goals)
-    monitor.observe_counts(counts, campaign.hours)
-    budget_report = monitor.utilisation()
     chunk_hours = (DEFAULT_CHUNK_HOURS if args.chunk_hours is None
                    else args.chunk_hours)
     manifest = build_manifest(
@@ -588,14 +586,14 @@ def _campaign_telemetry(args: argparse.Namespace, run: _Campaign, goals,
         engine=args.engine, policy=campaign.policy_name, hours=args.hours,
         mix=_default_mix(), workers=args.workers, chunk_hours=chunk_hours,
         n_chunks=len(plan_chunks(args.hours, chunk_hours)),
-        budget_report=budget_report, summary=summary,
+        budget_report=report, summary=summary,
         failure_log=(None if not run.failures
                      else [entry.to_dict() for entry in run.failures]),
         event_log=(None if run.recorder is None
                    else str(run.recorder.journal_path)))
     manifest.write(args.telemetry)
     print(f"telemetry manifest written to {args.telemetry}")
-    return snapshot, budget_report
+    return snapshot
 
 
 def _cmd_dossier(args: argparse.Namespace) -> int:
@@ -613,13 +611,11 @@ def _cmd_dossier(args: argparse.Namespace) -> int:
               f"{spilled['records']} records → {spilled['directory']}")
     counts, _ = type_counts(run.result, types)
     report = verify_against_counts(goals, counts, run.result.hours)
-    snapshot = budget_report = None
+    snapshot = None
     if args.telemetry is not None:
-        snapshot, budget_report = _campaign_telemetry(args, run, goals,
-                                                      counts)
+        snapshot = _campaign_telemetry(args, run, report)
     _write_exports(args, run)
-    text = build_dossier(goals, report, telemetry=snapshot,
-                         budget_utilisation=budget_report)
+    text = build_dossier(goals, report, telemetry=snapshot)
     if args.out is not None:
         args.out.write_text(text + "\n")
         print(f"dossier written to {args.out}")
@@ -779,10 +775,12 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
         print(f"  recovered faults:      {len(run.failures)} "
               f"(campaign result unaffected; see telemetry failure log)")
     if args.telemetry is not None:
-        _, budget_report = _campaign_telemetry(args, run, goals, counts,
-                                               summary=summary)
+        from repro.core.verification import verify_against_counts
+
+        report = verify_against_counts(goals, counts, campaign.hours)
+        _campaign_telemetry(args, run, report, summary=summary)
         print()
-        print(budget_report.render())
+        print(report.summary())
     _write_exports(args, run)
     if args.json is not None:
         args.json.write_text(json.dumps(summary, indent=2))

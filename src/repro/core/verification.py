@@ -16,6 +16,11 @@ estimate exceeds it; ``INCONCLUSIVE`` is the honest in-between, where more
 exposure is needed (the report says how much).  This mirrors how a real
 quantitative safety case must treat field data — absence of evidence is
 not evidence of absence.
+
+It is the package's one verdict rule: ``verify``, ``review``, the
+dossier, and a campaign's manifest, ``status.json`` and ``budget.verdict``
+journal events all read a :class:`VerificationReport`
+(:meth:`VerificationReport.to_rows` is its table form).
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Dict, Mapping, Tuple
+from typing import Dict, List, Mapping, Tuple
 
 from ..stats.poisson import (exposure_to_demonstrate, rate_mle,
                              rate_upper_bound)
@@ -164,6 +169,41 @@ class VerificationReport:
                    else "INCONCLUSIVE")
         lines.append(f"Overall: {overall}")
         return "\n".join(lines)
+
+    def to_rows(self) -> List[Dict[str, object]]:
+        """One plain row per incident type, then one per consequence class.
+
+        The JSON form of every budget table a campaign writes: the run
+        manifest, ``status.json`` and the ``budget.verdict`` journal
+        events.  ``observed`` is a type's event count, or a class's
+        split-propagated expected count (load × exposure); the
+        ``utilisation`` fields are the rate and its one-sided upper
+        bound divided by the budget.
+        """
+        def row(kind: str, budget_id: str, budget: Frequency,
+                observed: float, rate: float, upper: float,
+                verdict: Verdict) -> Dict[str, object]:
+            return {
+                "kind": kind,
+                "budget_id": budget_id,
+                "budget_rate": budget.rate,
+                "observed": observed,
+                "exposure": self.exposure,
+                "rate": rate,
+                "rate_upper": upper,
+                "utilisation": rate / budget.rate,
+                "utilisation_upper": upper / budget.rate,
+                "confidence": self.confidence,
+                "verdict": verdict.value,
+            }
+
+        return ([row("incident_type", g.type_id, g.budget,
+                     float(g.observed_count), g.point_rate, g.upper_bound,
+                     g.verdict) for g in self.goal_verdicts]
+                + [row("consequence_class", c.class_id, c.budget,
+                       c.expected_load * self.exposure, c.expected_load,
+                       c.upper_bound, c.verdict)
+                   for c in self.class_verdicts])
 
 
 def verify_against_counts(goals: SafetyGoalSet,

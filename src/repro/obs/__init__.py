@@ -1,4 +1,4 @@
-"""Observability: metrics, spans, budgets, manifests, flight recorder.
+"""Observability: metrics, spans, manifests, flight recorder.
 
 This package is the runtime telemetry layer the QRN stack reports
 through (ROADMAP: "production-scale stack needs visibility").  All of it
@@ -9,10 +9,8 @@ is deliberately RNG-free (DESIGN §8):
   associatively across fleet workers.
 * :mod:`~repro.obs.tracing` — aggregated wall-clock span trees
   (``with maybe_span("resolve_batch"): ...``), no-op when disabled.
-* :mod:`~repro.obs.budget_monitor` — live utilisation of the QRN's
-  ``f_I`` / ``f_v`` budgets with exact Poisson confidence intervals.
 * :mod:`~repro.obs.manifest` — the :class:`RunManifest` JSON artifact
-  a ``--telemetry PATH`` campaign writes.
+  a ``--telemetry PATH`` campaign writes, its budget table included.
 * :mod:`~repro.obs.events` — the flight recorder's digest-chained
   event journal (``repro.event-log/v1``) and its exact replay.
 * :mod:`~repro.obs.status` — the recorder itself plus the atomically
@@ -22,14 +20,16 @@ is deliberately RNG-free (DESIGN §8):
 * :mod:`~repro.obs.profiling` — per-chunk wall/CPU/RSS gauges folded
   into the ordinary mergeable metrics.
 
+No module here decides a budget verdict: every budget table (manifest,
+status file, ``budget.verdict`` events) is the row form of
+:func:`repro.core.verification.verify_against_counts`.
+
 Enable telemetry with :func:`telemetry_session`; hot paths guard on
 :func:`active_session` returning ``None`` so the disabled path costs one
 module-global read per instrumented call site.  The journal follows the
 same discipline via :func:`journal_event` / :func:`active_journal`.
 """
 
-from .budget_monitor import (BudgetMonitor, BudgetUtilisation,
-                             BudgetUtilisationReport, classified_counts)
 from .events import (EVENT_KINDS, EVENT_LOG_SCHEMA, EventJournal,
                      EventRecord, JournalReplay, active_journal,
                      journal_event, read_journal, recording_journal,
@@ -58,9 +58,6 @@ __all__ = [
     # session
     "NO_OP_SPAN", "TelemetrySession", "TelemetrySnapshot", "active_session",
     "maybe_span", "telemetry_session",
-    # budget monitoring
-    "BudgetMonitor", "BudgetUtilisation", "BudgetUtilisationReport",
-    "classified_counts",
     # manifests
     "MANIFEST_SCHEMA", "RunManifest", "build_manifest", "collect_versions",
     "git_sha",

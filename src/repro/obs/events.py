@@ -3,8 +3,8 @@
 A fleet campaign's *final* manifest proves what the run concluded; the
 QRN evidence argument (Sec. III / Eq. 1) also needs an auditable record
 of how it got there — chunks committed and restored, faults retried,
-pools rebuilt, checkpoints flushed, budget verdicts flipping as the CIs
-tightened.  This module is that record: a typed, append-only **event
+pools rebuilt, checkpoints flushed, budget verdicts changing as the
+evidence grew.  This module is that record: a typed, append-only **event
 journal** written as digest-chained JSONL through the :mod:`repro.io`
 boundary.
 
@@ -29,12 +29,11 @@ encounter.  Nothing here reads or advances an RNG stream (DESIGN §8):
 the golden pins run bit-for-bit with the recorder on and off.
 
 Replay.  :func:`replay_journal` folds a verified journal back into the
-campaign's counters and per-chunk classified counts; feeding those
-through a fresh :class:`~repro.obs.budget_monitor.BudgetMonitor`
-reproduces the run manifest's budget-utilisation table *exactly* —
-integer counts sum exactly and exposure parts pool through ``math.fsum``
-(order-independent correctly-rounded sums), the same discipline as
-:meth:`SimulationResult.merge_many`.
+campaign's counters and per-chunk classified counts; verifying those
+(:meth:`JournalReplay.budget_report`) reproduces the run manifest's
+budget table *exactly* — integer counts sum exactly and exposure parts
+pool through ``math.fsum`` (order-independent correctly-rounded sums),
+the same discipline as :meth:`SimulationResult.merge_many`.
 """
 
 from __future__ import annotations
@@ -691,26 +690,19 @@ class JournalReplay:
                 counts[type_id] = counts.get(type_id, 0) + int(count)  # type: ignore[arg-type]
         return counts
 
-    def budget_report(self, goals, *, confidence: float = 0.95):
-        """Rebuild the budget-utilisation table from chunk events alone.
+    def budget_report(self, goals):
+        """The verdict table over every chunk the journal holds.
 
-        Feeds each chunk's classified counts + exposure, in index order,
-        into a fresh :class:`~repro.obs.budget_monitor.BudgetMonitor`.
-        Counts sum exactly and the monitor fsum-pools exposure parts, so
-        the result is *bit-for-bit* the table a monitor fed the merged
-        campaign in one observation produces — the replay ≡ manifest
-        invariant the flight-recorder tests pin.
+        :func:`~repro.core.verification.verify_against_counts` of the
+        exactly summed type counts over the fsum-pooled hours: the call
+        a manifest makes on the merged campaign, so the replayed table
+        is *bit-for-bit* the manifest's (the replay ≡ manifest invariant
+        the flight-recorder tests pin).
         """
-        from .budget_monitor import BudgetMonitor  # lazy: avoid cycles
+        # Lazy: core.verification → stats → stats.parallel → repro.obs.
+        from ..core.verification import verify_against_counts
 
-        monitor = BudgetMonitor(goals, confidence=confidence)
-        for index in sorted(self.chunks):
-            data = self.chunks[index]
-            monitor.observe_counts(
-                {str(k): int(v)  # type: ignore[arg-type]
-                 for k, v in dict(data.get("type_counts", {})).items()},  # type: ignore[call-overload]
-                float(data["hours"]))  # type: ignore[arg-type]
-        return monitor.utilisation()
+        return verify_against_counts(goals, self.type_counts(), self.hours)
 
 
 def replay_journal(events: Union[str, Path, Sequence[EventRecord]],

@@ -5,8 +5,8 @@ writes next to its results: everything needed to (a) reproduce the run
 (seed, engine, policy, hours, mix, worker count, chunk plan, package
 versions, git SHA) and (b) audit what happened inside it (the aggregated
 span tree, the merged metrics snapshot, and — when a goal set is in
-scope — the per-incident-type / per-consequence-class budget-utilisation
-table with Poisson confidence intervals).
+scope — the per-incident-type / per-consequence-class budget table of
+:meth:`~repro.core.verification.VerificationReport.to_rows`).
 
 The manifest is a pure record: building one never perturbs the campaign
 (no RNG access, no mutation of the session it snapshots).  ``write`` /
@@ -184,8 +184,8 @@ def build_manifest(snapshot: TelemetrySnapshot, *, command: str,
     """Assemble a :class:`RunManifest` from a frozen telemetry snapshot.
 
     ``budget_report`` is an optional
-    :class:`~repro.obs.budget_monitor.BudgetUtilisationReport`; its rows
-    are embedded as plain dicts so the manifest stays self-contained.
+    :class:`~repro.core.verification.VerificationReport`; its rows are
+    embedded as plain dicts so the manifest stays self-contained.
     ``failure_log`` takes the plain-dict form of the campaign's recovered
     :class:`~repro.stats.fault_tolerance.ChunkFailure` entries (e.g.
     ``[f.to_dict() for f in failure_sink]``); pass ``None`` — not ``[]``
@@ -285,8 +285,8 @@ def _example_manifest() -> RunManifest:
                                           "min_s": 1.25, "max_s": 1.25}}},
         metrics={"sim.encounters": {"kind": "counter", "value": 123}},
         budget_utilisation=[{"budget_id": "I1", "kind": "incident_type",
-                             "observed": 2.0, "rate_lower": 0.0,
-                             "rate_upper": 1e-05}],
+                             "observed": 2.0, "rate_upper": 1e-05,
+                             "verdict": "inconclusive"}],
         summary={"incidents": 7},
         failure_log=[{"chunk_index": 2, "attempt": 1, "kind": "exception",
                       "message": "boom"}],

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional
+from typing import Dict, Iterable, Iterator, Mapping, Optional
 
 from .metrics import MetricsRegistry, MetricsSnapshot
 from .tracing import SpanNode, Tracer

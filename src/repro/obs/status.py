@@ -5,22 +5,27 @@ this module is the *live* face of the same recorder.  A
 :class:`FlightRecorder` owns one journal plus one atomically rewritten
 ``status.json`` — a small, self-contained snapshot of where the
 campaign stands *right now*: progress fractions, fsum-pooled exposure,
-per-budget utilisation with Poisson CIs (verdict included), throughput
-and ETA from :class:`~repro.obs.metrics.ThroughputMeter`, fault and
-quarantine counts, transport + bytes shipped.  ``repro watch PATH``
+the budget table of :func:`~repro.core.verification.verify_against_counts`
+(verdicts included), throughput and ETA from
+:class:`~repro.obs.metrics.ThroughputMeter`, fault and quarantine
+counts, transport + bytes shipped.  ``repro watch PATH``
 re-reads and re-renders that file on an interval, which is the whole
 point of writing it atomically: a reader can never observe a torn
 status, only the previous or the next complete one.  Every count in it
 is read from one :class:`~repro.obs.events.JournalReplay` that folds
 each entry the journal writes (seeded with the continued chain on
-resume), so the status is the journal's replay by construction.
+resume), so the status is the journal's replay by construction — its
+budget table included: :meth:`JournalReplay.budget_report
+<repro.obs.events.JournalReplay.budget_report>` verifies the summed
+chunk counts, and a ``budget.verdict`` event is journalled only where
+that verdict differs from the one the chain already holds.
 
-The recorder is pure observation.  It classifies chunk results through
-:func:`~repro.obs.budget_monitor.classified_counts` — the *same* code
-path the budget monitor uses — which is what makes the journal's
-per-chunk ``type_counts`` replay to the manifest's budget table exactly.
-Nothing here reads or advances an RNG stream, and a campaign without a
-recorder never touches this module (the ``journal_event`` guard lives in
+The recorder is pure observation.  It classifies each chunk through
+:func:`classified_counts`, the same classification a manifest's
+``type_counts`` makes, which is what makes the journal's per-chunk
+``type_counts`` replay to the manifest's budget table exactly.  Nothing
+here reads or advances an RNG stream, and a campaign without a recorder
+never touches this module (the ``journal_event`` guard lives in
 :mod:`repro.obs.events`).
 """
 
@@ -36,7 +41,6 @@ from typing import Callable, Dict, List, Optional, Union
 from ..errors import CorruptArtifactError
 from ..io.artifact import parse_artifact_text
 from ..io.atomic import atomic_write_text
-from .budget_monitor import BudgetMonitor, classified_counts
 from .events import (EventJournal, EventRecord, JournalReplay,
                      journal_event, read_journal, recording_journal,
                      replay_journal)
@@ -57,6 +61,18 @@ STATUS_FILENAME = "status.json"
 #: checkpoint commit is followed by its chunk's progress update.
 _OBSERVER_WRITES = ("chunk.failed", "chunk.retry", "chunk.quarantined",
                     "pool.rebuilt", "campaign.finished", "campaign.failed")
+
+
+def classified_counts(result, types) -> Dict[str, int]:
+    """Classify a ``SimulationResult`` into per-type incident counts.
+
+    Records matching no type are outside every budget and dropped (their
+    completeness story belongs to the MECE certificate).
+    """
+    from ..traffic.records import classify_block_counts  # lazy: avoid cycles
+
+    counts, _ = classify_block_counts(result.record_block, list(types))
+    return counts
 
 
 def format_bytes(n: int) -> str:
@@ -160,24 +176,24 @@ def render_status(doc: Dict[str, object]) -> str:
     budget = doc.get("budget")
     if isinstance(budget, list) and budget:
         rows = []
+        confidence = 0.95
         for row in budget:
             if not isinstance(row, dict):
                 continue
+            confidence = float(row.get("confidence", confidence))
             rows.append([
                 row.get("budget_id", "?"),
                 str(row.get("kind", "?")).replace("incident_type", "type")
                 .replace("consequence_class", "class"),
                 f"{float(row.get('observed', 0.0)):g}",
                 f"{float(row.get('utilisation', 0.0)):.2%}",
-                f"[{float(row.get('utilisation_lower', 0.0)):.2%}, "
-                f"{float(row.get('utilisation_upper', 0.0)):.2%}]",
+                f"{float(row.get('utilisation_upper', 0.0)):.2%}",
                 str(row.get("verdict", "?")),
             ])
-        confidence = num("confidence", 0.95)
         lines.append("")
         lines.append(render_table(
             ["budget", "kind", "observed", "utilisation",
-             f"{confidence:.0%} CI", "verdict"],
+             f"{confidence:.0%} UCB util.", "verdict"],
             rows, title="Budget utilisation (live)"))
     return "\n".join(lines)
 
@@ -187,7 +203,7 @@ class FlightRecorder:
 
     Construct with the recorder *directory* (journal and status live
     side by side in it), optionally the campaign's goal set + incident
-    types (without them the recorder still journals and tracks progress,
+    types (without both the recorder still journals and tracks progress,
     it just cannot produce a budget table), and ``resume=True`` to
     continue an existing journal's chain — the same same-path
     discipline as ``--checkpoint``/``--resume``.  ``status_interval_s``
@@ -200,15 +216,14 @@ class FlightRecorder:
             run_fleet(..., progress=rec.on_progress)
 
     Entering installs the journal process-wide (so the fleet runner,
-    retry layer, checkpoint writer, budget monitor and accelerator
-    emit into it via :func:`~repro.obs.events.journal_event`); exiting
+    retry layer, checkpoint writer, recorder and accelerator emit into
+    it via :func:`~repro.obs.events.journal_event`); exiting
     restores the previous journal, finalises the status state
     (``finished`` / ``interrupted`` / ``failed``) and closes the file.
     """
 
     def __init__(self, directory: Union[str, Path], *, goals=None,
-                 types=None, confidence: float = 0.95,
-                 resume: bool = False,
+                 types=None, resume: bool = False,
                  status_interval_s: float = 0.25,
                  clock: Callable[[], float] = time.monotonic):
         self._dir = Path(directory)
@@ -227,10 +242,8 @@ class FlightRecorder:
             self._journal = EventJournal.open(journal_path)
         self._status_path = self._dir / STATUS_FILENAME
         self._types = None if types is None else list(types)
-        self._monitor: Optional[BudgetMonitor] = None
-        if goals is not None:
-            self._monitor = BudgetMonitor(goals, confidence=confidence)
-        self._confidence = confidence
+        # Chunks carry type counts only when the types are known.
+        self._goals = None if types is None else goals
         self._meter = ThroughputMeter(clock)
         self._clock = clock
         self._status_interval_s = float(status_interval_s)
@@ -299,10 +312,9 @@ class FlightRecorder:
         """Fold one :class:`~repro.traffic.fleet.FleetProgress` update in.
 
         Emits ``chunk.committed`` (with the chunk's classified
-        ``type_counts`` when incident types are known), feeds the budget
-        monitor, and lets :meth:`BudgetMonitor.utilisation` journal any
-        verdict transitions.  Safe to compose with a user progress
-        callback — it only reads the update.
+        ``type_counts`` when incident types are known); the status write
+        it triggers journals any verdict change.  Safe to compose with a
+        user progress callback — it only reads the update.
         """
         self._bytes_shipped = update.bytes_shipped
         self._record_chunk("chunk.committed", update.chunk_index,
@@ -346,8 +358,6 @@ class FlightRecorder:
             counts = classified_counts(result, self._types)
             data["type_counts"] = {k: int(v) for k, v in sorted(
                 counts.items())}
-            if self._monitor is not None:
-                self._monitor.observe_counts(counts, result.hours)
         journal_event(kind, **data)
         self._write_status()
 
@@ -392,7 +402,6 @@ class FlightRecorder:
             "bytes_shipped": self._bytes_shipped,
             "rate_hours_per_s": rate,
             "eta_s": None if not math.isfinite(eta) else eta,
-            "confidence": self._confidence,
             "event_seq": self._journal.seq,
             "journal_head": self._journal.head,
             "budget": self._last_budget_rows,
@@ -410,14 +419,21 @@ class FlightRecorder:
                 and now - self._last_status_write < self._status_interval_s:
             return
         self._last_status_write = now
-        if self._monitor is not None and self._monitor.exposure > 0:
-            # Re-evaluating utilisation here (not per chunk) rides the
-            # same throttle; it journals any budget-verdict transitions
-            # as a side effect, so verdict evolution lands in the
-            # journal at status cadence — and always once more at the
-            # forced terminal write.
-            report = self._monitor.utilisation()
-            self._last_budget_rows = report.to_rows()
+        if self._goals is not None and self._replay.chunks:
+            # Verifying here (not per chunk) rides the same throttle, so
+            # verdict changes land in the journal at status cadence — and
+            # always once more at the forced terminal write.
+            rows = self._replay.budget_report(self._goals).to_rows()
+            for row in rows:
+                previous = self._replay.verdicts.get(row["budget_id"])
+                if row["verdict"] != previous:
+                    journal_event(
+                        "budget.verdict", budget_id=row["budget_id"],
+                        kind=row["kind"], verdict=row["verdict"],
+                        previous=previous, utilisation=row["utilisation"],
+                        utilisation_upper=row["utilisation_upper"],
+                        exposure=row["exposure"])
+            self._last_budget_rows = rows
         atomic_write_text(
             self._status_path,
             json.dumps(self.status_document(), indent=2, sort_keys=True)

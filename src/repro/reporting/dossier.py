@@ -10,7 +10,8 @@ confirmation review would read:
 4. the safety goals in the paper's SG format;
 5. the completeness & consistency argument;
 6. (when verification data exists) the statistical verdicts and the
-   rolled-up claim/argument/evidence tree.
+   rolled-up claim/argument/evidence tree;
+7. (when the campaign ran with telemetry) its counters and span tree.
 
 Everything comes from live objects, so the dossier can never drift from
 the artefacts it documents.
@@ -37,18 +38,17 @@ def _section(title: str) -> List[str]:
 def build_dossier(goals: SafetyGoalSet,
                   report: Optional[VerificationReport] = None,
                   *, title: Optional[str] = None,
-                  telemetry=None, budget_utilisation=None) -> str:
+                  telemetry=None) -> str:
     """Render the full dossier for one goal set (+ optional verification).
 
     A design-time dossier (no ``report``) states explicitly that
     statistical verification is outstanding — silence is not evidence.
 
     ``telemetry`` optionally attaches a
-    :class:`~repro.obs.session.TelemetrySnapshot` and
-    ``budget_utilisation`` a
-    :class:`~repro.obs.budget_monitor.BudgetUtilisationReport`; both are
-    rendered as a "Runtime telemetry" section so the dossier documents
-    *how* the evidence campaign ran, not only its verdicts.
+    :class:`~repro.obs.session.TelemetrySnapshot`, rendered as a
+    "Runtime telemetry" section so the dossier documents *how* the
+    evidence campaign ran, not only its verdicts; the verdicts are
+    section 6's alone.
     """
     norm = goals.norm
     lines: List[str] = [
@@ -110,22 +110,18 @@ def build_dossier(goals: SafetyGoalSet,
                    else "NOT (YET) SUPPORTED")
         lines.append(f"Top claim: {verdict}.")
 
-    if telemetry is not None or budget_utilisation is not None:
+    if telemetry is not None:
         lines += _section("7. Runtime telemetry")
-        if budget_utilisation is not None:
-            lines.append(budget_utilisation.render())
+        counters = telemetry.metrics.counters()
+        if counters:
+            lines.append("Campaign counters:")
+            for name, value in sorted(counters.items()):
+                lines.append(f"  {name}: {value:g}")
             lines.append("")
-        if telemetry is not None:
-            counters = telemetry.metrics.counters()
-            if counters:
-                lines.append("Campaign counters:")
-                for name, value in sorted(counters.items()):
-                    lines.append(f"  {name}: {value:g}")
-                lines.append("")
-            span_text = telemetry.spans.render()
-            if span_text:
-                lines.append("Span tree (wall clock, observability only):")
-                lines.append(span_text)
+        span_text = telemetry.spans.render()
+        if span_text:
+            lines.append("Span tree (wall clock, observability only):")
+            lines.append(span_text)
 
     lines.append("")
     lines.append(_RULE)

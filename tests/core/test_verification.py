@@ -42,8 +42,9 @@ class TestGoalVerdicts:
             verify_against_counts(goals, {"IX": 1}, exposure=1e4)
 
     def test_invalid_exposure_rejected(self, goals):
-        with pytest.raises(ValueError):
-            verify_against_counts(goals, {}, exposure=0.0)
+        for exposure in (0.0, -1.0, math.inf, math.nan):
+            with pytest.raises(ValueError):
+                verify_against_counts(goals, {}, exposure=exposure)
 
     def test_margin_decades(self, goals):
         report = verify_against_counts(goals, {}, exposure=1e9)
@@ -129,6 +130,34 @@ class TestReport:
             if previous is not None:
                 assert worst >= previous
             previous = worst
+
+
+class TestRows:
+    def test_rows_at_the_demonstration_edge(self, norm, fig5_types):
+        """The 40 000 h, seed 2020 fleet campaign's counts against the
+        sim-scale goals: SG-I3's 83 events put its one-sided 95 % bound
+        at 99.6 % of the 0.0025 /h budget, so the row is demonstrated."""
+        from repro.core.allocation import allocate_lp
+        scaled = norm.tightened(1e4, name="sim-scale QRN")
+        goals = derive_safety_goals(
+            allocate_lp(scaled, fig5_types, objective="max-min"))
+        report = verify_against_counts(
+            goals, {"I1": 1398, "I2": 8, "I3": 83}, 40000.0)
+        rows = report.to_rows()
+        assert [row["budget_id"] for row in rows] == \
+            [*goals.allocation.type_ids, *goals.norm.class_ids]
+        i3 = rows[goals.allocation.type_ids.index("I3")]
+        assert (i3["kind"], i3["observed"], i3["exposure"]) == \
+            ("incident_type", 83.0, 40000.0)
+        assert i3["budget_rate"] == pytest.approx(0.0025)
+        assert i3["rate"] == 83 / 40000.0
+        assert i3["rate_upper"] == report.goal("SG-I3").upper_bound
+        assert i3["utilisation"] == pytest.approx(0.83)
+        assert i3["utilisation_upper"] == pytest.approx(0.9962, abs=5e-5)
+        assert (i3["confidence"], i3["verdict"]) == (0.95, "demonstrated")
+        vs3 = rows[-1]
+        assert (vs3["kind"], vs3["budget_id"], vs3["verdict"]) == \
+            ("consequence_class", "vS3", "demonstrated")
 
 
 class TestSupportableTightening:

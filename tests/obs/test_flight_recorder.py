@@ -4,16 +4,17 @@ Four contracts are pinned here:
 
 1. **Replay ≡ manifest** — folding a verified journal back through
    :func:`~repro.obs.replay_journal` reconstructs the campaign's
-   counters and its budget-utilisation table *bit-for-bit*, for a clean
-   run and across a kill-and-resume at any worker count.
+   counters and its budget table (``verify``'s report on the summed
+   counts) *bit-for-bit*, for a clean run and across a kill-and-resume
+   at any worker count.
 2. **Pure observation** — the merged campaign result is bitwise
    identical with the recorder on and off (the golden-stats contract
    extends to the recorder).
 3. **Crash consistency** — a campaign killed mid-flight leaves a valid
    (shorter) chain, and the resumed journal still verifies end to end.
-4. **Status ≡ replay** — every count in ``status.json`` equals the same
-   count folded from the journal file, on a fresh campaign at any
-   worker count and across a kill-and-resume.
+4. **Status ≡ replay** — every count in ``status.json``, and its budget
+   table, equals the same fold of the journal file, on a fresh campaign
+   at any worker count and across a kill-and-resume.
 """
 
 from __future__ import annotations
@@ -21,18 +22,20 @@ from __future__ import annotations
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core import (allocate_lp, derive_safety_goals, example_norm,
                         figure4_taxonomy, figure5_incident_types)
-from repro.obs import (BudgetMonitor, FlightRecorder, read_journal,
+from repro.core.verification import verify_against_counts
+from repro.obs import (EventRecord, FlightRecorder, read_journal,
                        read_status, replay_journal)
-from repro.obs.budget_monitor import classified_counts
+from repro.obs.status import classified_counts
 from repro.stats import RetryPolicy
 from repro.testing.chaos import ChaosScript, ChaosWorker
 from repro.traffic import (BrakingSystem, CampaignCheckpoint,
                            EncounterGenerator, cautious_policy,
                            default_context_profiles, default_perception,
-                           run_fleet)
+                           run_fleet, type_counts)
 
 MIX = {"urban": 0.5, "suburban": 0.2, "rural": 0.2, "highway": 0.1}
 HOURS = 500.0
@@ -74,9 +77,8 @@ def _recorded_run(world, tmp_path, seed, goal_set, *, workers=2, **kwargs):
 def _manifest_rows(result, goal_set):
     """The budget table a manifest build computes from the merged result."""
     goals, types = goal_set
-    monitor = BudgetMonitor(goals)
-    monitor.observe_result(result, types)
-    return monitor.utilisation().to_rows()
+    counts, _ = type_counts(result, types)
+    return verify_against_counts(goals, counts, result.hours).to_rows()
 
 
 class TestReplayEqualsManifest:
@@ -101,6 +103,36 @@ class TestReplayEqualsManifest:
         replayed = replay_journal(recorder.journal_path)
         assert replayed.budget_report(goal_set[0]).to_rows() == \
             _manifest_rows(result, goal_set)
+
+    @settings(deadline=None, max_examples=60)
+    @given(data=st.data())
+    def test_replay_verifies_the_summed_counts(self, goal_set, data):
+        """One verdict rule: the replayed table is ``verify``'s report on
+        the summed counts, whatever the counts, hours and commit order."""
+        goals, _ = goal_set
+        type_ids = list(goals.allocation.type_ids)
+        chunks = data.draw(st.lists(st.tuples(
+            st.floats(min_value=1e-3, max_value=1e5),
+            st.dictionaries(st.sampled_from(type_ids),
+                            st.integers(min_value=0, max_value=500))),
+            min_size=1, max_size=8))
+        order = data.draw(st.permutations(range(len(chunks))))
+        records = [EventRecord(
+            seq=seq, ts_utc="2026-01-01T00:00:00+00:00",
+            kind="chunk.committed",
+            data={"chunk_index": index, "hours": chunks[index][0],
+                  "type_counts": chunks[index][1]})
+            for seq, index in enumerate(order)]
+        summed = {type_id: sum(counts.get(type_id, 0)
+                               for _, counts in chunks)
+                  for type_id in type_ids}
+        report = verify_against_counts(
+            goals, summed, math.fsum(hours for hours, _ in chunks))
+        rows = replay_journal(records).budget_report(goals).to_rows()
+        assert rows == report.to_rows()
+        assert [(row["budget_id"], row["verdict"]) for row in rows] == \
+            [(g.type_id, g.verdict.value) for g in report.goal_verdicts] \
+            + [(c.class_id, c.verdict.value) for c in report.class_verdicts]
 
     def test_campaign_lifecycle_events(self, world, tmp_path, goal_set):
         _, recorder = _recorded_run(world, tmp_path, 2020, goal_set)
@@ -185,6 +217,37 @@ class TestKillAndResume:
         assert replay.encounters_resolved == resumed.encounters_resolved
         assert replay.budget_report(goals).to_rows() == \
             _manifest_rows(uninterrupted, goal_set)
+
+    def test_resume_journals_no_verdict_the_chain_holds(self, world,
+                                                        tmp_path, goal_set):
+        """Every ``budget.verdict`` entry changes the verdict the chain
+        before it holds: a resumed recorder continues the chain's
+        verdicts instead of journalling them all again."""
+        goals, types = goal_set
+        flight = tmp_path / "flight"
+        checkpoint = tmp_path / "campaign.ck.json"
+        with pytest.raises(KeyboardInterrupt):
+            with FlightRecorder(flight, goals=goals, types=types) as rec:
+                _run(world, 2020, checkpoint=checkpoint,
+                     progress=self._KillAfter(rec, 2))
+        with FlightRecorder(flight, goals=goals, types=types,
+                            resume=True) as rec:
+            rec.observe_restored_checkpoint(
+                CampaignCheckpoint.load(checkpoint))
+            _run(world, 2020, checkpoint=checkpoint, resume=True,
+                 progress=rec.on_progress)
+        records, _ = read_journal(flight / "journal.jsonl")
+        held = {}
+        for record in records:
+            if record.kind != "budget.verdict":
+                continue
+            budget_id = record.data["budget_id"]
+            assert record.data["previous"] == held.get(budget_id)
+            assert record.data["verdict"] != held.get(budget_id)
+            held[budget_id] = record.data["verdict"]
+        final = replay_journal(records).budget_report(goals).to_rows()
+        assert held == {row["budget_id"]: row["verdict"] for row in final}
+        assert read_status(flight / "status.json")["budget"] == final
 
     def test_restored_chunks_cover_the_journal_gap(self, world, tmp_path,
                                                    goal_set):
@@ -293,6 +356,9 @@ class TestStatusIsTheReplay:
         assert replayed["chunks_total"] == replayed["chunks_done"] \
             == replayed["checkpoint_commits"] == N_CHUNKS
         assert _status_counts(flight, replayed) == replayed
+        assert read_status(flight / "status.json")["budget"] == \
+            replay_journal(recorder.journal_path).budget_report(
+                goal_set[0]).to_rows()
 
     def test_resumed_status_counts_the_whole_journal(self, world, tmp_path,
                                                      goal_set):

@@ -7,9 +7,10 @@ import json
 import pytest
 
 from repro.core import derive_safety_goals
-from repro.obs import (MANIFEST_SCHEMA, BudgetMonitor, RunManifest,
-                       build_manifest, collect_versions, git_sha,
-                       maybe_span, telemetry_session)
+from repro.core.verification import verify_against_counts
+from repro.obs import (MANIFEST_SCHEMA, RunManifest, build_manifest,
+                       collect_versions, git_sha, maybe_span,
+                       telemetry_session)
 
 
 @pytest.fixture
@@ -43,17 +44,16 @@ class TestBuildManifest:
 
     def test_budget_report_embedded(self, snapshot, allocation):
         goals = derive_safety_goals(allocation)
-        monitor = BudgetMonitor(goals)
-        monitor.observe_counts({"I1": 2}, 400.0)
+        report = verify_against_counts(goals, {"I1": 2}, 400.0)
         manifest = build_manifest(snapshot, command="repro fleet",
-                                  budget_report=monitor.utilisation())
+                                  budget_report=report)
         rows = manifest.budget_utilisation
-        assert rows is not None
+        assert rows == report.to_rows()
         kinds = {row["kind"] for row in rows}
         assert kinds == {"incident_type", "consequence_class"}
         by_id = {row["budget_id"]: row for row in rows}
         assert by_id["I1"]["observed"] == 2.0
-        assert 0.0 <= by_id["I1"]["rate_lower"] <= by_id["I1"]["rate_upper"]
+        assert 0.0 < by_id["I1"]["rate"] <= by_id["I1"]["rate_upper"]
 
     def test_versions_and_git_sha_are_strings(self):
         versions = collect_versions()

@@ -221,7 +221,7 @@ class TestFleetTelemetry:
                      "--telemetry", str(path)]) == 0
         out = capsys.readouterr().out
         assert "telemetry manifest written to" in out
-        assert "Incident-type budget utilisation (f_I)" in out
+        assert "Verification over 120 exposure units" in out
         manifest = RunManifest.read(path)
         assert manifest.seed == 3
         assert manifest.engine == "vectorized"
@@ -234,6 +234,13 @@ class TestFleetTelemetry:
                                                  "consequence_class"}
         assert all("rate_upper" in row and "confidence" in row
                    for row in rows)
+        # The manifest's table is verify's report on the summary counts.
+        from repro.cli import _scaled_goals
+        from repro.core.verification import verify_against_counts
+        goals, _ = _scaled_goals(1e4)
+        assert rows == verify_against_counts(
+            goals, manifest.summary["type_counts"],
+            manifest.summary["hours"]).to_rows()
 
     def test_telemetry_does_not_change_the_campaign(self, tmp_path, capsys):
         """--telemetry must be pure observation: the campaign summary is
@@ -289,7 +296,7 @@ class TestDossierTelemetry:
         capsys.readouterr()
         text = out.read_text()
         assert "7. Runtime telemetry" in text
-        assert "Incident-type budget utilisation (f_I)" in text
+        assert text.count("Verification over") == 1
         assert "Campaign counters:" in text
         assert "Span tree" in text
         manifest = RunManifest.read(manifest_path)
