@@ -152,20 +152,22 @@ def build_parser() -> argparse.ArgumentParser:
                             "(multilevel splitting on the near-miss "
                             "severity ladder), or 'none' (default: the "
                             "standard fleet campaign)")
-    fleet.add_argument("--accel-replications", type=int, default=64,
+    # The six importance-sampling flags default to None so a flag given
+    # without --accelerator is can be refused; _IS_FLAGS holds defaults.
+    fleet.add_argument("--accel-replications", type=int, default=None,
                        help="replications per context stratum for the "
                             "accelerated estimators (default 64)")
-    fleet.add_argument("--accel-hours", type=float, default=10.0,
+    fleet.add_argument("--accel-hours", type=float, default=None,
                        help="simulated hours per replication for the "
                             "accelerated estimators (default 10)")
-    fleet.add_argument("--tilt-rate", type=float, default=1.0,
+    fleet.add_argument("--tilt-rate", type=float, default=None,
                        help="IS proposal: encounter-rate multiplier")
-    fleet.add_argument("--tilt-sight", type=float, default=1.0,
+    fleet.add_argument("--tilt-sight", type=float, default=None,
                        help="IS proposal: sight-distance scale (<1 makes "
                             "occluded conflicts common)")
-    fleet.add_argument("--tilt-speed", type=float, default=0.0,
+    fleet.add_argument("--tilt-speed", type=float, default=None,
                        help="IS proposal: counterpart-speed shift in km/h")
-    fleet.add_argument("--tilt-degradation", type=float, default=1.0,
+    fleet.add_argument("--tilt-degradation", type=float, default=None,
                        help="IS proposal: braking-fault occupancy "
                             "multiplier")
     _add_parallel_flags(fleet)
@@ -624,6 +626,18 @@ def _cmd_dossier(args: argparse.Namespace) -> int:
     return 0
 
 
+#: ``fleet`` flags only importance sampling reads: attribute -> (flag,
+#: default).  Any of them without ``--accelerator is`` is a usage error.
+_IS_FLAGS = {
+    "accel_replications": ("--accel-replications", 64),
+    "accel_hours": ("--accel-hours", 10.0),
+    "tilt_rate": ("--tilt-rate", 1.0),
+    "tilt_sight": ("--tilt-sight", 1.0),
+    "tilt_speed": ("--tilt-speed", 0.0),
+    "tilt_degradation": ("--tilt-degradation", 1.0),
+}
+
+
 def _cmd_accelerated(args: argparse.Namespace, policy) -> int:
     """The ``repro fleet --accelerator is|splitting`` branch.
 
@@ -638,6 +652,9 @@ def _cmd_accelerated(args: argparse.Namespace, policy) -> int:
                                ProposalTilt, accelerated_collision_rate,
                                default_context_profiles, default_perception)
 
+    for attribute, (_, default) in _IS_FLAGS.items():
+        if getattr(args, attribute) is None:
+            setattr(args, attribute, default)
     try:
         tilt = ProposalTilt(rate_scale=args.tilt_rate,
                             sight_scale=args.tilt_sight,
@@ -664,8 +681,10 @@ def _cmd_accelerated(args: argparse.Namespace, policy) -> int:
           f"policy {policy.name!r}, seed {args.seed}")
     print(f"  collision rate:  {result.mean:.4e} /h "
           f"(se {result.std_error:.2e}, {result.replications} replications)")
+    # A rate is >= 0, so clipping the normal interval there loses no
+    # coverage.
     lo, hi = result.ci()
-    print(f"  95% CI:          [{lo:.4e}, {hi:.4e}]")
+    print(f"  95% CI:          [{max(0.0, lo):.4e}, {hi:.4e}]")
     for stratum in rate.estimate.strata:
         print(f"  {stratum.context}: {stratum.result.mean:.4e} /h "
               f"(se {stratum.result.std_error:.2e}, "
@@ -688,6 +707,12 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
 
     policy = policy_by_name(args.policy)
 
+    ignored = [flag for attribute, (flag, _) in _IS_FLAGS.items()
+               if getattr(args, attribute) is not None]
+    if ignored and args.accelerator != "is":
+        print(f"error: only --accelerator is reads {', '.join(ignored)}",
+              file=sys.stderr)
+        return 2
     if args.accelerator != "none":
         return _cmd_accelerated(args, policy)
 

@@ -43,7 +43,7 @@ from ..stats.montecarlo import MonteCarloResult
 from ..stats.rare_event import (StratifiedEstimate, StratumEstimate,
                                 stratified_rate)
 from ..stats.splitting import adaptive_levels, replicated_splitting
-from .dynamics import kmh_to_ms, required_deceleration
+from .dynamics import kmh_to_ms, required_deceleration_array
 from .encounters import (SIGHT_DISTANCE_CLAMP_M, EncounterGenerator,
                          ProposalTilt, _lognormal_params)
 from .engine import CROSSING_CLASSES, simulate_importance, simulate_vectorized
@@ -207,6 +207,10 @@ def importance_collision_rate(policy: TacticalPolicy,
 _NORMAL_COORDS = (0, 1, 5)
 _UNIFORM_COORDS = (2, 3, 4)
 _STATE_DIM = 6
+#: Kernel constants: Crank–Nicolson ρ, and the mod-1 walk's step.
+_CN_RHO = 0.8
+_CN_SCALE = math.sqrt(1.0 - _CN_RHO ** 2)
+_UNIFORM_STEP = 0.12
 
 
 @dataclass(frozen=True)
@@ -228,7 +232,8 @@ class SeverityChannel:
     gives the splitting mutation kernels exact invariance: standard
     normals move under Crank–Nicolson, uniforms under mod-1 random
     walks, and every discrete branch (cue, fault, missed detection)
-    re-derives from its uniform.
+    re-derives from its uniform.  :meth:`score` and :meth:`mutate` take
+    states stacked on axis 0 (or one state) and treat rows independently.
     """
 
     context: str
@@ -249,62 +254,57 @@ class SeverityChannel:
         state[list(_UNIFORM_COORDS)] = rng.uniform(size=len(_UNIFORM_COORDS))
         return state
 
-    def mutate(self, state: np.ndarray, rng: np.random.Generator,
-               *, cn_rho: float = 0.8,
-               uniform_step: float = 0.12) -> np.ndarray:
-        """One invariant MCMC move on the latent state.
+    def mutate(self, states: np.ndarray, noise: np.ndarray) -> np.ndarray:
+        """One invariant MCMC move of every state, driven by ``noise``.
 
         Normal coordinates take a Crank–Nicolson step ``z' = ρz +
         √(1−ρ²)ξ`` (exactly N(0,1)-invariant); uniform coordinates a
         mod-1 Gaussian random walk (circular convolution preserves
         U(0,1)).  Both kernels are reversible, so the splitting harness's
         reject-below-level wrapper leaves each conditional law invariant.
+        ``noise`` holds standard normals of the states' shape; its
+        columns feed coordinates 0, 1, 5, then 2, 3, 4.
         """
-        out = state.copy()
-        scale = math.sqrt(1.0 - cn_rho ** 2)
-        for i in _NORMAL_COORDS:
-            out[i] = cn_rho * state[i] + scale * rng.standard_normal()
-        for i in _UNIFORM_COORDS:
-            out[i] = (state[i] + uniform_step * rng.standard_normal()) % 1.0
+        out = np.empty_like(states)
+        out[..., _NORMAL_COORDS] = (_CN_RHO * states[..., _NORMAL_COORDS]
+                                    + _CN_SCALE * noise[..., :3])
+        out[..., _UNIFORM_COORDS] = (states[..., _UNIFORM_COORDS]
+                                     + _UNIFORM_STEP * noise[..., 3:]) % 1.0
         return out
 
-    def score(self, state: np.ndarray) -> float:
+    def score(self, states: np.ndarray) -> np.ndarray:
         """Margin-to-collision severity: demanded / available deceleration.
 
         0 when the conflict dissolves (non-positive closing speed);
         ``inf`` when the reaction roll-out alone consumes the detection
         distance.  Strictly above :data:`COLLISION_LEVEL` iff the scalar
-        oracle would record a collision for the same draws.
+        oracle would record a collision for the same draws (``np.exp``
+        and squares may round an ulp off :mod:`math`'s scalar values).
         """
-        z_sight, z_speed, u_cue, u_cap, u_miss, z_frac = state
-        sight = max(math.exp(self.sight_mu + self.sight_sigma * z_sight),
-                    SIGHT_DISTANCE_CLAMP_M)
-        speed_kmh = max(self.speed_mean_kmh + self.speed_std_kmh * z_speed,
-                        0.0)
-        cued = u_cue < self.policy.cue_probability
-        degraded = u_cap < self.braking.degradation_occupancy
-        actual = self.braking.degraded_ms2 if degraded \
-            else self.braking.nominal_ms2
-        known = self.braking.known_capability(actual)
-        ego = self.policy.encounter_speed_ms(
-            self.context, cued, sight, known, self.braking.nominal_ms2)
+        z_sight, z_speed, u_cue, u_cap, u_miss, z_frac = states.T
+        policy, perception, braking = \
+            self.policy, self.perception, self.braking
+        sight = np.maximum(np.exp(self.sight_mu + self.sight_sigma * z_sight),
+                           SIGHT_DISTANCE_CLAMP_M)
+        actual = braking.capability_array(
+            u_cap < braking.degradation_occupancy)
+        ego = policy.encounter_speed_ms_array(
+            policy.target_speed_ms(self.context),
+            u_cue < policy.cue_probability, sight,
+            braking.known_capability_array(actual), braking.nominal_ms2)
         if self.counterpart in CROSSING_CLASSES:
             closing = ego
         else:
-            closing = max(ego - kmh_to_ms(speed_kmh), 0.0)
-        if closing <= 0.0:
-            return 0.0
-        factor = self.perception.context_factors.get(self.context, 1.0)
-        if u_miss < self.perception.miss_probability:
-            fraction = self.perception.late_fraction * factor
-        else:
-            fraction = self.perception.nominal_fraction * factor \
-                + self.perception.fraction_std * z_frac
-        fraction = min(max(fraction, 0.01), 1.0)
-        detection = sight * fraction
-        demanded = required_deceleration(closing, detection,
-                                         self.policy.reaction_time_s)
-        return demanded / actual
+            speed_kmh = np.maximum(
+                self.speed_mean_kmh + self.speed_std_kmh * z_speed, 0.0)
+            closing = np.maximum(ego - kmh_to_ms(speed_kmh), 0.0)
+        factor = perception.context_factor(self.context)
+        detection = perception.detection_distance_array(
+            sight, factor, u_miss < perception.miss_probability,
+            perception.nominal_fraction * factor
+            + perception.fraction_std * z_frac)
+        return required_deceleration_array(
+            closing, detection, policy.reaction_time_s) / actual
 
 
 def severity_channels(policy: TacticalPolicy,
@@ -390,16 +390,15 @@ def splitting_collision_rate(policy: TacticalPolicy,
             ladder_seed = _channel_seed(children[cursor])
             run_seed = _channel_seed(children[cursor + 1])
             cursor += 2
+            callbacks = (channel.initial, channel.score, channel.mutate)
             levels = adaptive_levels(
-                channel.initial, channel.score, channel.mutate,
-                seed=ladder_seed, final_level=COLLISION_LEVEL,
+                *callbacks, seed=ladder_seed, final_level=COLLISION_LEVEL,
                 particles=particles, level_fraction=level_fraction,
                 max_levels=max_levels,
                 mutations_per_level=mutations_per_level)
             result = replicated_splitting(
-                channel.initial, channel.score, channel.mutate, levels,
-                seed=run_seed, runs=runs, particles=particles,
-                mutations_per_level=mutations_per_level)
+                *callbacks, levels, seed=run_seed, runs=runs,
+                particles=particles, mutations_per_level=mutations_per_level)
             rate_mean += channel.rate_per_hour * result.mean
             rate_var += (channel.rate_per_hour * result.std_error) ** 2
             replications = max(replications, result.replications)

@@ -790,7 +790,7 @@ class TestFleetAccelerated:
 
     def test_splitting_branch(self, tmp_path, capsys):
         path = tmp_path / "rate.json"
-        assert main(["fleet", "--accelerator", "splitting", "--seed", "3",
+        assert main(["fleet", "--accelerator", "splitting", "--seed", "7",
                      "--json", str(path)]) == 0
         out = capsys.readouterr().out
         assert "method 'splitting'" in out
@@ -799,6 +799,21 @@ class TestFleetAccelerated:
         payload = json.loads(path.read_text())
         assert payload["method"] == "splitting"
         assert "weight_diagnostics" not in payload
+        # At this seed mean - 1.96 se is negative; a rate's printed
+        # interval stops at zero.
+        assert payload["mean_per_hour"] - 1.96 * payload["std_error"] < 0
+        assert "95% CI:          [0.0000e+00, " in out
+
+    @pytest.mark.parametrize("argv", [
+        ["--accelerator", "splitting", "--accel-replications", "1"],
+        ["--tilt-rate", "3"],
+    ])
+    def test_is_flags_without_is_exit_2(self, argv, capsys):
+        assert main(["fleet", "--hours", "10", "--workers", "1",
+                     *argv]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert argv[-2] in err[0] and "--accelerator is" in err[0]
 
     def test_identity_tilt_flags_accepted(self, capsys):
         # --accelerator is with all-default tilt flags is the identity

@@ -255,6 +255,7 @@ class TestSeverityChannel:
                                      "urban")
         collisions_seen = 0
         for channel in channels:
+            states, oracle = [], []
             for _ in range(400):
                 state = channel.initial(rng)
                 # Bias toward danger: pull sight short, detection late.
@@ -270,6 +271,11 @@ class TestSeverityChannel:
                     f"{channel.counterpart}: score {score} vs oracle " \
                     f"{oracle_collision}"
                 collisions_seen += oracle_collision
+                states.append(state)
+                oracle.append(oracle_collision)
+            # The same states scored as one stacked population.
+            stacked = channel.score(np.array(states))
+            assert (stacked > 1.0).tolist() == oracle, channel.counterpart
         assert collisions_seen > 0  # the bias must exercise both branches
 
     def test_crossing_classes_ignore_counterpart_speed(self, world, policy,
@@ -291,13 +297,34 @@ class TestSeverityChannel:
         rng = np.random.default_rng(5)
         state = channel.initial(rng)
         for _ in range(50):
-            state = channel.mutate(state, rng)
+            state = channel.mutate(state, rng.standard_normal(6))
             assert np.all(np.isfinite(state))
             for i in (2, 3, 4):
                 assert 0.0 <= state[i] < 1.0
-        a = channel.mutate(state, np.random.default_rng(8))
-        b = channel.mutate(state, np.random.default_rng(8))
+        a = channel.mutate(state, np.random.default_rng(8).standard_normal(6))
+        b = channel.mutate(state, np.random.default_rng(8).standard_normal(6))
         assert np.array_equal(a, b)
+
+    def test_mutate_reads_noise_in_draw_order(self, world, policy,
+                                              perception, braking):
+        # Noise column k drives the k-th coordinate in the order a
+        # particle's draws were made: 0, 1, 5 (Crank-Nicolson, rho 0.8),
+        # then 2, 3, 4 (mod-1 walk, step 0.12).
+        channel = severity_channels(policy, world, perception, braking,
+                                    "urban")[0]
+        rng = np.random.default_rng(3)
+        states = np.array([channel.initial(rng) for _ in range(16)])
+        noise = rng.standard_normal(states.shape)
+        moved = channel.mutate(states, noise)
+        for column, coord in enumerate((0, 1, 5)):
+            assert np.array_equal(moved[:, coord],
+                                  0.8 * states[:, coord]
+                                  + math.sqrt(1.0 - 0.8 ** 2)
+                                  * noise[:, column])
+        for column, coord in enumerate((2, 3, 4), start=3):
+            assert np.array_equal(moved[:, coord],
+                                  (states[:, coord] + 0.12 * noise[:, column])
+                                  % 1.0)
 
     def test_never_closing_scores_zero(self, world, policy, perception,
                                        braking):
