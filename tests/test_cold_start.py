@@ -13,6 +13,8 @@ rules that keep it small:
   no scipy at all, and ``verify``, ``dossier`` and ``fleet --telemetry``
   load ``scipy.special`` but neither ``scipy.stats`` nor
   ``scipy.optimize``;
+* ``import repro.core`` / ``repro.traffic`` / ``repro.cli`` load no
+  ``numpy.random``;
 * writing a goal set loads no ``repro.testing`` module: the filesystem
   fault hook of the atomic write lives in ``repro.io``;
 * a pooled fleet starts one ``resource_tracker`` interpreter, shared by
@@ -116,6 +118,15 @@ def test_no_scipy_optimize_imports_under_src():
 def test_package_import_loads_no_scipy(module):
     _, loaded = _fresh(imports=f"import {module}")
     assert not loaded
+
+
+@pytest.mark.parametrize("module", ["repro.core", "repro.traffic",
+                                    "repro.cli"])
+def test_package_import_loads_no_numpy_random(module):
+    # numpy loads numpy.random on the first np.random attribute access,
+    # so one evaluated at module level would load it on every start.
+    _, modules = _fresh_modules(imports=f"import {module}")
+    assert "numpy.random" not in modules
 
 
 @pytest.fixture(scope="module")
