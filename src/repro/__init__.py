@@ -24,9 +24,9 @@ automated driving systems, plus every substrate it presumes:
   figures, shared by benchmarks and examples.
 * :mod:`repro.errors` / :mod:`repro.io` — the typed error taxonomy
   (every CLI-visible failure maps to one diagnostic line and exit
-  code 4) and the hardened artifact boundary: schema-tagged,
-  digest-verified JSON loaders with declarative validation, atomic
-  durable writes and versioned migrations (DESIGN.md §10).
+  code 4) and the hardened artifact boundary: loaders that read only
+  the signed, schema-tagged format this build writes, declarative
+  validation and atomic durable writes (DESIGN.md §10).
 
 Quickstart::
 

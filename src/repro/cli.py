@@ -313,8 +313,8 @@ def _cmd_goals(args: argparse.Namespace) -> int:
                 for row in allocation.binding()[goal.type_id]]
         print(f"{goal.goal_id} is set by {' and '.join(rows)}")
     if args.json is not None:
-        # Tagged, digest-signed, atomically written (DESIGN §10); older
-        # tagless files written before the boundary existed still load.
+        # Tagged, digest-signed, atomically written (DESIGN §10): the one
+        # form `verify` and `review` read back.
         save_goal_set(args.json, goals)
         print(f"\ngoal set written to {args.json}")
     return 0

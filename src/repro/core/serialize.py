@@ -19,10 +19,10 @@ field-by-field before any object is constructed, and *every* failure —
 missing keys, wrong types, non-finite numbers, unknown margin kinds,
 dangling goal references — surfaces as a typed
 :class:`~repro.errors.ArtifactError` subclass (still a ``ValueError``),
-never a bare ``KeyError``/``TypeError``.  Documents written before the
-boundary existed carry no ``schema`` tag or digest and keep loading
-unchanged; :func:`save_goal_set` / :func:`load_goal_set` add the tagged,
-digest-signed, atomically-written file form.
+never a bare ``KeyError``/``TypeError``.  The payload carries every
+field its ``*_to_dict`` writes and no other.  :func:`save_goal_set` /
+:func:`load_goal_set` add the tagged, digest-signed, atomically-written
+file form, and a stored file must carry both tag and digest.
 """
 
 from __future__ import annotations
@@ -111,10 +111,10 @@ def _build_incident_type(data: Mapping[str, Any]) -> IncidentType:
         margin=margin,
         split=ContributionSplit({str(k): float(v)
                                  for k, v in data["split"].items()}),
-        description=str(data.get("description", "")),
-        taxonomy_leaf=(str(data["taxonomy_leaf"])
-                       if data.get("taxonomy_leaf") is not None else None),
-        induced=bool(data.get("induced", False)),
+        description=str(data["description"]),
+        taxonomy_leaf=(None if data["taxonomy_leaf"] is None
+                       else str(data["taxonomy_leaf"])),
+        induced=bool(data["induced"]),
     )
 
 
@@ -142,8 +142,7 @@ def _build_allocation(data: Mapping[str, Any]) -> Allocation:
     types = [_build_incident_type(entry) for entry in data["types"]]
     budgets = {str(type_id): Frequency(float(rate), norm.unit)
                for type_id, rate in data["budgets"].items()}
-    return Allocation(norm, types, budgets,
-                      strategy=str(data.get("strategy", "deserialised")))
+    return Allocation(norm, types, budgets, strategy=str(data["strategy"]))
 
 
 def allocation_from_dict(data: Mapping[str, Any]) -> Allocation:
@@ -177,7 +176,7 @@ def _build_certificate(data: Mapping[str, Any]) -> MeceCertificate:
         points_checked=int(data["points_checked"]),
         violations=tuple(
             MeceViolation(kind=str(v["kind"]), detail=str(v["detail"]),
-                          point=v.get("point"))
+                          point=v["point"])
             for v in data["violations"]
         ),
     )
@@ -221,8 +220,8 @@ def _build_goal_set(data: Mapping[str, Any]) -> SafetyGoalSet:
             max_frequency=Frequency(float(entry["max_frequency_rate"]),
                                     allocation.norm.unit),
         ))
-    certificate = (_build_certificate(data["certificate"])
-                   if data.get("certificate") is not None else None)
+    certificate = (None if data["certificate"] is None
+                   else _build_certificate(data["certificate"]))
     return SafetyGoalSet(goals, allocation.norm, allocation, certificate)
 
 
@@ -237,13 +236,12 @@ def goal_set_from_dict(data: Mapping[str, Any]) -> SafetyGoalSet:
 def load_goal_set(path: "Path | str") -> SafetyGoalSet:
     """Load a stored goal-set file through the artifact boundary.
 
-    Accepts both the legacy tagless form (``repro goals --json`` output
-    from before the boundary existed — no digest, validated leniently)
-    and the current tagged, digest-signed form.  Every failure is a
-    typed :class:`~repro.errors.ArtifactError`.
+    The file must be what :func:`save_goal_set` writes: tagged
+    ``repro.goal-set/v1`` and digest-signed.  Every failure is a typed
+    :class:`~repro.errors.ArtifactError`; an unsigned file is a
+    :class:`~repro.errors.CorruptArtifactError`.
     """
-    goals = ARTIFACTS.load(Path(path), GOAL_SET_SCHEMA_NAME,
-                           require_tag=False)
+    goals = ARTIFACTS.load(Path(path), GOAL_SET_SCHEMA_NAME)
     assert isinstance(goals, SafetyGoalSet)
     return goals
 
@@ -270,8 +268,6 @@ _INCIDENT_TYPE_SPEC = Record(
         "counterpart": Str(),
         "margin": _MARGIN_SPEC,
         "split": MapOf(Number()),
-    },
-    optional={
         "description": Str(),
         "taxonomy_leaf": NullOr(Str()),
         "induced": Bool(),
@@ -283,18 +279,17 @@ _NORM_SPEC = Record(
         "unit": Str(),
         "classes": ListOf(Record(
             required={"class_id": Str(), "severity": Str(),
-                      "budget_rate": Number()},
-            optional={"description": Str()})),
-    },
-    optional={"rationale": Str()})
+                      "budget_rate": Number(), "description": Str()})),
+        "rationale": Str(),
+    })
 
 _ALLOCATION_SPEC = Record(
     required={
         "norm": _NORM_SPEC,
         "types": ListOf(_INCIDENT_TYPE_SPEC),
         "budgets": MapOf(Number()),
-    },
-    optional={"strategy": Str()})
+        "strategy": Str(),
+    })
 
 _CERTIFICATE_SPEC = Record(required={
     "taxonomy_name": Str(),
@@ -302,8 +297,8 @@ _CERTIFICATE_SPEC = Record(required={
     "structural_checks": Int(),
     "points_checked": Int(),
     "violations": ListOf(Record(
-        required={"kind": Str(), "detail": Str()},
-        optional={"point": NullOr(MapOf(Json()))})),
+        required={"kind": Str(), "detail": Str(),
+                  "point": NullOr(MapOf(Json()))})),
 })
 
 _GOAL_SET_SPEC = Record(required={

@@ -29,9 +29,9 @@ The concrete artifact failures an I/O boundary can produce:
 * :class:`SchemaMismatchError` — the document parsed but its ``schema``
   tag is missing, malformed, or names a different artifact kind; the
   message always names the expected and the found tag.
-* :class:`SchemaVersionError` — the tag names the right artifact but a
-  version this build cannot load (newer than supported, or an old
-  version with no registered migration path).
+* :class:`SchemaVersionError` — the tag names the right artifact at a
+  version other than the one this build reads (every schema is read at
+  exactly its registered version).
 * :class:`ArtifactValidationError` — well-formed, correctly tagged JSON
   whose *structure or values* violate the schema: missing or unknown
   fields, wrong types, non-finite numbers, or domain rules (e.g. a goal
@@ -82,7 +82,7 @@ class ArtifactError(ReproError, ValueError):
     schema:
         The schema tag in play (expected or found), when known.
     field:
-        Dotted payload path of the offending field (``$.chunks.3.result``),
+        Dotted payload path of the offending field (``$.data.result.hours``),
         when validation pinpointed one.
     """
 
@@ -108,8 +108,9 @@ class SchemaMismatchError(ArtifactError):
 
 
 class SchemaVersionError(ArtifactError):
-    """The ``schema`` tag names the right artifact at a version this
-    build cannot load (too new, or no migration path from it)."""
+    """The ``schema`` tag names the right artifact at a version other
+    than the one this build reads (older or newer); the message names
+    the found and the supported tag."""
 
 
 class ArtifactValidationError(ArtifactError):

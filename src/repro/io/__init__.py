@@ -11,8 +11,8 @@ CLI JSON) goes through this package:
 * :mod:`.validate` — structural Spec combinators checked before any
   domain object is constructed;
 * :mod:`.artifact` — the schema registry, sha256 payload digests
-  (written on save, verified on load, optional-on-read for legacy
-  files), versioned migration hooks, and the typed-error guarantee the
+  (written on save, required and verified on every read from bytes),
+  one registered version per schema, and the typed-error guarantee the
   ``fuzz`` test tier enforces.
 
 ``json.loads`` / ``json.load`` call sites are *forbidden* outside this
@@ -29,7 +29,7 @@ from .artifact import (ARTIFACTS, DIGEST_KEY, ArtifactSchema, ArtifactStore,
                        parse_schema_tag, payload_digest, register_artifact)
 from .atomic import atomic_write_text
 from .validate import (Bool, Int, Json, ListOf, MapOf, NullOr, Number,
-                       Record, Spec, SpecError, Str, TaggedUnion, validate)
+                       Record, Spec, SpecError, Str, TaggedUnion)
 
 __all__ = [
     # errors (re-exported for convenience at the boundary)
@@ -44,5 +44,5 @@ __all__ = [
     "atomic_write_text",
     # validation combinators
     "Spec", "SpecError", "Str", "Bool", "Int", "Number", "NullOr",
-    "ListOf", "MapOf", "Record", "TaggedUnion", "Json", "validate",
+    "ListOf", "MapOf", "Record", "TaggedUnion", "Json",
 ]

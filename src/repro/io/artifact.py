@@ -11,24 +11,20 @@ boundary.  The contract it enforces:
   ``TypeError`` / ``JSONDecodeError`` / ``RecursionError``.  The
   ``fuzz`` test tier drives ≥500 deterministic corruptions per schema
   against exactly this promise.
-* **Integrity is detected, not mis-parsed.**  ``save`` embeds a
-  ``payload_sha256`` digest over the canonical payload; ``load``
-  verifies it, so truncation and bit-flips surface as
+* **One format per artifact.**  A document read from bytes
+  (:meth:`ArtifactStore.load`, ``load_text``, ``load_bytes``) must carry
+  its ``schema`` tag at the registered version and its
+  ``payload_sha256`` digest: ``save`` embeds the digest over the
+  canonical payload and every read verifies it, so truncation, bit-flips
+  and an edited value with its digest line deleted all surface as
   :class:`~repro.errors.CorruptArtifactError` instead of half-parsed
-  campaigns.  The digest is *optional on read*: files written before
-  the boundary existed (no digest field) still load, in lenient
-  validation mode.
+  campaigns or a quietly raised budget.  A missing or foreign tag raises
+  :class:`~repro.errors.SchemaMismatchError`; the right name at another
+  version raises :class:`~repro.errors.SchemaVersionError`.
 * **Structure before construction.**  The registered
   :class:`~repro.io.validate.Spec` tree is checked against the whole
   payload before the loader runs, so domain constructors only ever see
   structurally sound data.
-* **Versioned schemas with migrations.**  Tags are ``name/vN``; a
-  registered chain of single-step migration hooks upgrades old payloads
-  (``v1 → v2 → …``) before validation, so an old
-  ``repro.campaign-checkpoint/v1`` keeps loading after the schema moves
-  on.  Unknown or missing tags fail fast with
-  :class:`~repro.errors.SchemaMismatchError` naming expected and found;
-  unreachable versions with :class:`~repro.errors.SchemaVersionError`.
 * **Atomic durable writes** via :func:`~repro.io.atomic.atomic_write_text`.
 
 Modules owning an artifact register its schema at import time against
@@ -41,7 +37,7 @@ from __future__ import annotations
 import hashlib
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import (Any, Callable, Dict, Mapping, Optional, Tuple)
 
@@ -148,18 +144,14 @@ def parse_artifact_bytes(data: bytes, *,
 
 @dataclass(frozen=True)
 class ArtifactSchema:
-    """One registered artifact kind: shape, codec, migrations, identity.
+    """One registered artifact kind: shape, codec, identity.
 
     ``load`` receives a validated payload dict (``schema`` tag and
     digest already stripped) and returns the domain object; ``dump`` is
     its inverse (the ``schema`` key, if emitted, is overwritten by the
-    store).  ``migrations`` maps an old version ``n`` to a hook
-    upgrading a v``n`` payload to v``n+1``.  ``example`` builds a small
-    deterministic instance (the fuzz tier corrupts its serialised form);
-    ``equal`` compares two loaded instances (defaults to ``==``);
-    ``volatile`` names top-level payload fields that legitimately change
-    between dumps (e.g. an ``updated_utc`` stamp) and are excluded from
-    bit-for-bit round-trip comparisons.
+    store).  ``example`` builds a small deterministic instance (the fuzz
+    tier corrupts its serialised form); ``equal`` compares two loaded
+    instances (defaults to ``==``).
     """
 
     name: str
@@ -168,12 +160,8 @@ class ArtifactSchema:
     load: Callable[[Mapping[str, Any]], object]
     dump: Callable[[Any], Dict[str, object]]
     label: str = "artifact"
-    migrations: Mapping[int, Callable[[Dict[str, object]],
-                                      Dict[str, object]]] = \
-        field(default_factory=dict)
     example: Optional[Callable[[], object]] = None
     equal: Optional[Callable[[object, object], bool]] = None
-    volatile: Tuple[str, ...] = ()
 
     @property
     def tag(self) -> str:
@@ -219,8 +207,10 @@ class ArtifactStore:
                   source: Optional[object] = None) -> object:
         """Validate + construct from an already-parsed document.
 
-        Digest verification runs iff the document carries one (strict
-        mode); legacy digest-free documents validate leniently.
+        The digest is verified when the document carries one; an
+        in-memory payload (a ``*_from_dict`` argument) may omit it, and
+        its tag too when ``require_tag`` is false.  Documents read from
+        bytes go through :meth:`load_bytes`, which requires both.
         """
         schema = self.get(name)
         if not isinstance(data, Mapping):
@@ -229,11 +219,10 @@ class ArtifactStore:
                 f"{type(data).__name__}",
                 source=source, schema=schema.tag)
         payload: Dict[str, object] = dict(data)
-        strict = self._verify_digest(payload, schema, source)
-        version = self._check_tag(payload, schema, require_tag, source)
-        payload = self._migrate(payload, schema, version, source)
+        self._verify_digest(payload, schema, source)
+        self._check_tag(payload, schema, require_tag, source)
         try:
-            schema.spec.check(payload, "$", strict)
+            schema.spec.check(payload, "$")
         except SpecError as err:
             raise ArtifactValidationError(
                 str(err), source=source, schema=schema.tag,
@@ -252,21 +241,16 @@ class ArtifactStore:
                 source=source, schema=schema.tag) from exc
 
     def load_text(self, text: str, name: str, *,
-                  require_tag: bool = True,
                   source: Optional[object] = None) -> object:
         data = parse_artifact_text(text, source=source)
-        return self.load_dict(data, name, require_tag=require_tag,
-                              source=source)
+        return self._load_stored(data, name, source)
 
     def load_bytes(self, data: bytes, name: str, *,
-                   require_tag: bool = True,
                    source: Optional[object] = None) -> object:
         parsed = parse_artifact_bytes(data, source=source)
-        return self.load_dict(parsed, name, require_tag=require_tag,
-                              source=source)
+        return self._load_stored(parsed, name, source)
 
-    def load(self, path: "Path | str", name: str, *,
-             require_tag: bool = True) -> object:
+    def load(self, path: "Path | str", name: str) -> object:
         """Read + verify + construct one artifact file."""
         path = Path(path)
         schema = self.get(name)
@@ -276,8 +260,7 @@ class ArtifactStore:
             raise CorruptArtifactError(
                 f"cannot read {schema.label}: {exc.strerror or exc}",
                 source=path, schema=schema.tag) from exc
-        return self.load_bytes(raw, name, require_tag=require_tag,
-                               source=path)
+        return self.load_bytes(raw, name, source=path)
 
     # -- dumping ----------------------------------------------------------
 
@@ -287,8 +270,8 @@ class ArtifactStore:
 
         The dumper's output is round-tripped through canonical JSON
         first, so tuples normalise to lists and the digest is computed
-        over exactly what a reader will parse back; it is then validated
-        strictly, guaranteeing everything the boundary writes reloads.
+        over exactly what a reader will parse back; it is then validated,
+        guaranteeing everything the boundary writes reloads.
         """
         schema = self.get(name)
         payload = dict(schema.dump(obj))
@@ -298,7 +281,7 @@ class ArtifactStore:
         body = dict(payload)
         body.pop("schema", None)
         try:
-            schema.spec.check(body, "$", True)
+            schema.spec.check(body, "$")
         except SpecError as err:
             raise ArtifactValidationError(
                 f"refusing to write invalid {schema.label}: {err}",
@@ -321,13 +304,23 @@ class ArtifactStore:
 
     # -- internals --------------------------------------------------------
 
+    def _load_stored(self, data: object, name: str,
+                     source: Optional[object]) -> object:
+        """A document read from bytes: it must be signed and tagged."""
+        if isinstance(data, Mapping) and DIGEST_KEY not in data:
+            schema = self.get(name)
+            raise CorruptArtifactError(
+                f"{schema.label} carries no {DIGEST_KEY}; this build reads "
+                f"only signed {schema.tag} documents",
+                source=source, schema=schema.tag)
+        return self.load_dict(data, name, source=source)
+
     def _verify_digest(self, payload: Dict[str, object],
                        schema: ArtifactSchema,
-                       source: Optional[object]) -> bool:
-        """Pop + verify the digest; returns True (strict) if one was
-        present, False (lenient / legacy) otherwise."""
+                       source: Optional[object]) -> None:
+        """Pop + verify the digest, if the payload carries one."""
         if DIGEST_KEY not in payload:
-            return False
+            return
         claimed = payload.pop(DIGEST_KEY)
         if not isinstance(claimed, str):
             raise CorruptArtifactError(
@@ -341,12 +334,12 @@ class ArtifactStore:
                 f"(truncated or modified): file claims {claimed}, "
                 f"content hashes to {actual}",
                 source=source, schema=schema.tag)
-        return True
 
     def _check_tag(self, payload: Dict[str, object],
                    schema: ArtifactSchema, require_tag: bool,
-                   source: Optional[object]) -> int:
-        """Pop + check the ``schema`` tag; returns the found version."""
+                   source: Optional[object]) -> None:
+        """Pop + check the ``schema`` tag: the registered name at the
+        registered version."""
         tag = payload.pop("schema", None)
         if tag is None:
             if require_tag:
@@ -354,48 +347,24 @@ class ArtifactStore:
                     f"missing schema tag in {schema.label} "
                     f"(expected {schema.tag!r})",
                     source=source, schema=schema.tag)
-            return schema.version  # legacy tagless document
+            return
+        found = None
         if isinstance(tag, str):
             try:
-                found_name, found_version = parse_schema_tag(tag)
+                found = parse_schema_tag(tag)
             except ValueError:
-                found_name = None
-                found_version = None
-            if found_name == schema.name:
-                assert found_version is not None
-                return found_version
-        raise SchemaMismatchError(
-            f"unsupported {schema.label} schema {tag!r} "
-            f"(expected {schema.tag!r})",
-            source=source, schema=schema.tag)
-
-    def _migrate(self, payload: Dict[str, object], schema: ArtifactSchema,
-                 version: int,
-                 source: Optional[object]) -> Dict[str, object]:
-        if version > schema.version:
-            raise SchemaVersionError(
-                f"{schema.label} schema {schema.name}/v{version} is newer "
-                f"than this build supports ({schema.tag}); upgrade the "
-                f"toolkit to read it",
+                pass
+        if found is None or found[0] != schema.name:
+            raise SchemaMismatchError(
+                f"unsupported {schema.label} schema {tag!r} "
+                f"(expected {schema.tag!r})",
                 source=source, schema=schema.tag)
-        while version < schema.version:
-            hook = schema.migrations.get(version)
-            if hook is None:
-                raise SchemaVersionError(
-                    f"no migration path from {schema.name}/v{version} to "
-                    f"{schema.tag}",
-                    source=source, schema=schema.tag)
-            try:
-                payload = dict(hook(payload))
-            except ArtifactError:
-                raise
-            except Exception as exc:
-                raise SchemaVersionError(
-                    f"migration {schema.name}/v{version} → "
-                    f"v{version + 1} failed: {exc}",
-                    source=source, schema=schema.tag) from exc
-            version += 1
-        return payload
+        if found[1] != schema.version:
+            relation = "newer" if found[1] > schema.version else "older"
+            raise SchemaVersionError(
+                f"{schema.label} schema {tag!r} is {relation} than this "
+                f"build supports (it reads only {schema.tag!r})",
+                source=source, schema=schema.tag)
 
 
 #: The process-wide registry every built-in artifact registers against.

@@ -7,17 +7,12 @@ types, finiteness of numbers, nesting bounds.  The store checks the
 whole tree **before any domain object is constructed**, so loaders see
 only structurally sound data and corrupted artifacts surface as
 :class:`~repro.errors.ArtifactValidationError` with a dotted field path
-(``$.chunks.3.result.hours``) instead of a ``KeyError`` three stack
+(``$.data.result.hours``) instead of a ``KeyError`` three stack
 frames deep.
 
-Two validation modes (DESIGN §10):
-
-* **strict** — used for digest-bearing artifacts (written by the new
-  boundary, therefore complete): every declared field, required *and*
-  optional, must be present and no unknown fields may appear.
-* **lenient** — used for legacy files written before the boundary
-  existed: optional fields may be absent (loaders apply their
-  documented defaults) and unknown fields are ignored.
+There is one validation mode (DESIGN §10): a record carries every
+declared field and no other, because every artifact this build reads was
+written by a dumper that emits every field.
 
 Specs raise the internal :class:`SpecError`; the store converts it to
 the public typed error with path/schema context attached.
@@ -26,11 +21,11 @@ the public typed error with path/schema context attached.
 from __future__ import annotations
 
 import math
-from typing import Callable, Dict, Mapping, Optional, Tuple
+from typing import Dict, Mapping
 
 __all__ = [
     "SpecError", "Spec", "Str", "Bool", "Int", "Number", "NullOr",
-    "ListOf", "MapOf", "Record", "TaggedUnion", "Json", "validate",
+    "ListOf", "MapOf", "Record", "TaggedUnion", "Json",
 ]
 
 #: JSON types a :class:`Json` subtree may contain.
@@ -56,14 +51,14 @@ def _type_name(value: object) -> str:
 class Spec:
     """Base class: one node of a payload-shape description."""
 
-    def check(self, value: object, field: str, strict: bool) -> None:
+    def check(self, value: object, field: str) -> None:
         raise NotImplementedError
 
 
 class Str(Spec):
     """A JSON string."""
 
-    def check(self, value: object, field: str, strict: bool) -> None:
+    def check(self, value: object, field: str) -> None:
         if not isinstance(value, str):
             raise SpecError(field,
                             f"expected string, got {_type_name(value)}")
@@ -72,7 +67,7 @@ class Str(Spec):
 class Bool(Spec):
     """A JSON boolean."""
 
-    def check(self, value: object, field: str, strict: bool) -> None:
+    def check(self, value: object, field: str) -> None:
         if not isinstance(value, bool):
             raise SpecError(field,
                             f"expected boolean, got {_type_name(value)}")
@@ -81,7 +76,7 @@ class Bool(Spec):
 class Int(Spec):
     """A JSON integer (bools rejected — they are a distinct type)."""
 
-    def check(self, value: object, field: str, strict: bool) -> None:
+    def check(self, value: object, field: str) -> None:
         if isinstance(value, bool) or not isinstance(value, int):
             raise SpecError(field,
                             f"expected integer, got {_type_name(value)}")
@@ -90,7 +85,7 @@ class Int(Spec):
 class Number(Spec):
     """A finite JSON number (int or float; bools and NaN/Inf rejected)."""
 
-    def check(self, value: object, field: str, strict: bool) -> None:
+    def check(self, value: object, field: str) -> None:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise SpecError(field,
                             f"expected number, got {_type_name(value)}")
@@ -104,10 +99,10 @@ class NullOr(Spec):
     def __init__(self, inner: Spec):
         self.inner = inner
 
-    def check(self, value: object, field: str, strict: bool) -> None:
+    def check(self, value: object, field: str) -> None:
         if value is None:
             return
-        self.inner.check(value, field, strict)
+        self.inner.check(value, field)
 
 
 class ListOf(Spec):
@@ -116,74 +111,48 @@ class ListOf(Spec):
     def __init__(self, item: Spec):
         self.item = item
 
-    def check(self, value: object, field: str, strict: bool) -> None:
+    def check(self, value: object, field: str) -> None:
         if not isinstance(value, list):
             raise SpecError(field,
                             f"expected array, got {_type_name(value)}")
         for index, item in enumerate(value):
-            self.item.check(item, f"{field}[{index}]", strict)
+            self.item.check(item, f"{field}[{index}]")
 
 
 class MapOf(Spec):
-    """A JSON object with homogeneous values (and optionally keyed keys).
+    """A JSON object with homogeneous values."""
 
-    ``keys`` is an optional ``(predicate, description)`` pair; keys
-    failing the predicate are rejected (e.g. chunk indices must be
-    decimal integer strings).
-    """
-
-    def __init__(self, value: Spec,
-                 keys: Optional[Tuple[Callable[[str], bool], str]] = None):
+    def __init__(self, value: Spec):
         self.value = value
-        self.keys = keys
 
-    def check(self, value: object, field: str, strict: bool) -> None:
+    def check(self, value: object, field: str) -> None:
         if not isinstance(value, dict):
             raise SpecError(field,
                             f"expected object, got {_type_name(value)}")
         for key, item in value.items():
             if not isinstance(key, str):  # pragma: no cover - JSON keys are str
                 raise SpecError(field, f"non-string key {key!r}")
-            if self.keys is not None and not self.keys[0](key):
-                raise SpecError(f"{field}.{key}",
-                                f"key {key!r} is not {self.keys[1]}")
-            self.value.check(item, f"{field}.{key}", strict)
+            self.value.check(item, f"{field}.{key}")
 
 
 class Record(Spec):
-    """A JSON object with a declared field set.
+    """A JSON object carrying every ``required`` field and no other."""
 
-    ``required`` fields must always be present.  ``optional`` fields are
-    the legacy-tolerated ones: they may be absent in lenient mode, but a
-    digest-bearing (strict) artifact was written by a dumper that emits
-    every field, so in strict mode they are required too and unknown
-    fields are rejected.
-    """
-
-    def __init__(self, required: Mapping[str, Spec],
-                 optional: Optional[Mapping[str, Spec]] = None):
+    def __init__(self, required: Mapping[str, Spec]):
         self.required: Dict[str, Spec] = dict(required)
-        self.optional: Dict[str, Spec] = dict(optional or {})
 
-    def check(self, value: object, field: str, strict: bool) -> None:
+    def check(self, value: object, field: str) -> None:
         if not isinstance(value, dict):
             raise SpecError(field,
                             f"expected object, got {_type_name(value)}")
-        for name in self.required:
+        for name, spec in self.required.items():
             if name not in value:
-                raise SpecError(field, f"missing required field {name!r}")
-        if strict:
-            for name in self.optional:
-                if name not in value:
-                    raise SpecError(field, f"missing field {name!r}")
-            declared = self.required.keys() | self.optional.keys()
-            for name in value:
-                if name not in declared:
-                    raise SpecError(field, f"unknown field {name!r}")
-        for name, item in value.items():
-            spec = self.required.get(name) or self.optional.get(name)
-            if spec is not None:
-                spec.check(item, f"{field}.{name}", strict)
+                raise SpecError(f"{field}.{name}",
+                                f"missing required field {name!r}")
+            spec.check(value[name], f"{field}.{name}")
+        for name in value:
+            if name not in self.required:
+                raise SpecError(field, f"unknown field {name!r}")
 
 
 class TaggedUnion(Spec):
@@ -193,7 +162,7 @@ class TaggedUnion(Spec):
         self.tag = tag
         self.options: Dict[str, Spec] = dict(options)
 
-    def check(self, value: object, field: str, strict: bool) -> None:
+    def check(self, value: object, field: str) -> None:
         if not isinstance(value, dict):
             raise SpecError(field,
                             f"expected object, got {_type_name(value)}")
@@ -207,7 +176,7 @@ class TaggedUnion(Spec):
                 f"{field}.{self.tag}",
                 f"unknown {self.tag} {tag!r} (expected one of "
                 f"{sorted(self.options)})")
-        spec.check(value, field, strict)
+        spec.check(value, field)
 
 
 class Json(Spec):
@@ -218,7 +187,7 @@ class Json(Spec):
     def __init__(self, max_depth: int = 64):
         self.max_depth = max_depth
 
-    def check(self, value: object, field: str, strict: bool) -> None:
+    def check(self, value: object, field: str) -> None:
         stack = [(value, field, 0)]
         while stack:
             node, path, depth = stack.pop()
@@ -240,9 +209,3 @@ class Json(Spec):
                 raise SpecError(path,
                                 f"non-JSON value of type "
                                 f"{type(node).__name__}")
-
-
-def validate(payload: object, spec: Spec, *, strict: bool = False,
-             root: str = "$") -> None:
-    """Check ``payload`` against ``spec``; raises :class:`SpecError`."""
-    spec.check(payload, root, strict)

@@ -12,10 +12,9 @@ The manifest is a pure record: building one never perturbs the campaign
 (no RNG access, no mutation of the session it snapshots).  ``write`` /
 ``read`` round-trip through the :mod:`repro.io` artifact boundary
 (DESIGN §10): writes are atomic and carry an embedded payload sha256
-digest, reads verify it (optional for manifests written before the
-boundary existed), and a missing/unknown ``schema`` tag or corrupt
-content fails fast with the typed :class:`~repro.errors.ArtifactError`
-taxonomy instead of a mis-parse.  On-disk form stays sorted-key JSON so
+digest, reads require and verify it, and a missing/unknown ``schema``
+tag or corrupt content fails fast with the typed
+:class:`~repro.errors.ArtifactError` taxonomy instead of a mis-parse.  On-disk form stays sorted-key JSON so
 manifests diff cleanly in review.
 """
 
@@ -103,16 +102,13 @@ class RunManifest:
     """Recovered-fault audit trail: one entry per
     :class:`~repro.stats.fault_tolerance.ChunkFailure` the campaign's
     retry layer logged (``chunk_index``/``attempt``/``kind``/``message``).
-    ``None`` for fault-free runs and manifests written before the
-    fault-tolerance layer existed (additive, still schema v1)."""
+    ``None`` for fault-free runs."""
 
     event_log: Optional[str] = None
     """Pointer to the campaign's flight-recorder journal (the
     ``repro.event-log/v1`` JSONL file), when one was recorded.  ``None``
-    for recorder-less runs and manifests written before the flight
-    recorder existed (additive, still schema v1): replaying the pointed
-    journal must reconstruct this manifest's counters and budget table
-    exactly."""
+    for recorder-less runs.  Replaying the pointed journal must
+    reconstruct this manifest's counters and budget table exactly."""
 
     def to_dict(self) -> Dict[str, object]:
         data: Dict[str, object] = {
@@ -222,43 +218,43 @@ def build_manifest(snapshot: TelemetrySnapshot, *, command: str,
 # -- artifact schema registration ----------------------------------------
 
 def _load_manifest(data: Mapping[str, object]) -> RunManifest:
-    mix = data.get("mix")
-    budget = data.get("budget_utilisation")
+    mix = data["mix"]
+    budget = data["budget_utilisation"]
     return RunManifest(
         schema=MANIFEST_SCHEMA,
-        created_utc=str(data.get("created_utc", "")),
-        command=str(data.get("command", "")),
-        seed=(None if data.get("seed") is None
+        created_utc=str(data["created_utc"]),
+        command=str(data["command"]),
+        seed=(None if data["seed"] is None
               else int(data["seed"])),  # type: ignore[arg-type]
-        engine=(None if data.get("engine") is None
+        engine=(None if data["engine"] is None
                 else str(data["engine"])),
-        policy=(None if data.get("policy") is None
+        policy=(None if data["policy"] is None
                 else str(data["policy"])),
-        hours=(None if data.get("hours") is None
+        hours=(None if data["hours"] is None
                else float(data["hours"])),  # type: ignore[arg-type]
         mix=(None if mix is None
              else {str(k): float(v)  # type: ignore[arg-type]
                    for k, v in dict(mix).items()}),  # type: ignore[call-overload]
-        workers=(None if data.get("workers") is None
+        workers=(None if data["workers"] is None
                  else int(data["workers"])),  # type: ignore[arg-type]
-        chunk_hours=(None if data.get("chunk_hours") is None
+        chunk_hours=(None if data["chunk_hours"] is None
                      else float(data["chunk_hours"])),  # type: ignore[arg-type]
-        n_chunks=(None if data.get("n_chunks") is None
+        n_chunks=(None if data["n_chunks"] is None
                   else int(data["n_chunks"])),  # type: ignore[arg-type]
         versions={str(k): str(v) for k, v in
-                  dict(data.get("versions", {})).items()},  # type: ignore[call-overload]
-        git_sha=str(data.get("git_sha", "unknown")),
-        platform=str(data.get("platform", "")),
-        spans=dict(data.get("spans", {})),  # type: ignore[call-overload]
-        metrics=dict(data.get("metrics", {})),  # type: ignore[call-overload]
+                  dict(data["versions"]).items()},  # type: ignore[call-overload]
+        git_sha=str(data["git_sha"]),
+        platform=str(data["platform"]),
+        spans=dict(data["spans"]),  # type: ignore[call-overload]
+        metrics=dict(data["metrics"]),  # type: ignore[call-overload]
         budget_utilisation=(
             None if budget is None
             else [dict(row) for row in budget]),  # type: ignore[union-attr]
-        summary=dict(data.get("summary", {})),  # type: ignore[call-overload]
+        summary=dict(data["summary"]),  # type: ignore[call-overload]
         failure_log=(
-            None if data.get("failure_log") is None
+            None if data["failure_log"] is None
             else [dict(row) for row in data["failure_log"]]),  # type: ignore[union-attr]
-        event_log=(None if data.get("event_log") is None
+        event_log=(None if data["event_log"] is None
                    else str(data["event_log"])),
     )
 
@@ -311,10 +307,6 @@ _MANIFEST_SPEC = Record(
         "platform": Str(),
         "spans": Json(),
         "metrics": Json(),
-    },
-    optional={
-        # Additive fields (still schema v1): absent in manifests written
-        # before their layer existed, always emitted since.
         "budget_utilisation": NullOr(ListOf(Json())),
         "summary": Json(),
         "failure_log": NullOr(ListOf(Json())),

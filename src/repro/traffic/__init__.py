@@ -35,8 +35,8 @@ from .scenarios import (AnimalRunOut, CrossingPedestrian, CutIn,
                         Scenario, ScenarioOutcome, ScenarioStatistics,
                         ScenarioSuite, incident_rate_contributions,
                         run_scenario)
-from .checkpoint import (CHECKPOINT_SCHEMA, CampaignCheckpoint,
-                         CheckpointMismatchError, CheckpointWriteError)
+from .checkpoint import (CampaignCheckpoint, CheckpointMismatchError,
+                         CheckpointWriteError)
 from .fleet import (CHUNK_TRANSPORTS, DEFAULT_CHUNK_HOURS, DEFAULT_MIX,
                     DEFAULT_RETRY_POLICY, POLICY_NAMES, FleetProgress,
                     policy_by_name, run_fleet, validate_chunk_output)
@@ -65,7 +65,7 @@ __all__ = [
     "RECORD_BLOCK_SCHEMA_NAME", "RECORD_DTYPE", "RecordBlock", "RecordSink",
     "classify_block_counts", "iter_record_blocks", "load_record_blocks",
     "shm_available",
-    "CHECKPOINT_SCHEMA", "CampaignCheckpoint", "CheckpointMismatchError",
+    "CampaignCheckpoint", "CheckpointMismatchError",
     "CheckpointWriteError", "DEFAULT_MIX", "POLICY_NAMES", "policy_by_name",
     "type_counts",
     "ProposalTilt", "encounter_log_weights", "ImportanceRun",

@@ -40,15 +40,10 @@ append leaves a *provably torn tail* — nothing past the last verified
 entry parses as a signed entry (:func:`~repro.obs.events.scan_journal`)
 — and :meth:`CampaignCheckpoint.resume` cuts exactly that before it
 loads, so a kill loses at most the chunk being appended.  Interior
-damage is never cut.  Resuming against a checkpoint whose identity
-differs raises :class:`CheckpointMismatchError` instead of silently
-merging foreign chunks.
-
-Earlier builds wrote one pretty-printed ``repro.campaign-checkpoint/v1``
-document, rewritten atomically at every commit (signed, or digest-free
-before the artifact boundary existed).  Such files still load and
-resume bit-for-bit; the first save after resuming one rewrites it once
-as a log.  Nothing writes v1 any more.
+damage is never cut, and neither is a file that is no checkpoint log
+at all: it fails typed and stays as it was.  Resuming against a
+checkpoint whose identity differs raises :class:`CheckpointMismatchError`
+instead of silently merging foreign chunks.
 """
 
 from __future__ import annotations
@@ -64,8 +59,7 @@ from ..core.incident import IncidentRecord
 from ..core.taxonomy import ActorClass
 from ..errors import (ArtifactError, ArtifactValidationError,
                       CorruptArtifactError)
-from ..io.artifact import (ARTIFACTS, ArtifactSchema, parse_artifact_bytes,
-                           register_artifact)
+from ..io.artifact import ArtifactSchema, register_artifact
 from ..io.atomic import ORPHAN_TMP_PREFIX, ORPHAN_TMP_SUFFIX
 from ..io.validate import (Bool, Int, Json, ListOf, MapOf, NullOr, Number,
                            Record, Str, TaggedUnion)
@@ -75,16 +69,11 @@ from ..obs.events import (EventJournal, EventRecord, JournalScan,
 from ..obs.session import TelemetrySnapshot
 from .simulator import SimulationResult
 
-__all__ = ["CHECKPOINT_SCHEMA", "CHECKPOINT_SCHEMA_NAME",
-           "CHECKPOINT_LOG_SCHEMA", "CHECKPOINT_LOG_SCHEMA_NAME",
+__all__ = ["CHECKPOINT_LOG_SCHEMA", "CHECKPOINT_LOG_SCHEMA_NAME",
            "RESULT_SPEC", "CampaignCheckpoint", "CheckpointLog",
            "CheckpointLogEntry", "CheckpointMismatchError",
            "CheckpointWriteError", "repair_checkpoint_tail",
            "result_from_dict", "result_to_dict"]
-
-#: The single-document layout of earlier builds (read, never written).
-CHECKPOINT_SCHEMA_NAME = "repro.campaign-checkpoint"
-CHECKPOINT_SCHEMA = f"{CHECKPOINT_SCHEMA_NAME}/v1"
 
 #: The append-only log every checkpoint is written as.
 CHECKPOINT_LOG_SCHEMA_NAME = "repro.checkpoint-log"
@@ -182,7 +171,7 @@ class _ChunkEntry:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, object]) -> "_ChunkEntry":
-        telemetry = data.get("telemetry")
+        telemetry = data["telemetry"]
         return cls(
             result=result_from_dict(dict(data["result"])),  # type: ignore[call-overload]
             telemetry=(None if telemetry is None
@@ -231,20 +220,17 @@ class CampaignCheckpoint:
     """
 
     def __init__(self, path: Path, campaign: Mapping[str, object],
-                 chunks: Optional[Dict[int, _ChunkEntry]] = None,
                  created_utc: Optional[str] = None):
         self.path = Path(path)
         self.campaign = dict(campaign)
-        self.chunks: Dict[int, _ChunkEntry] = dict(chunks or {})
+        self.chunks: Dict[int, _ChunkEntry] = {}
         self.created_utc = (created_utc or
                             datetime.now(timezone.utc).isoformat())
         # The log on disk: (entries, head digest, bytes) up to its last
-        # acknowledged entry, or None while there is no log yet (a new
-        # checkpoint, or a single document from an earlier build).
+        # acknowledged entry, or None while there is no log yet.
         self._tail: Optional[Tuple[int, Optional[str], int]] = None
-        # The chunks on disk: in the log, or in the earlier build's
-        # document these were loaded from (the first save rewrites it).
-        self._logged: Set[int] = set(self.chunks)
+        # The chunks in the log on disk.
+        self._logged: Set[int] = set()
 
     # -- construction -----------------------------------------------------
 
@@ -264,11 +250,6 @@ class CampaignCheckpoint:
         :class:`~repro.errors.ArtifactError` subclass.
         """
         path = Path(path)
-        if not _is_log(path):
-            checkpoint = ARTIFACTS.load(path, CHECKPOINT_SCHEMA_NAME)
-            assert isinstance(checkpoint, CampaignCheckpoint)
-            checkpoint.path = path
-            return checkpoint
         entries, head = read_chained_journal(
             path, schema_name=CHECKPOINT_LOG_SCHEMA_NAME)
         return _from_entries(path, entries, head, path.stat().st_size)
@@ -281,8 +262,9 @@ class CampaignCheckpoint:
         Loads strictly; when that fails only because the log ends in a
         provably torn tail (the append in flight when the last run
         died), the tail is cut and the log loaded strictly again.
-        Interior damage raises.  The checkpoint is ``None`` when there is
-        nothing to resume: no file, or an empty one.
+        Any other damage raises and cuts nothing.  The checkpoint is
+        ``None`` when there is nothing to resume: no file, or an empty
+        one.
         """
         path = Path(path)
         if not path.exists():
@@ -290,8 +272,7 @@ class CampaignCheckpoint:
         try:
             return cls.load(path), 0
         except ArtifactError:
-            if not _is_log(path):
-                raise
+            pass  # a provably torn tail is cut below; the rest raises there
         size = path.stat().st_size
         scan = repair_checkpoint_tail(path)
         cut = size - scan.total_bytes
@@ -360,13 +341,12 @@ class CampaignCheckpoint:
         """Log every banked chunk that is not in the log yet.
 
         The first save writes the identity line and the banked chunks to
-        a temp file and renames it into place (which is also how a
-        single document from an earlier build becomes a log); every
-        later save appends one signed, fsync'd line per new chunk.  A
-        failed append advances nothing, and the next save cuts back to
-        the last acknowledged byte before it appends, so no entry ever
-        lands past a torn fragment.  A filesystem failure (including
-        the ``checkpoint-save`` fs-chaos point) surfaces as a typed
+        a temp file and renames it into place; every later save appends
+        one signed, fsync'd line per new chunk.  A failed append advances
+        nothing, and the next save cuts back to the last acknowledged
+        byte before it appends, so no entry ever lands past a torn
+        fragment.  A filesystem failure (including the
+        ``checkpoint-save`` fs-chaos point) surfaces as a typed
         :class:`CheckpointWriteError`, never a raw ``OSError`` traceback.
         """
         try:
@@ -424,6 +404,8 @@ def repair_checkpoint_tail(path: "Path | str") -> JournalScan:
     so it never tears.
     """
     scan = scan_journal(path, schema_name=CHECKPOINT_LOG_SCHEMA_NAME)
+    if scan.error is not None and scan.damage_lineno is None:
+        raise scan.error  # unreadable: there is no tail to judge
     if not scan.clean and not (scan.torn_tail and scan.records):
         raise CorruptArtifactError(
             f"checkpoint damage at line {scan.damage_lineno} is not a torn "
@@ -433,28 +415,6 @@ def repair_checkpoint_tail(path: "Path | str") -> JournalScan:
 
 
 # -- reading ---------------------------------------------------------------
-
-def _is_log(path: Path) -> bool:
-    """Does ``path`` hold a checkpoint log, not an earlier build's single
-    document?  A torn or unreadable first line counts as a log, so the
-    log reader reports it."""
-    try:
-        with path.open("rb") as handle:
-            first = handle.readline().strip()
-    except OSError as exc:
-        raise CorruptArtifactError(
-            f"cannot read checkpoint: {exc.strerror or exc}",
-            source=path, schema=CHECKPOINT_LOG_SCHEMA) from exc
-    if first == b"{":  # the pretty-printed document
-        return False
-    try:
-        head = parse_artifact_bytes(first)
-    except CorruptArtifactError:
-        return True
-    tag = head.get("schema") if isinstance(head, dict) else None
-    return isinstance(tag, str) and \
-        tag.startswith(CHECKPOINT_LOG_SCHEMA_NAME + "/")
-
 
 def _from_entries(path: Path, entries: Sequence[EventRecord],
                   head: Optional[str], size: int) -> CampaignCheckpoint:
@@ -488,37 +448,6 @@ def _from_entries(path: Path, entries: Sequence[EventRecord],
 
 # -- artifact schema registration ----------------------------------------
 
-def _load_checkpoint(data: Mapping[str, object]) -> CampaignCheckpoint:
-    chunks = {
-        int(index): _ChunkEntry.from_dict(entry)
-        for index, entry in dict(data.get("chunks", {})).items()  # type: ignore[call-overload]
-    }
-    return CampaignCheckpoint(Path("<unsaved>"), dict(data["campaign"]),  # type: ignore[call-overload]
-                              chunks,
-                              created_utc=str(data.get("created_utc", "")))
-
-
-def _v1_document(checkpoint: CampaignCheckpoint) -> Dict[str, object]:
-    """The single-document layout of earlier builds (the registry's
-    codec for reading them; no production path writes it)."""
-    return {
-        "schema": CHECKPOINT_SCHEMA,
-        "created_utc": checkpoint.created_utc,
-        "updated_utc": datetime.now(timezone.utc).isoformat(),
-        "campaign": dict(checkpoint.campaign),
-        "chunks": {str(index): entry.to_dict()
-                   for index, entry in sorted(checkpoint.chunks.items())},
-    }
-
-
-def _checkpoints_equal(a: object, b: object) -> bool:
-    """Loaded-state equality (the ``updated_utc`` stamp is volatile)."""
-    assert isinstance(a, CampaignCheckpoint)
-    assert isinstance(b, CampaignCheckpoint)
-    return (a.campaign == b.campaign and a.created_utc == b.created_utc
-            and a.chunks == b.chunks)
-
-
 def _example_result() -> SimulationResult:
     return SimulationResult(
         policy_name="nominal", hours=2.0,
@@ -533,18 +462,6 @@ def _example_result() -> SimulationResult:
         ],
         encounters_resolved=41, hard_braking_demands=3,
         hard_braking_threshold_ms2=4.0)
-
-
-def _example_checkpoint() -> CampaignCheckpoint:
-    """A small deterministic checkpoint for the fuzz tier."""
-    checkpoint = CampaignCheckpoint(
-        Path("<example>"),
-        {"seed": 2020, "hours": 4.0, "chunk_hours": 2.0,
-         "policy": "nominal", "engine": "vectorized",
-         "mix": {"urban": 0.75, "highway": 0.25}},
-        created_utc="2026-01-01T00:00:00+00:00")
-    checkpoint.chunks[0] = _ChunkEntry(result=_example_result())
-    return checkpoint
 
 
 def _load_log_entry(data: Mapping[str, object]) -> CheckpointLogEntry:
@@ -574,26 +491,14 @@ _RECORD_SPEC = Record(required={
     "time_h": Number(), "context": Str(), "induced": Bool(),
 })
 
-#: The structural contract of :func:`result_to_dict`'s payload — public
-#: because every artifact embedding a serialised chunk result (the log's
-#: ``chunk.banked`` lines and the earlier single document) must pin the
-#: *same* shape, or the two readers drift apart.
+#: The structural contract of :func:`result_to_dict`'s payload, which
+#: every ``chunk.banked`` line carries.
 RESULT_SPEC = Record(required={
     "policy_name": Str(), "hours": Number(),
     "context_hours": MapOf(Number()),
     "encounters_resolved": Int(), "hard_braking_demands": Int(),
     "hard_braking_threshold_ms2": Number(),
     "records": ListOf(_RECORD_SPEC),
-})
-
-_CHUNK_FIELDS = {"result": RESULT_SPEC, "telemetry": NullOr(Json())}
-
-_CHECKPOINT_SPEC = Record(required={
-    "created_utc": Str(),
-    "updated_utc": Str(),
-    "campaign": MapOf(Json()),
-    "chunks": MapOf(Record(required=_CHUNK_FIELDS),
-                    keys=(str.isdigit, "a chunk index")),
 })
 
 _ENTRY_FIELDS = {"seq": Int(), "ts_utc": Str(), "kind": Str(),
@@ -603,20 +508,9 @@ _LOG_ENTRY_SPEC = TaggedUnion("kind", {
     "campaign.identity": Record(required={**_ENTRY_FIELDS, "data": Record(
         required={"campaign": MapOf(Json()), "created_utc": Str()})}),
     "chunk.banked": Record(required={**_ENTRY_FIELDS, "data": Record(
-        required={"index": Int(), **_CHUNK_FIELDS})}),
+        required={"index": Int(), "result": RESULT_SPEC,
+                  "telemetry": NullOr(Json())})}),
 })
-
-register_artifact(ArtifactSchema(
-    name=CHECKPOINT_SCHEMA_NAME,
-    version=1,
-    spec=_CHECKPOINT_SPEC,
-    load=_load_checkpoint,
-    dump=_v1_document,
-    label="checkpoint",
-    example=_example_checkpoint,
-    equal=_checkpoints_equal,
-    volatile=("updated_utc",),
-))
 
 register_artifact(ArtifactSchema(
     name=CHECKPOINT_LOG_SCHEMA_NAME,

@@ -1,19 +1,23 @@
 """Unit tests for the hardened artifact I/O boundary (DESIGN §10).
 
 Covers the store's core promises in isolation: digest write/verify,
-typed failure taxonomy, strict-vs-lenient validation, schema tag
-checking, version migrations, and atomic no-residue writes.  The
+typed failure taxonomy, one-mode validation, schema tag and version
+checking, the one-format read rule, and atomic no-residue writes.  The
 broad-spectrum corruption coverage lives in the ``fuzz`` tier
 (``test_fuzz_tier.py``); these are the targeted regressions.
 """
 
 from __future__ import annotations
 
+import copy
 import json
 import os
 
 import pytest
 
+from repro.core.serialize import (allocation_from_dict,
+                                  certificate_from_dict, goal_set_from_dict,
+                                  incident_type_from_dict)
 from repro.errors import (ArtifactError, ArtifactValidationError,
                           CorruptArtifactError, ReproError,
                           SchemaMismatchError, SchemaVersionError)
@@ -112,17 +116,6 @@ def test_missing_file_is_typed(tmp_path):
         ARTIFACTS.load(tmp_path / "nope.json", GOAL_SET)
 
 
-def test_legacy_digest_free_file_loads(tmp_path):
-    """Files written before the boundary existed (no digest) still load."""
-    path = tmp_path / "legacy.json"
-    pristine = _goal_set_example()
-    schema = ARTIFACTS.get(GOAL_SET)
-    payload = schema.dump(pristine)  # neither tag nor digest
-    path.write_text(json.dumps(payload))
-    back = ARTIFACTS.load(path, GOAL_SET, require_tag=False)
-    assert schema.instances_equal(back, pristine)
-
-
 def test_payload_digest_is_formatting_independent():
     doc = {"b": 1.5, "a": [1, 2]}
     assert payload_digest(doc) == payload_digest({"a": [1, 2], "b": 1.5})
@@ -143,6 +136,7 @@ def test_missing_tag_names_expected(tmp_path):
     data = json.loads(path.read_text())
     del data["schema"]
     del data[DIGEST_KEY]
+    data[DIGEST_KEY] = payload_digest(data)  # re-signed without its tag
     path.write_text(json.dumps(data))
     with pytest.raises(SchemaMismatchError,
                        match=r"missing schema tag.*repro\.goal-set/v1"):
@@ -155,6 +149,7 @@ def test_unknown_tag_names_expected_and_found(tmp_path):
     data = json.loads(path.read_text())
     data["schema"] = "repro.other-thing/v1"
     del data[DIGEST_KEY]
+    data[DIGEST_KEY] = payload_digest(data)  # re-signed under a foreign tag
     path.write_text(json.dumps(data))
     with pytest.raises(
             SchemaMismatchError,
@@ -191,28 +186,21 @@ def test_invalid_utf8_is_typed():
         parse_artifact_bytes(b'{"a": "\xff\xfe"}')
 
 
-# -- strict vs lenient validation -----------------------------------------
+# -- validation ------------------------------------------------------------
 
-def _store_with_toy(version=2, migrations=None):
+def _store_with_toy(version=2):
     store = ArtifactStore()
-    spec = Record(required={"name": Str(), "count": Int()},
-                  optional={"note": Str()})
+    spec = Record(required={"name": Str(), "count": Int(), "note": Str()})
     store.register(ArtifactSchema(
         name="toy.widget", version=version, spec=spec,
-        load=lambda d: (d["name"], d["count"], d.get("note", "")),
+        load=lambda d: (d["name"], d["count"], d["note"]),
         dump=lambda w: {"name": w[0], "count": w[1], "note": w[2]},
-        label="widget", migrations=migrations or {}))
+        label="widget"))
     return store
 
 
-def test_lenient_mode_tolerates_absent_optional_and_unknown():
-    store = _store_with_toy()
-    doc = {"schema": "toy.widget/v2", "name": "w", "count": 3,
-           "future_field": True}  # no digest: lenient
-    assert store.load_dict(doc, "toy.widget") == ("w", 3, "")
-
-
 def test_strict_mode_requires_optional_and_rejects_unknown():
+    """A record carries every declared field and no other."""
     store = _store_with_toy()
     complete = {"schema": "toy.widget/v2", "name": "w", "count": 3,
                 "note": "n"}
@@ -223,7 +211,8 @@ def test_strict_mode_requires_optional_and_rejects_unknown():
     absent = {"schema": "toy.widget/v2", "name": "w", "count": 3}
     absent[DIGEST_KEY] = payload_digest(
         {k: v for k, v in absent.items() if k != DIGEST_KEY})
-    with pytest.raises(ArtifactValidationError, match="missing field"):
+    with pytest.raises(ArtifactValidationError,
+                       match="missing required field"):
         store.load_dict(absent, "toy.widget")
 
     extra = dict(complete)
@@ -242,18 +231,7 @@ def test_validation_error_carries_dotted_field_path():
     assert info.value.field == "$.count"
 
 
-# -- migrations ------------------------------------------------------------
-
-def test_migration_chain_upgrades_old_payloads():
-    def v1_to_v2(payload):
-        payload = dict(payload)
-        payload["count"] = payload.pop("n")
-        return payload
-
-    store = _store_with_toy(migrations={1: v1_to_v2})
-    old = {"schema": "toy.widget/v1", "name": "w", "n": 7}
-    assert store.load_dict(old, "toy.widget") == ("w", 7, "")
-
+# -- versions --------------------------------------------------------------
 
 def test_version_newer_than_supported():
     store = _store_with_toy()
@@ -263,9 +241,12 @@ def test_version_newer_than_supported():
 
 
 def test_missing_migration_path():
-    store = _store_with_toy()  # no migrations registered
-    doc = {"schema": "toy.widget/v1", "name": "w", "n": 3}
-    with pytest.raises(SchemaVersionError, match="no migration path"):
+    """An older version is refused too: there is no migration path."""
+    store = _store_with_toy()
+    doc = {"schema": "toy.widget/v1", "name": "w", "count": 3, "note": ""}
+    with pytest.raises(SchemaVersionError,
+                       match=r"'toy\.widget/v1' is older than this build "
+                             r"supports.*'toy\.widget/v2'"):
         store.load_dict(doc, "toy.widget")
 
 
@@ -322,9 +303,81 @@ def test_registry_covers_all_builtin_artifacts():
     names = {s.name for s in load_builtin_schemas()}
     assert names == {
         "repro.incident-type", "repro.allocation", "repro.mece-certificate",
-        "repro.goal-set", "repro.run-manifest", "repro.campaign-checkpoint",
-        "repro.checkpoint-log", "repro.record-block", "repro.event-log",
+        "repro.goal-set", "repro.run-manifest", "repro.checkpoint-log",
+        "repro.record-block", "repro.event-log",
     }
+
+
+# -- one format per artifact ----------------------------------------------
+
+def _builtin_schemas():
+    return [pytest.param(schema, id=schema.name)
+            for schema in load_builtin_schemas()]
+
+
+@pytest.mark.parametrize("schema", _builtin_schemas())
+def test_unsigned_document_is_refused(schema):
+    """A stored document without its digest is refused, not validated
+    leniently: deleting the digest line cannot switch the check off."""
+    data = json.loads(ARTIFACTS.dump_text(schema.name, schema.example()))
+    del data[DIGEST_KEY]
+    with pytest.raises(CorruptArtifactError, match=DIGEST_KEY):
+        ARTIFACTS.load_text(json.dumps(data), schema.name)
+
+
+@pytest.mark.parametrize("version", [0, 2])
+@pytest.mark.parametrize("schema", _builtin_schemas())
+def test_other_version_is_refused(schema, version):
+    data = json.loads(ARTIFACTS.dump_text(schema.name, schema.example()))
+    del data[DIGEST_KEY]
+    data["schema"] = f"{schema.name}/v{version}"
+    data[DIGEST_KEY] = payload_digest(data)
+    with pytest.raises(SchemaVersionError) as info:
+        ARTIFACTS.load_text(json.dumps(data), schema.name)
+    assert f"'{schema.name}/v{version}'" in str(info.value)
+    assert f"'{schema.tag}'" in str(info.value)
+
+
+#: ``*_from_dict`` per ``core.serialize`` schema, and the fields each
+#: ``*_to_dict`` writes that a payload must no longer omit.
+_FROM_DICT = {
+    "repro.incident-type": incident_type_from_dict,
+    "repro.allocation": allocation_from_dict,
+    "repro.mece-certificate": certificate_from_dict,
+    "repro.goal-set": goal_set_from_dict,
+}
+_FORMERLY_OPTIONAL = ("description", "taxonomy_leaf", "induced",
+                      "rationale", "strategy", "point")
+
+
+def _field_paths(node, path="$"):
+    """``(keys, dotted path)`` of every formerly optional field."""
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        child_path = (f"{path}.{key}" if isinstance(key, str)
+                      else f"{path}[{key}]")
+        if key in _FORMERLY_OPTIONAL:
+            yield (key,), child_path
+        for keys, deeper in _field_paths(child, child_path):
+            yield (key,) + keys, deeper
+
+
+@pytest.mark.parametrize("name", sorted(_FROM_DICT))
+def test_from_dict_requires_every_written_field(name):
+    schema = ARTIFACTS.get(name)
+    payload = schema.dump(schema.example())
+    paths = list(_field_paths(payload))
+    assert paths, name
+    for keys, dotted in paths:
+        damaged = copy.deepcopy(payload)
+        parent = damaged
+        for key in keys[:-1]:
+            parent = parent[key]
+        del parent[keys[-1]]
+        with pytest.raises(ArtifactValidationError) as info:
+            _FROM_DICT[name](damaged)
+        assert info.value.field == dotted, (name, dotted)
 
 
 def test_reads_ignore_permission_style_oserrors(tmp_path):

@@ -13,20 +13,17 @@ boundary contract (DESIGN §10):
 * **coherent acceptance** — a re-signed structural mutation that passes
   validation is a legitimately different valid artifact, and its own
   re-dump must round-trip cleanly;
-* the pristine save→load round trip is **bit-for-bit** (modulo declared
-  volatile fields such as a checkpoint's ``updated_utc`` stamp).
+* the pristine save→load round trip is **bit-for-bit**.
 
 Run with ``pytest -q -m fuzz`` (CI gives this lane its own timeout box).
 """
 
 from __future__ import annotations
 
-import json
-
 import pytest
 
 from repro.errors import ArtifactError
-from repro.io import ARTIFACTS, DIGEST_KEY, load_builtin_schemas
+from repro.io import ARTIFACTS, load_builtin_schemas
 from repro.testing import ArtifactFuzzer, BYTE_MUTATORS, STRUCTURAL_MUTATORS
 
 pytestmark = pytest.mark.fuzz
@@ -79,16 +76,7 @@ def test_pristine_roundtrip_bit_for_bit(schema):
     loaded = ARTIFACTS.load_text(text, schema.name)
     assert schema.instances_equal(loaded, pristine)
     text2 = ARTIFACTS.dump_text(schema.name, loaded)
-    if not schema.volatile:
-        assert text2 == text  # byte-identical including the digest
-        return
-    # volatile fields (e.g. updated_utc) legitimately differ; everything
-    # else — and therefore the object content — must match exactly
-    d1, d2 = json.loads(text), json.loads(text2)
-    for key in schema.volatile + (DIGEST_KEY,):
-        d1.pop(key, None)
-        d2.pop(key, None)
-    assert d1 == d2
+    assert text2 == text  # byte-identical including the digest
 
 
 def test_fuzzer_is_seed_deterministic():

@@ -151,14 +151,12 @@ class TestArtifactBoundary:
         with pytest.raises(ArtifactError):
             RunManifest.read(path)
 
-    def test_legacy_digest_free_manifest_loads(self, snapshot, tmp_path):
-        """Manifests written before the boundary existed (no digest,
-        possibly missing the additive fields) still load."""
-        path = tmp_path / "legacy.json"
-        data = build_manifest(snapshot, command="x").to_dict()
-        for additive in ("failure_log", "budget_utilisation", "summary"):
-            data.pop(additive, None)
+    def test_digest_free_manifest_is_refused(self, snapshot, tmp_path):
+        path = tmp_path / "manifest.json"
+        build_manifest(snapshot, command="x").write(path)
+        data = json.loads(path.read_text())
+        del data["payload_sha256"]
         path.write_text(json.dumps(data))
-        back = RunManifest.read(path)
-        assert back.command == "x"
-        assert back.failure_log is None
+        from repro.errors import CorruptArtifactError
+        with pytest.raises(CorruptArtifactError, match="payload_sha256"):
+            RunManifest.read(path)

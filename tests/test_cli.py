@@ -752,17 +752,48 @@ class TestArtifactErrorDiagnostics:
         assert err.startswith("error: ")
         assert "Traceback" not in err
 
-    def test_legacy_tagless_goals_file_still_loads(self, tmp_path, capsys):
-        """Pre-boundary files (no schema tag, no digest) keep working."""
+    def test_digest_stripped_budget_edit_exits_4(self, goals_file, capsys):
+        """Raising SG-I2's budget 10x and deleting the digest line must
+        not turn its VIOLATED verdict into DEMONSTRATED."""
+        counts = ["--counts", '{"I1": 40, "I2": 3}', "--exposure", "1e6"]
+        assert main(["verify", str(goals_file)] + counts) == 1
+        assert re.search(r"SG-I2: .* VIOLATED", capsys.readouterr().out)
+        data = json.loads(goals_file.read_text())
+        for goal in data["goals"]:
+            if goal["goal_id"] == "SG-I2":
+                goal["max_frequency_rate"] *= 10
+        data["allocation"]["budgets"]["I2"] *= 10
+        del data["payload_sha256"]
+        goals_file.write_text(json.dumps(data, indent=2, sort_keys=True))
+        code = main(["verify", str(goals_file)] + counts)
+        captured = capsys.readouterr()
+        assert code == 4
+        assert captured.out == ""
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(f"error: {goals_file}: ")
+        assert "payload_sha256" in lines[0]
+        assert main(["review", str(goals_file)]) == 4
+        assert "payload_sha256" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("verb", ["verify", "review"])
+    def test_tagless_unsigned_goals_file_exits_4(self, tmp_path, capsys,
+                                                 verb):
         from repro.core import goal_set_to_dict
         from repro.cli import _build_goals
 
-        path = tmp_path / "legacy.json"
+        path = tmp_path / "unsigned.json"
         path.write_text(json.dumps(goal_set_to_dict(
             _build_goals(None, "max-min"))))
-        assert main(["verify", str(path), "--counts", "{}",
-                     "--exposure", "1e10"]) == 0
-        assert "ALL DEMONSTRATED" in capsys.readouterr().out
+        argv = [verb, str(path)]
+        if verb == "verify":
+            argv += ["--counts", "{}", "--exposure", "1e10"]
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == 4
+        assert len(err.strip().splitlines()) == 1
+        assert err.startswith(f"error: {path}: ")
+        assert "Traceback" not in err
 
 
 class TestFleetAccelerated:

@@ -9,8 +9,8 @@ count on either side of it, ::
 bit-for-bit — the chunk plan and per-chunk seeds depend only on
 ``(seed, hours, chunk_hours)``, restored chunks keep their merge slots,
 and JSON round-trips Python floats exactly.  The checkpoint is an
-append-only signed log (one line per committed chunk); single-document
-checkpoints written by earlier builds still load and resume.
+append-only signed log (one line per committed chunk); a file in any
+other layout is refused typed and left as it is.
 """
 
 from __future__ import annotations
@@ -20,7 +20,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.errors import ArtifactValidationError, CorruptArtifactError
+from repro.errors import (ArtifactValidationError, CorruptArtifactError,
+                          SchemaMismatchError)
 from repro.io import payload_digest
 from repro.traffic import (BrakingSystem, CampaignCheckpoint,
                            CheckpointMismatchError, EncounterGenerator,
@@ -58,11 +59,12 @@ def _lines(path) -> list:
     return Path(path).read_bytes().splitlines(keepends=True)
 
 
-def _v1_document(checkpoint: CampaignCheckpoint, *, signed: bool) -> str:
-    """``checkpoint`` in the single-document layout earlier builds wrote:
-    one ``repro.campaign-checkpoint/v1`` envelope, pretty-printed with
-    sorted keys and indent 2, signed over its canonical payload or
-    digest-free (written before the artifact boundary existed)."""
+def _v1_document(checkpoint: CampaignCheckpoint, *, signed: bool,
+                 pretty: bool = True) -> str:
+    """``checkpoint`` as one ``repro.campaign-checkpoint/v1`` document,
+    the single-document layout earlier builds wrote: pretty-printed with
+    sorted keys and indent 2, or on one line, signed over its canonical
+    payload or digest-free."""
     payload = {
         "schema": "repro.campaign-checkpoint/v1",
         "created_utc": checkpoint.created_utc,
@@ -75,7 +77,8 @@ def _v1_document(checkpoint: CampaignCheckpoint, *, signed: bool) -> str:
     }
     if signed:
         payload["payload_sha256"] = payload_digest(payload)
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    return json.dumps(payload, indent=2 if pretty else None,
+                      sort_keys=True) + "\n"
 
 
 class _KillAfter:
@@ -128,7 +131,9 @@ class TestCheckpointFile:
     def test_unsupported_schema_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"schema": "something/else"}))
-        with pytest.raises(ValueError, match="unsupported checkpoint schema"):
+        with pytest.raises(ValueError,
+                           match=r"unsupported checkpoint-log entry schema "
+                                 r"'something/else'.*'repro\.checkpoint-log/v1'"):
             CampaignCheckpoint.load(path)
 
     def test_ensure_matches_accepts_identity_and_rejects_foreign(self,
@@ -361,7 +366,7 @@ class TestArtifactBoundary:
         from repro.errors import SchemaMismatchError
         with pytest.raises(
                 SchemaMismatchError,
-                match=r"missing schema tag.*repro\.campaign-checkpoint/v1"):
+                match=r"missing schema tag.*repro\.checkpoint-log/v1"):
             CampaignCheckpoint.load(path)
 
     def test_unknown_schema_tag_names_both_tags(self, tmp_path):
@@ -371,7 +376,7 @@ class TestArtifactBoundary:
         with pytest.raises(
                 SchemaMismatchError,
                 match=r"'something/else'.*expected "
-                      r"'repro\.campaign-checkpoint/v1'"):
+                      r"'repro\.checkpoint-log/v1'"):
             CampaignCheckpoint.load(path)
 
     def test_saved_checkpoint_carries_digest(self, tmp_path, uninterrupted):
@@ -409,17 +414,6 @@ class TestArtifactBoundary:
         from repro.errors import ArtifactError
         with pytest.raises(ArtifactError):
             CampaignCheckpoint.load(path)
-
-    def test_legacy_digest_free_checkpoint_loads(self, tmp_path,
-                                                 uninterrupted):
-        """Checkpoints written before the boundary existed (tagged but
-        digest-free single documents) load without a re-pin."""
-        path = tmp_path / "ck.json"
-        ck = CampaignCheckpoint.new(path, {"seed": SEED})
-        ck.record(0, uninterrupted)
-        path.write_text(_v1_document(ck, signed=False))
-        loaded = CampaignCheckpoint.load(path)
-        assert loaded.completed_results()[0] == uninterrupted
 
 
 def _killed(world, path, after: int = 3) -> None:
@@ -521,6 +515,12 @@ class TestResumeCutsTornTail:
         assert CampaignCheckpoint.resume(path) == (None, 0)
         assert _run(world, checkpoint=path, resume=True) == uninterrupted
 
+    def test_unreadable_checkpoint_is_typed(self, tmp_path):
+        path = tmp_path / "ck.json"
+        path.mkdir()
+        with pytest.raises(CorruptArtifactError, match=r"^[^:]*: cannot read"):
+            CampaignCheckpoint.resume(path)
+
     @pytest.mark.parametrize("damage", ["interior", "no identity"])
     def test_other_damage_is_never_cut(self, tmp_path, world, damage):
         path = tmp_path / "ck.json"
@@ -542,71 +542,64 @@ class TestResumeCutsTornTail:
 @pytest.mark.parametrize("signed", [True, False],
                          ids=["signed", "digest-free"])
 class TestV1Documents:
-    """Single-document checkpoints from earlier builds load and resume
-    bit-for-bit; the first append rewrites them once as a log."""
+    """A single ``repro.campaign-checkpoint/v1`` document is no checkpoint
+    log: loading or resuming it fails typed, and nothing cuts it."""
 
     def _v1(self, world, tmp_path, signed):
-        path = tmp_path / "ck.json"
-        _killed(world, path)
-        banked = CampaignCheckpoint.load(path)
-        path.write_text(_v1_document(banked, signed=signed))
-        assert path.read_bytes().startswith(b"{\n  \"campaign\"")
-        return path, banked
+        """The pretty-printed and the one-line document of one banked
+        checkpoint."""
+        _killed(world, tmp_path / "ck.json")
+        banked = CampaignCheckpoint.load(tmp_path / "ck.json")
+        paths = []
+        for pretty in (True, False):
+            path = tmp_path / f"v1-{'pretty' if pretty else 'line'}.json"
+            path.write_text(_v1_document(banked, signed=signed,
+                                         pretty=pretty))
+            paths.append(path)
+        return paths
 
-    def test_loads(self, tmp_path, world, signed):
-        path, banked = self._v1(world, tmp_path, signed)
-        loaded = CampaignCheckpoint.load(path)
-        assert loaded.campaign == banked.campaign
-        assert loaded.completed_results() == banked.completed_results()
-        assert loaded.chunk_indices() == banked.chunk_indices()
+    def test_load_is_refused(self, tmp_path, world, signed):
+        pretty, line = self._v1(world, tmp_path, signed)
+        with pytest.raises(CorruptArtifactError, match="invalid JSON"):
+            CampaignCheckpoint.load(pretty)
+        with pytest.raises(
+                SchemaMismatchError,
+                match=r"'repro\.campaign-checkpoint/v1' \(expected "
+                      r"'repro\.checkpoint-log/v1'\)"):
+            CampaignCheckpoint.load(line)
 
     def test_tail_repair_never_cuts_a_document(self, tmp_path, world,
                                                signed):
         # A document is not a log: its first line is no signed entry,
         # so nothing in it is a provably torn tail.
-        path, _ = self._v1(world, tmp_path, signed)
-        document = path.read_bytes()
-        with pytest.raises(CorruptArtifactError, match="not a torn tail"):
-            repair_checkpoint_tail(path)
-        assert path.read_bytes() == document
+        for path in self._v1(world, tmp_path, signed):
+            document = path.read_bytes()
+            with pytest.raises(CorruptArtifactError, match="not a torn tail"):
+                repair_checkpoint_tail(path)
+            with pytest.raises(CorruptArtifactError, match="not a torn tail"):
+                CampaignCheckpoint.resume(path)
+            assert path.read_bytes() == document
 
-    def test_resume_matches_uninterrupted(self, tmp_path, world,
-                                          uninterrupted, signed):
-        path, banked = self._v1(world, tmp_path, signed)
-        seen = []
-        resumed = _run(world, checkpoint=path, resume=True,
-                       progress=lambda update: seen.append(
-                           path.read_bytes()))
-        assert resumed == uninterrupted
-        # The first commit rewrote the document as a log; every later
-        # commit appended one line to it.
-        assert len(seen[0].splitlines()) == len(banked.chunks) + 2
-        for before, after in zip(seen, seen[1:]):
-            assert after.startswith(before)
-        final = CampaignCheckpoint.load(path)
-        assert final.chunk_indices() == tuple(range(N_CHUNKS))
-        assert final.created_utc == banked.created_utc
-        assert json.loads(_lines(path)[0])["schema"] == \
-            "repro.checkpoint-log/v1"
-
-    def test_cli_resume_matches_uninterrupted(self, tmp_path, capsys,
-                                              signed):
+    @pytest.mark.parametrize("pretty", [True, False],
+                             ids=["pretty", "one-line"])
+    @pytest.mark.parametrize("verb", ["fleet", "dossier"])
+    def test_cli_resume_exits_4_and_keeps_the_file(self, tmp_path, capsys,
+                                                   signed, pretty, verb):
         from repro.cli import main
 
-        fleet = ["fleet", "--hours", "4", "--seed", "9", "--chunk-hours",
-                 "1", "--workers", "1"]
+        campaign = ["--hours", "4", "--seed", "9", "--chunk-hours", "1",
+                    "--workers", "1"]
         ck = tmp_path / "ck.json"
-        plain = tmp_path / "plain.json"
-        resumed = tmp_path / "resumed.json"
-        assert main(fleet + ["--json", str(plain)]) == 0
-        assert main(fleet + ["--checkpoint", str(ck)]) == 0
-        banked = CampaignCheckpoint.load(ck)
-        for index in (2, 3):  # an earlier build killed after two chunks
-            del banked.chunks[index]
-        ck.write_text(_v1_document(banked, signed=signed))
-        assert main(fleet + ["--checkpoint", str(ck), "--resume",
-                             "--json", str(resumed)]) == 0
+        assert main(["fleet"] + campaign + ["--checkpoint", str(ck)]) == 0
+        ck.write_text(_v1_document(CampaignCheckpoint.load(ck),
+                                   signed=signed, pretty=pretty))
+        document = ck.read_bytes()
         capsys.readouterr()
-        assert json.loads(resumed.read_text()) == \
-            json.loads(plain.read_text())
-        assert CampaignCheckpoint.load(ck).chunk_indices() == (0, 1, 2, 3)
+        code = main([verb] + campaign + ["--checkpoint", str(ck),
+                                         "--resume"])
+        err = capsys.readouterr().err
+        assert code == 4
+        assert len(err.strip().splitlines()) == 1
+        assert err.startswith(f"error: {ck}: ")
+        assert "Traceback" not in err
+        assert ck.read_bytes() == document
