@@ -64,6 +64,11 @@ __all__ = ["EVENT_LOG_SCHEMA", "EVENT_LOG_SCHEMA_NAME", "EVENT_KINDS",
 EVENT_LOG_SCHEMA_NAME = "repro.event-log"
 EVENT_LOG_SCHEMA = f"{EVENT_LOG_SCHEMA_NAME}/v1"
 
+#: What a scan's errors call each digest-chained journal it reads: the
+#: flight recorder's journal, or a campaign's checkpoint log.
+_JOURNAL_NAMES = {EVENT_LOG_SCHEMA_NAME: "event journal",
+                  "repro.checkpoint-log": "checkpoint log"}
+
 EVENT_KINDS = (
     # campaign lifecycle
     "campaign.started", "campaign.resumed", "campaign.finished",
@@ -123,10 +128,10 @@ class EventRecord:
 
 # -- reading + chain verification -----------------------------------------
 
-def _chain_error(path: object, lineno: int, message: str, *,
-                 schema: str = EVENT_LOG_SCHEMA) -> CorruptArtifactError:
+def _chain_error(path: object, lineno: int, message: str, *, journal: str,
+                 schema: str) -> CorruptArtifactError:
     return CorruptArtifactError(
-        f"event journal chain broken at line {lineno}: {message}",
+        f"{journal} chain broken at line {lineno}: {message}",
         source=path, schema=schema)
 
 
@@ -181,12 +186,13 @@ def scan_journal(path: Union[str, Path], *,
     """
     path = Path(path)
     schema_tag = f"{schema_name}/v{ARTIFACTS.get(schema_name).version}"
+    journal = _JOURNAL_NAMES.get(schema_name, "journal")
     scan = JournalScan(path=path, schema_name=schema_name)
     try:
         raw = path.read_bytes()
     except OSError as exc:
         scan.error = CorruptArtifactError(
-            f"cannot read event journal: {exc.strerror or exc}",
+            f"cannot read {journal}: {exc.strerror or exc}",
             source=path, schema=schema_tag)
         return scan
     scan.total_bytes = len(raw)
@@ -212,7 +218,7 @@ def scan_journal(path: Union[str, Path], *,
             line = line_bytes.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise CorruptArtifactError(
-                f"event journal line is not valid UTF-8: {exc}",
+                f"{journal} line is not valid UTF-8: {exc}",
                 source=source, schema=schema_tag) from exc
         if not line.strip():
             return None
@@ -223,18 +229,18 @@ def scan_journal(path: Union[str, Path], *,
             else None
         if not isinstance(digest, str):
             raise _chain_error(path, lineno, "entry carries no payload "
-                              "digest (chain link missing)",
-                              schema=schema_tag)
+                               "digest (chain link missing)",
+                               journal=journal, schema=schema_tag)
         if record.seq != len(scan.records):
             raise _chain_error(
                 path, lineno, f"expected seq {len(scan.records)}, found "
                 f"{record.seq} (entries dropped, duplicated or reordered)",
-                schema=schema_tag)
+                journal=journal, schema=schema_tag)
         if record.prev != scan.head:
             raise _chain_error(
                 path, lineno, f"prev digest {record.prev!r} does not "
                 f"match the preceding entry's digest {scan.head!r}",
-                schema=schema_tag)
+                journal=journal, schema=schema_tag)
         return record, digest
 
     for lineno, (line_bytes, end_offset) in enumerate(pieces, start=1):

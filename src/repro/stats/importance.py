@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Union
+from typing import Iterable, List, Sequence, Union
 
 import numpy as np
 
@@ -95,15 +95,27 @@ class WeightDiagnostics:
 
     @classmethod
     def from_weights(cls, weights: np.ndarray) -> "WeightDiagnostics":
-        weights = np.asarray(weights, dtype=float)
-        if weights.size == 0:
-            return cls()
+        weights = np.asarray(weights, dtype=float).ravel()
+        return cls.from_groups(weights, (0, weights.size))[0]
+
+    @classmethod
+    def from_groups(cls, weights: np.ndarray, bounds: Sequence[int],
+                    ) -> List["WeightDiagnostics"]:
+        """One diagnostics per group ``weights[bounds[i]:bounds[i + 1]]``.
+
+        The weights are checked once; each group's Σw, Σw² and max are
+        reductions over its own slice, so a group's diagnostics equal
+        :meth:`from_weights` of that group alone, bit for bit.
+        """
         if np.any(weights < 0) or not np.all(np.isfinite(weights)):
             raise ValueError("weights must be finite and >= 0")
-        return cls(count=int(weights.size),
-                   weight_sum=float(np.sum(weights)),
-                   weight_sq_sum=float(np.sum(weights ** 2)),
-                   max_weight=float(np.max(weights)))
+        squares = weights ** 2
+        return [cls(count=int(stop - start),
+                    weight_sum=float(np.sum(weights[start:stop])),
+                    weight_sq_sum=float(np.sum(squares[start:stop])),
+                    max_weight=float(np.max(weights[start:stop])))
+                if stop > start else cls()
+                for start, stop in zip(bounds[:-1], bounds[1:])]
 
     def merged(self, other: "WeightDiagnostics") -> "WeightDiagnostics":
         return WeightDiagnostics(

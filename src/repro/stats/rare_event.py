@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping, Tuple
+from typing import Callable, Iterable, List, Mapping, Tuple
 
 import numpy as np
 
@@ -27,6 +27,7 @@ __all__ = [
     "StratumEstimate",
     "StratifiedEstimate",
     "stratified_rate",
+    "stratified_batch_rate",
 ]
 
 
@@ -111,6 +112,27 @@ def stratified_rate(simulate: Callable[[str, np.random.Generator], float],
     zero weight are skipped entirely — no simulation effort outside the
     declared mix.
     """
+    return stratified_batch_rate(
+        lambda context, rngs: (simulate(context, rng) for rng in rngs),
+        weights, seed=seed,
+        replications_per_stratum=replications_per_stratum)
+
+
+def stratified_batch_rate(
+        simulate_stratum: Callable[[str, List[np.random.Generator]],
+                                   Iterable[float]],
+        weights: Mapping[str, float],
+        *, seed: int,
+        replications_per_stratum: int | Mapping[str, int] = 64,
+        ) -> StratifiedEstimate:
+    """:func:`stratified_rate` with one call per stratum.
+
+    ``simulate_stratum(context, rngs)`` returns one rate observation per
+    generator of ``rngs``, in order.  The stream layout is the one both
+    functions share: the contexts with positive weight in sorted order,
+    at least 2 replications each, one :func:`spawn_generators` call for
+    every replication, and consecutive slices of it in context order.
+    """
     _validate_weights(weights)
     contexts = [c for c, w in sorted(weights.items()) if w > 0]
     if isinstance(replications_per_stratum, int):
@@ -125,10 +147,15 @@ def stratified_rate(simulate: Callable[[str, np.random.Generator], float],
     stream = spawn_generators(seed, sum(replication_map.values()))
     cursor = 0
     for context in contexts:
+        reps = replication_map[context]
         acc = BatchMeans()
-        for _ in range(replication_map[context]):
-            acc.add(float(simulate(context, stream[cursor])))
-            cursor += 1
+        for value in simulate_stratum(context,
+                                      stream[cursor:cursor + reps]):
+            acc.add(float(value))
+        if acc.count != reps:
+            raise ValueError(f"stratum {context!r} returned {acc.count} "
+                             f"observations for {reps} replications")
+        cursor += reps
         strata.append(StratumEstimate(context, float(weights[context]),
                                       acc.result()))
     return StratifiedEstimate(tuple(strata))

@@ -10,9 +10,11 @@ so both remain *exactly* unbiased for the nominal law (DESIGN §11):
   the fleet under a tilted encounter/fault law
   (:class:`~repro.traffic.encounters.ProposalTilt`) and reweight every
   record with its closed-form likelihood ratio
-  (:func:`repro.traffic.engine.simulate_importance`).  Weight-health is
-  reported per run via :class:`~repro.stats.importance.WeightDiagnostics`
-  and gated by the degeneracy alarm.
+  (:func:`repro.traffic.engine.simulate_importance_stratum`, which
+  resolves a stratum's replications in shared passes, DESIGN §7).
+  Weight-health is reported per run via
+  :class:`~repro.stats.importance.WeightDiagnostics` and gated by the
+  degeneracy alarm.
 
 * **Multilevel splitting** (:func:`splitting_collision_rate`) — estimate
   the per-encounter collision probability by driving particles up a
@@ -24,7 +26,8 @@ so both remain *exactly* unbiased for the nominal law (DESIGN §11):
   splitting estimate targets the same quantity as counting collisions.
 
 Both return the same :class:`AcceleratedRate` shape as the naive
-stratified baseline (:func:`naive_collision_rate`), so the statistical
+stratified baseline (:func:`naive_collision_rate`, the importance
+sampler's passes under the identity tilt), so the statistical
 verification tier can compare all three against each other on calibrated
 workloads.
 """
@@ -41,12 +44,13 @@ from ..core.taxonomy import ActorClass
 from ..stats.importance import WeightDiagnostics
 from ..stats.montecarlo import MonteCarloResult
 from ..stats.rare_event import (StratifiedEstimate, StratumEstimate,
-                                stratified_rate)
+                                stratified_batch_rate)
 from ..stats.splitting import adaptive_levels, replicated_splitting
 from .dynamics import kmh_to_ms, required_deceleration_array
 from .encounters import (SIGHT_DISTANCE_CLAMP_M, EncounterGenerator,
                          ProposalTilt, _lognormal_params)
-from .engine import CROSSING_CLASSES, simulate_importance, simulate_vectorized
+from .engine import (CROSSING_CLASSES, simulate_importance,
+                     simulate_importance_stratum)
 from .faults import BrakingSystem
 from .perception import PerceptionModel
 from .policy import TacticalPolicy
@@ -62,6 +66,9 @@ __all__ = [
     "importance_collision_rate",
     "splitting_collision_rate",
     "accelerated_collision_rate",
+    # perfbench/layers.py wraps simulate_importance under this module's
+    # name; the estimators here call simulate_importance_stratum.
+    "simulate_importance",
 ]
 
 ACCELERATORS = ("none", "is", "splitting")
@@ -131,18 +138,23 @@ def naive_collision_rate(policy: TacticalPolicy,
     with the vectorized engine and reports its raw collision rate; the
     strata recombine under the exposure mix.  This is what the
     accelerated estimators are benchmarked against — same estimand, same
-    replication layout, no variance reduction.
+    replication layout, no variance reduction.  It runs the importance
+    sampler's stratum passes under the identity tilt, which draws and
+    resolves exactly what :func:`~repro.traffic.engine.simulate_vectorized`
+    does.
     """
     _require_positive("hours_per_replication", hours_per_replication)
 
-    def simulate_one(context: str, rng: np.random.Generator) -> float:
-        result = simulate_vectorized(policy, generator, perception, braking,
-                                     context, hours_per_replication, rng,
-                                     config)
-        return result.collision_count() / hours_per_replication
+    def simulate_stratum(context: str,
+                         rngs: List[np.random.Generator]) -> List[float]:
+        runs = simulate_importance_stratum(
+            policy, generator, perception, braking, context,
+            hours_per_replication, rngs, config, tilt=ProposalTilt())
+        return [run.result.collision_count() / hours_per_replication
+                for run in runs]
 
-    estimate = stratified_rate(
-        simulate_one, weights, seed=seed,
+    estimate = stratified_batch_rate(
+        simulate_stratum, weights, seed=seed,
         replications_per_stratum=replications_per_stratum)
     return AcceleratedRate(method="none", estimate=estimate)
 
@@ -166,10 +178,12 @@ def importance_collision_rate(policy: TacticalPolicy,
     Replication-for-replication the layout of
     :func:`naive_collision_rate` — same sorted-context order, same
     ``spawn_generators`` stream assignment, same exposure per replication
-    — except each replication drives :func:`simulate_importance` and
-    reports the *weighted* collision rate, which is unbiased for the
-    nominal rate by the Campbell argument.  Weight diagnostics pool over
-    every replication and are checked against the degeneracy alarm
+    — except the proposal is ``tilt`` and each replication reports the
+    *weighted* collision rate, which is unbiased for the nominal rate by
+    the Campbell argument.  Each stratum is one
+    :func:`~repro.traffic.engine.simulate_importance_stratum` call, whose
+    passes resolve many replications at once.  Weight diagnostics pool
+    over every replication and are checked against the degeneracy alarm
     thresholds once at the end (raising
     :class:`~repro.stats.importance.WeightDegeneracyError` on a
     collapsed proposal); pass ``min_ess_fraction=0`` and
@@ -180,15 +194,16 @@ def importance_collision_rate(policy: TacticalPolicy,
     _require_positive("hours_per_replication", hours_per_replication)
     pooled: List[WeightDiagnostics] = []
 
-    def simulate_one(context: str, rng: np.random.Generator) -> float:
-        run = simulate_importance(policy, generator, perception, braking,
-                                  context, hours_per_replication, rng,
-                                  config, tilt=tilt)
-        pooled.append(run.diagnostics)
-        return run.weighted_collision_rate_per_hour()
+    def simulate_stratum(context: str,
+                         rngs: List[np.random.Generator]) -> List[float]:
+        runs = simulate_importance_stratum(
+            policy, generator, perception, braking, context,
+            hours_per_replication, rngs, config, tilt=tilt)
+        pooled.extend(run.diagnostics for run in runs)
+        return [run.weighted_collision_rate_per_hour() for run in runs]
 
-    estimate = stratified_rate(
-        simulate_one, weights, seed=seed,
+    estimate = stratified_batch_rate(
+        simulate_stratum, weights, seed=seed,
         replications_per_stratum=replications_per_stratum)
     diagnostics = WeightDiagnostics.merge_many(pooled)
     diagnostics.check(min_ess_fraction=min_ess_fraction,

@@ -70,7 +70,8 @@ class ProposalTilt:
     fault occupancy (the paper's Sec. II-B-3 degraded-braking channel,
     typically 1e-4 or rarer) so faulted encounters are proposed often;
     the realised fault states are reweighted by the exact Bernoulli
-    ratio inside :func:`repro.traffic.engine.simulate_importance`.
+    ratio inside the engine's importance passes
+    (:func:`repro.traffic.engine.simulate_importance_stratum`).
 
     The identity tilt reproduces the nominal generator bit-for-bit with
     all weights exactly 1 — the oracle equivalence the statistical

@@ -16,11 +16,13 @@ the order below.  Everything that draws nothing — the kinematics, the
 outcome masks and the record assembly — runs once per *pass* over all
 groups of a call: one per ``simulate_mix(engine="vectorized")`` call
 (one fleet chunk, every context), one per :func:`simulate_vectorized`
-context, one per :func:`simulate_importance` replication.  Per-group
-constants (the context's target speed, perception factor and timeline
-offset; the class's crossing flag and code) become per-row arrays, and
-every operation of the pass is elementwise, so a row's values do not
-depend on which groups share its pass.
+context, and one per importance pass — :func:`simulate_importance_stratum`
+gathers consecutive replications of one context, each on its own
+generator, until a pass holds about :data:`_PASS_ENCOUNTERS` encounters.
+Per-group constants (the context's target speed, perception factor and
+timeline offset; the class's crossing flag and code) become per-row
+arrays, and every operation of the pass is elementwise, so a row's
+values do not depend on which groups share its pass.
 
 RNG sub-stream layout (the engine's determinism contract, also in
 DESIGN §6):
@@ -60,8 +62,8 @@ from ..core.taxonomy import ActorClass
 from ..obs.session import active_session, maybe_span
 from ..stats.importance import WeightDiagnostics, bernoulli_log_ratio
 from .dynamics import kmh_to_ms, ms_to_kmh, resolve_braking_arrays
-from .encounters import (EncounterBatch, EncounterGenerator, ProposalTilt,
-                         encounter_log_weights)
+from .encounters import (ContextProfile, EncounterBatch, EncounterGenerator,
+                         ProposalTilt, encounter_log_weights)
 from .faults import BrakingSystem
 from .perception import PerceptionModel
 from .policy import TacticalPolicy
@@ -69,8 +71,8 @@ from .policy import TacticalPolicy
 from .records import RECORD_DTYPE, RecordBlock, actor_code
 
 __all__ = ["ClassStream", "resolve_batch", "resolve_block_traced",
-           "simulate_vectorized", "simulate_importance", "ImportanceRun",
-           "CROSSING_CLASSES"]
+           "simulate_vectorized", "simulate_importance",
+           "simulate_importance_stratum", "ImportanceRun", "CROSSING_CLASSES"]
 
 CROSSING_CLASSES = frozenset({ActorClass.VRU, ActorClass.ANIMAL,
                               ActorClass.STATIC_OBJECT})
@@ -124,10 +126,10 @@ def resolve_batch(batch: EncounterBatch, policy: TacticalPolicy,
     batch's own sub-stream, already advanced past the generation draws.
     The block is unsorted (the caller canonicalises).
     """
-    block, _, _, n_hard = resolve_block_traced(
+    block, _, _, hard = resolve_block_traced(
         [ClassStream(batch, rng, time_offset_h)], policy, perception,
         braking, config)
-    return block, n_hard
+    return block, int(np.count_nonzero(hard))
 
 
 def resolve_block_traced(streams: Sequence[ClassStream],
@@ -136,18 +138,19 @@ def resolve_block_traced(streams: Sequence[ClassStream],
                          braking: BrakingSystem,
                          config: "SimulationConfig",
                          ) -> Tuple[RecordBlock, np.ndarray,
-                                    np.ndarray, int]:
+                                    np.ndarray, np.ndarray]:
     """Resolve every group of ``streams`` in one pass, with provenance.
 
-    Returns ``(block, sources, degraded, n_hard)``.  The block is
+    Returns ``(block, sources, degraded, hard)``.  The block is
     unsorted, laid out group by group as [collisions | near-misses |
     induced], each in encounter order, so sorting it gives what sorting
     the per-group blocks together would.  ``sources`` maps each row to
     the pass index (groups concatenated in order) of the encounter that
-    produced it — an induced incident's hard-stopping encounter — and
-    ``degraded`` is the per-encounter fault-state mask; the importance
-    sampler weights records and reweights tilted fault occupancies with
-    them.
+    produced it — an induced incident's hard-stopping encounter.
+    ``degraded`` and ``hard`` are per-encounter masks in pass order: the
+    fault state, and whether the encounter demanded hard braking.  The
+    importance sampler weights records and reweights tilted fault
+    occupancies with them.
     """
     n = sum(len(stream.batch) for stream in streams)
     session = active_session()
@@ -156,7 +159,7 @@ def resolve_block_traced(streams: Sequence[ClassStream],
         session.metrics.histogram("engine.batch_size").observe(n)
     if n == 0:
         return (RecordBlock.empty(), np.zeros(0, dtype=np.int64),
-                np.zeros(0, dtype=bool), 0)
+                np.zeros(0, dtype=bool), np.zeros(0, dtype=bool))
     with maybe_span("resolve_batch"):
         return _resolve_pass(
             [stream for stream in streams if len(stream.batch)],
@@ -174,7 +177,7 @@ def _draw_per_stream(streams: Sequence[ClassStream], row_stream: np.ndarray,
 def _resolve_pass(streams: Sequence[ClassStream], policy: TacticalPolicy,
                   perception: PerceptionModel, braking: BrakingSystem,
                   config: "SimulationConfig",
-                  ) -> Tuple[RecordBlock, np.ndarray, np.ndarray, int]:
+                  ) -> Tuple[RecordBlock, np.ndarray, np.ndarray, np.ndarray]:
     batches = [stream.batch for stream in streams]
     contexts = sorted({batch.context for batch in batches})
     row_stream = np.repeat(np.arange(len(batches)),
@@ -238,10 +241,9 @@ def _resolve_pass(streams: Sequence[ClassStream], policy: TacticalPolicy,
     # demand, then one distance and one speed uniform per induced
     # incident.
     hard_indices = np.flatnonzero(hard)
-    n_hard = int(hard_indices.size)
     induced_indices = np.zeros(0, dtype=np.int64)
     induced_distance = induced_speed = np.zeros(0)
-    if n_hard:
+    if hard_indices.size:
         follower = np.concatenate(_draw_per_stream(
             streams, row_stream[hard_indices],
             lambda rng, k: rng.uniform(size=k))) \
@@ -288,7 +290,7 @@ def _resolve_pass(streams: Sequence[ClassStream], policy: TacticalPolicy,
     rows["induced"][n_detected:] = True
     layout = np.argsort(record_stream, kind="stable")
     return (RecordBlock(rows[layout], contexts), sources[layout], degraded,
-            n_hard)
+            hard)
 
 
 def _check_part(hours: float, time_offset_h: float) -> None:
@@ -318,9 +320,10 @@ def _simulate_pass(policy: TacticalPolicy, generator: EncounterGenerator,
     for _, part_hours, time_offset_h in parts:
         _check_part(part_hours, time_offset_h)
     streams = _sample_streams(generator, parts, policy.cue_probability, rng)
-    block, _, _, hard_demands = resolve_block_traced(
+    block, _, _, hard = resolve_block_traced(
         streams, policy, perception, braking, config)
     block = block.canonical_sort()
+    hard_demands = int(np.count_nonzero(hard))
     encounters_resolved = sum(len(stream.batch) for stream in streams)
     _record_sim_metrics(
         context_hours=[part_hours for _, part_hours, _ in parts],
@@ -398,6 +401,15 @@ class ImportanceRun:
         return self.weighted_collision_count() / self.result.hours
 
 
+#: Encounters an importance pass gathers before it resolves (DESIGN §7).
+#: Replications join a pass until it holds this many, at least one each:
+#: enough that the per-pass overhead is paid once per several
+#: replications, few enough that a pass's arrays stay near a megabyte
+#: (a whole 128-replication stratum in one pass raised an estimator
+#: process's peak RSS by about a fifth).  No result depends on the value.
+_PASS_ENCOUNTERS = 4096
+
+
 def simulate_importance(policy: TacticalPolicy,
                         generator: EncounterGenerator,
                         perception: PerceptionModel,
@@ -411,6 +423,7 @@ def simulate_importance(policy: TacticalPolicy,
                         time_offset_h: float = 0.0) -> ImportanceRun:
     """:func:`simulate_vectorized` under a proposal tilt, with weights.
 
+    The one-replication case of :func:`simulate_importance_stratum`.
     ``generator`` is the *nominal* generator; sampling happens under
     ``generator.tilted(tilt)`` with the identical RNG sub-stream layout
     (one child per active class, same canonical order — positive rates
@@ -425,57 +438,138 @@ def simulate_importance(policy: TacticalPolicy,
     With the identity tilt this is bit-for-bit :func:`simulate_vectorized`
     — same records, same draws — with every weight exactly 1.0.
     """
-    from .simulator import (SimulationConfig, SimulationResult,
-                            _record_sim_metrics)
+    run, = simulate_importance_stratum(
+        policy, generator, perception, braking, context, hours, [rng],
+        config, tilt=tilt, time_offset_h=time_offset_h)
+    return run
+
+
+def simulate_importance_stratum(policy: TacticalPolicy,
+                                generator: EncounterGenerator,
+                                perception: PerceptionModel,
+                                braking: BrakingSystem,
+                                context: str,
+                                hours: float,
+                                rngs: Sequence[np.random.Generator],
+                                config: Optional["SimulationConfig"] = None,
+                                *,
+                                tilt: ProposalTilt,
+                                time_offset_h: float = 0.0,
+                                ) -> List[ImportanceRun]:
+    """:func:`simulate_importance` once per generator of ``rngs``.
+
+    Run ``i`` is bit-for-bit what a run on ``rngs[i]`` alone returns: it
+    draws on its own generator in the engine's stream layout, and its
+    records, weights and diagnostics are those of a run of its own.  The
+    tilted generator and braking system are built once per call.  The
+    replications are gathered, in order, into passes of about
+    :data:`_PASS_ENCOUNTERS` encounters; each pass is one
+    :func:`resolve_block_traced` call, one ``simulate.importance`` span
+    and one set of ``sim.*`` increments.
+    """
+    from .simulator import SimulationConfig
     if config is None:
         config = SimulationConfig()
     _check_part(hours, time_offset_h)
     proposal = generator.tilted(tilt)
-    nominal_occupancy = braking.degradation_occupancy
-    proposal_occupancy = nominal_occupancy * tilt.degradation_scale
     # Constructing the tilted system validates occupancy <= 1 up front.
-    proposal_braking = braking.with_occupancy(proposal_occupancy)
+    proposal_braking = braking.with_occupancy(
+        braking.degradation_occupancy * tilt.degradation_scale)
     nominal_profile = generator.profile(context)
-    with maybe_span("simulate.importance"):
-        streams = _sample_streams(proposal, [(context, hours, time_offset_h)],
-                                  policy.cue_probability, rng)
-        block, sources, degraded, hard_demands = resolve_block_traced(
-            streams, policy, perception, proposal_braking, config)
-        # Weights stay per group, in class order: the diagnostics merge
-        # rounds group by group.
-        weights: List[np.ndarray] = []
-        diagnostics = WeightDiagnostics()
-        start = 0
-        for stream in streams:
-            batch = stream.batch
-            log_weights = encounter_log_weights(batch, nominal_profile, tilt)
-            if len(batch):
-                log_weights += bernoulli_log_ratio(
-                    degraded[start:start + len(batch)],
-                    p_p=nominal_occupancy, p_q=proposal_occupancy)
-            start += len(batch)
-            encounter_weights = np.exp(log_weights)
-            diagnostics = diagnostics.merged(
-                WeightDiagnostics.from_weights(encounter_weights))
-            weights.append(encounter_weights)
-        # One stable permutation orders the rows and their weights alike.
-        order = block.canonical_order()
-        record_weights = np.concatenate(weights)[sources[order]] \
-            if weights else np.zeros(0)
-        encounters_resolved = sum(len(stream.batch) for stream in streams)
-        result = SimulationResult(
+    part = [(context, hours, time_offset_h)]
+    runs: List[ImportanceRun] = []
+    while len(runs) < len(rngs):
+        with maybe_span("simulate.importance"):
+            replications: List[List[ClassStream]] = []
+            encounters = 0
+            for rng in rngs[len(runs):]:
+                replications.append(_sample_streams(
+                    proposal, part, policy.cue_probability, rng))
+                encounters += sum(len(stream.batch)
+                                  for stream in replications[-1])
+                if encounters >= _PASS_ENCOUNTERS:
+                    break
+            runs += _importance_pass(replications, policy, perception,
+                                     braking, proposal_braking, config,
+                                     nominal_profile, tilt, hours)
+    return runs
+
+
+def _importance_pass(replications: Sequence[Sequence[ClassStream]],
+                     policy: TacticalPolicy, perception: PerceptionModel,
+                     braking: BrakingSystem, proposal_braking: BrakingSystem,
+                     config: "SimulationConfig",
+                     nominal_profile: ContextProfile, tilt: ProposalTilt,
+                     hours: float) -> List[ImportanceRun]:
+    """Resolve and weight one pass; one run per replication, in order.
+
+    What is elementwise runs once over the pass: the resolution, each
+    class's log-weights (one :func:`encounter_log_weights` call over the
+    class's batches of every replication), the fault-state ratio and
+    ``np.exp``.  What is a reduction stays per (replication × class)
+    group: each group's diagnostics come from its own slice and merge in
+    class order, as in a run of its own.  One stable sort, replication
+    first and :meth:`RecordBlock.canonical_keys` after, orders every
+    replication's rows as its own canonical sort would.
+    """
+    from .simulator import SimulationResult, _record_sim_metrics
+    streams = [stream for replication in replications
+               for stream in replication]
+    block, sources, degraded, hard = resolve_block_traced(
+        streams, policy, perception, proposal_braking, config)
+    # Every replication has the same classes, in canonical order.
+    classes = len(replications[0])
+    sizes = [len(stream.batch) for stream in streams]
+    stream_class = np.repeat(np.tile(np.arange(classes), len(replications)),
+                             sizes)
+    log_weights = np.empty(len(degraded))
+    for code in range(classes):
+        log_weights[stream_class == code] = encounter_log_weights(
+            _joined([stream.batch for stream in streams[code::classes]]),
+            nominal_profile, tilt)
+    log_weights += bernoulli_log_ratio(
+        degraded, p_p=braking.degradation_occupancy,
+        p_q=proposal_braking.degradation_occupancy)
+    weights = np.exp(log_weights)
+    groups = WeightDiagnostics.from_groups(weights, np.cumsum([0] + sizes))
+
+    encounters = [sum(len(stream.batch) for stream in replication)
+                  for replication in replications]
+    replication = np.repeat(np.arange(len(replications)), encounters)
+    record_replication = replication[sources]
+    order = np.lexsort(block.canonical_keys() + (record_replication,))
+    rows = block.array[order]
+    record_weights = weights[sources[order]]
+    bounds = np.searchsorted(record_replication[order],
+                             np.arange(len(replications) + 1))
+    hard_demands = np.bincount(replication[hard],
+                               minlength=len(replications)).tolist()
+    _record_sim_metrics(
+        context_hours=[hours] * len(replications),
+        encounters=sum(encounters), incidents=len(block),
+        collisions=block.collision_count, hard_demands=sum(hard_demands))
+    return [ImportanceRun(
+        result=SimulationResult(
             policy_name=policy.name,
             hours=hours,
-            context_hours={context: hours},
-            records=RecordBlock(block.array[order], block.context_table),
-            encounters_resolved=encounters_resolved,
-            hard_braking_demands=hard_demands,
+            context_hours={nominal_profile.name: hours},
+            records=RecordBlock(rows[start:stop], block.context_table),
+            encounters_resolved=encounters[i],
+            hard_braking_demands=hard_demands[i],
             hard_braking_threshold_ms2=config.hard_braking_threshold_ms2,
-        )
-        _record_sim_metrics(
-            context_hours=[hours], encounters=encounters_resolved,
-            incidents=result.num_records,
-            collisions=result.collision_count(),
-            hard_demands=hard_demands)
-        return ImportanceRun(result=result, record_weights=record_weights,
-                             diagnostics=diagnostics)
+        ),
+        record_weights=record_weights[start:stop],
+        diagnostics=WeightDiagnostics.merge_many(
+            groups[i * classes:(i + 1) * classes]))
+        for i, (start, stop) in enumerate(zip(bounds[:-1], bounds[1:]))]
+
+
+def _joined(batches: Sequence[EncounterBatch]) -> EncounterBatch:
+    """One (context, class)'s batches as one batch, in order."""
+    if len(batches) == 1:
+        return batches[0]
+    return EncounterBatch(
+        counterpart=batches[0].counterpart, context=batches[0].context,
+        **{name: np.concatenate([getattr(batch, name) for batch in batches])
+           for name in ("time_h", "sight_distance_m",
+                        "counterpart_speed_kmh", "cue_available")})

@@ -286,11 +286,15 @@ class RecordBlock:
         so rows that compare equal (bit-identical rows, or rows differing
         only in the sign of a zero) keep their input order.
         """
+        return np.lexsort(self.canonical_keys())
+
+    def canonical_keys(self) -> Tuple[np.ndarray, ...]:
+        """The columns :meth:`canonical_order` sorts by, least
+        significant first (``np.lexsort``'s convention)."""
         a = self.array
-        return np.lexsort((a["approach_speed_kmh"], a["min_distance_m"],
-                           a["delta_v_kmh"], a["induced"],
-                           a["is_collision"], a["counterpart"],
-                           a["context"], a["time_h"]))
+        return (a["approach_speed_kmh"], a["min_distance_m"],
+                a["delta_v_kmh"], a["induced"], a["is_collision"],
+                a["counterpart"], a["context"], a["time_h"])
 
     def canonical_sort(self) -> "RecordBlock":
         """The rows in :meth:`canonical_order`."""

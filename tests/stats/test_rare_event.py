@@ -8,7 +8,7 @@ import pytest
 
 from repro.stats.montecarlo import MonteCarloResult
 from repro.stats.rare_event import (StratifiedEstimate, StratumEstimate,
-                                    stratified_rate)
+                                    stratified_batch_rate, stratified_rate)
 
 
 def simulate(context, rng):
@@ -145,6 +145,30 @@ class TestSeedDeterminism:
             [s.context for s in b.strata]
         assert a.mean == b.mean
         assert a.std_error == b.std_error
+
+
+class TestStratifiedBatchRate:
+    """One call per stratum, the stream layout of stratified_rate."""
+
+    def test_same_streams_as_per_replication_calls(self):
+        strata = []
+
+        def batch(context, rngs):
+            strata.append((context, len(rngs)))
+            return [simulate(context, rng) for rng in rngs]
+
+        reps = {"urban": 5, "rural": 3, "highway": 2}
+        assert stratified_batch_rate(
+            batch, WEIGHTS, seed=13, replications_per_stratum=reps) \
+            == stratified_rate(simulate, WEIGHTS, seed=13,
+                               replications_per_stratum=reps)
+        assert strata == [("highway", 2), ("rural", 3), ("urban", 5)]
+
+    def test_stratum_must_answer_every_replication(self):
+        with pytest.raises(ValueError, match="returned 3 observations for 4"):
+            stratified_batch_rate(
+                lambda context, rngs: [1.0] * (len(rngs) - 1), WEIGHTS,
+                seed=1, replications_per_stratum=4)
 
 
 class TestStratifiedEstimateEdges:

@@ -795,6 +795,25 @@ class TestArtifactErrorDiagnostics:
         assert err.startswith(f"error: {path}: ")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("unreadable", ["checkpoint", "journal"])
+    def test_unreadable_log_is_named(self, tmp_path, capsys, unreadable):
+        """A directory where a log belongs: the error names which log."""
+        ck, recorder = tmp_path / "ck", tmp_path / "fr"
+        argv = ["fleet", "--hours", "4", "--chunk-hours", "1",
+                "--workers", "1", "--checkpoint", str(ck), "--resume"]
+        if unreadable == "checkpoint":
+            ck.mkdir()
+            path, what = ck, "checkpoint log"
+        else:
+            (recorder / "journal.jsonl").mkdir(parents=True)
+            argv += ["--flight-recorder", str(recorder)]
+            path, what = recorder / "journal.jsonl", "event journal"
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == 4
+        assert err.splitlines() == [
+            f"error: {path}: cannot read {what}: Is a directory"]
+
 
 class TestFleetAccelerated:
     def test_importance_sampling_branch(self, tmp_path, capsys):

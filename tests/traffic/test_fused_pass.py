@@ -12,21 +12,37 @@ pass returns byte-identical record blocks, counts, importance weights
 and weight diagnostics.
 Sampling (``EncounterGenerator.sample_class_batch``) is shared: both
 sides draw their batches through it.
+
+The importance sampler also used to run one pass per replication; it
+now resolves a stratum's replications together, in passes of about
+``engine._PASS_ENCOUNTERS`` encounters.  The per-group loop, called once
+per replication, stays the oracle for that too: per run, per estimator
+and per telemetry total, at every pass budget.
 """
 
 from __future__ import annotations
 
+import math
 from typing import List
+from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.taxonomy import ActorClass
+from repro.obs.session import telemetry_session
 from repro.stats.importance import WeightDiagnostics, bernoulli_log_ratio
-from repro.traffic import (RecordBlock, encounter_log_weights, kmh_to_ms,
-                           ms_to_kmh, resolve_braking_arrays, simulate_mix)
+from repro.stats.montecarlo import spawn_generators
+from repro.stats.rare_event import stratified_rate
+from repro.traffic import (ProposalTilt, RecordBlock, encounter_log_weights,
+                           importance_collision_rate, kmh_to_ms, ms_to_kmh,
+                           naive_collision_rate, resolve_braking_arrays,
+                           simulate_mix)
+from repro.traffic import engine
 from repro.traffic.engine import (CROSSING_CLASSES, simulate_importance,
+                                  simulate_importance_stratum,
                                   simulate_vectorized)
 from repro.traffic.records import actor_code
 from repro.traffic.simulator import _split_hours
@@ -189,7 +205,7 @@ def _oracle_mix(policy, generator, perception, braking, mix, hours, rng,
 
 
 def _oracle_importance(policy, generator, perception, braking, context,
-                       hours, rng, config, tilt):
+                       hours, rng, config, tilt, time_offset_h=0.0):
     """``(block, record weights, diagnostics, encounters, hard)``."""
     proposal = generator.tilted(tilt)
     nominal_occupancy = braking.degradation_occupancy
@@ -206,7 +222,7 @@ def _oracle_importance(policy, generator, perception, braking, context,
         if len(batch):
             block, sources, degraded, n_hard = _oracle_resolve(
                 batch, policy, perception, proposal_braking, config, stream,
-                0.0)
+                time_offset_h)
             log_weights += bernoulli_log_ratio(
                 degraded, p_p=nominal_occupancy, p_q=proposal_occupancy)
         else:
@@ -289,3 +305,114 @@ class TestPassEqualsPerGroupLoop:
             assert run.diagnostics == diagnostics
             assert run.result.encounters_resolved == encounters
             assert run.result.hard_braking_demands == hard
+
+
+# -- importance passes over many replications ------------------------------
+
+#: Pass budgets: every replication its own pass, the default, one pass.
+BUDGETS = [1, engine._PASS_ENCOUNTERS, math.inf]
+SIM_COUNTERS = ("sim.hours", "sim.encounters", "sim.incidents",
+                "sim.collisions", "sim.hard_braking_demands")
+
+
+def _passes(encounters, budget) -> int:
+    """The passes the stratum function makes of replications this size:
+    each takes replications until it holds ``budget``, at least one."""
+    passes, held = 0, budget
+    for size in encounters:
+        if held >= budget:
+            passes, held = passes + 1, 0
+        held += size
+    return passes
+
+
+def _weighted_rate(block, weights, hours) -> float:
+    # ImportanceRun.weighted_collision_count's left-to-right sum.
+    return float(sum(weights[block.array["is_collision"]].tolist())) / hours
+
+
+class TestStratumEqualsPerReplicationRuns:
+    @pytest.mark.parametrize("budget", BUDGETS)
+    @SETTINGS
+    @given(st.data(), worlds(), SEEDS, st.integers(2, 5),
+           st.floats(0.0, 1e4, **finite))
+    def test_runs_and_telemetry(self, budget, data, world, seed,
+                                replications, offset):
+        generator, _, policy, braking, perception, config, hours = world
+        tilt = data.draw(tilts(braking.degradation_occupancy))
+        context = data.draw(st.sampled_from(generator.contexts))
+        with mock.patch.object(engine, "_PASS_ENCOUNTERS", budget), \
+                telemetry_session() as session:
+            runs = simulate_importance_stratum(
+                policy, generator, perception, braking, context, hours,
+                spawn_generators(seed, replications), config, tilt=tilt,
+                time_offset_h=offset)
+        oracles = [_oracle_importance(policy, generator, perception, braking,
+                                      context, hours, rng, config, tilt,
+                                      offset)
+                   for rng in spawn_generators(seed, replications)]
+        assert len(runs) == replications
+        expected = dict.fromkeys(SIM_COUNTERS, 0)
+        for run, (block, weights, diagnostics, encounters, hard) in zip(
+                runs, oracles):
+            _same_block(run.result.record_block, block)
+            assert run.record_weights.tobytes() == weights.tobytes()
+            assert run.diagnostics == diagnostics
+            assert run.result.encounters_resolved == encounters
+            assert run.result.hard_braking_demands == hard
+            expected["sim.hours"] += hours
+            expected["sim.encounters"] += encounters
+            expected["sim.incidents"] += len(block)
+            expected["sim.collisions"] += block.collision_count
+            expected["sim.hard_braking_demands"] += hard
+        metrics = session.metrics
+        assert {name: metrics.counter(name).value
+                for name in SIM_COUNTERS} == expected
+        passes = metrics.counter("engine.batches").value
+        assert passes == _passes([oracle[3] for oracle in oracles], budget)
+        if budget == math.inf:
+            assert passes == 1 < replications
+
+    @SETTINGS
+    @given(st.data(), worlds(), SEEDS, st.integers(2, 3))
+    def test_importance_collision_rate(self, data, world, seed, reps):
+        generator, mix, policy, braking, perception, config, hours = world
+        tilt = data.draw(tilts(braking.degradation_occupancy))
+        rate = importance_collision_rate(
+            policy, generator, perception, braking, mix, tilt=tilt,
+            seed=seed, replications_per_stratum=reps,
+            hours_per_replication=hours, config=config,
+            min_ess_fraction=0.0, max_weight_share=1.0)
+        # The estimator as it was: one run per replication, pooled.
+        pooled: List[WeightDiagnostics] = []
+
+        def one(context, rng):
+            block, weights, diagnostics, _, _ = _oracle_importance(
+                policy, generator, perception, braking, context, hours, rng,
+                config, tilt)
+            pooled.append(diagnostics)
+            return _weighted_rate(block, weights, hours)
+
+        assert rate.estimate == stratified_rate(
+            one, mix, seed=seed, replications_per_stratum=reps)
+        assert rate.diagnostics == WeightDiagnostics.merge_many(pooled)
+
+    @SETTINGS
+    @given(worlds(), SEEDS, st.integers(2, 3))
+    def test_identity_tilt_is_naive_is_vectorized_loop(self, world, seed,
+                                                       reps):
+        generator, mix, policy, braking, perception, config, hours = world
+        common = dict(seed=seed, replications_per_stratum=reps,
+                      hours_per_replication=hours, config=config)
+        naive = naive_collision_rate(policy, generator, perception, braking,
+                                     mix, **common)
+        identity = importance_collision_rate(
+            policy, generator, perception, braking, mix, tilt=ProposalTilt(),
+            min_ess_fraction=0.0, max_weight_share=1.0, **common)
+        loop = stratified_rate(
+            lambda context, rng: simulate_vectorized(
+                policy, generator, perception, braking, context, hours, rng,
+                config).collision_count() / hours,
+            mix, seed=seed, replications_per_stratum=reps)
+        assert naive.method == "none" and naive.diagnostics is None
+        assert naive.estimate == identity.estimate == loop
