@@ -6,14 +6,14 @@ the paper's completeness argument rests on: mutual exclusivity and
 collective exhaustiveness over the declared universe.
 
 Paper shape: the classification is complete by construction — the
-certificate reports zero violations; every sampled incident description
-lands in exactly one leaf.
+certificate decides every elementary cell of the universe (96 for Fig. 4)
+and reports zero violations; splits one ulp off are rejected.
 """
 
 from __future__ import annotations
 
-import numpy as np
-import pytest
+import math
+import random
 
 from repro.core.taxonomy import (CategoricalAttribute, CategoryBranch,
                                  ClassificationNode, ContinuousAttribute,
@@ -22,25 +22,25 @@ from repro.core.taxonomy import (CategoricalAttribute, CategoryBranch,
 from repro.reporting import figure4_tree
 
 
-def test_fig4_tree_and_certificate(benchmark, save_artifact, rng):
+def test_fig4_tree_and_certificate(benchmark, save_artifact):
     taxonomy = figure4_taxonomy()
-
-    def certify():
-        return taxonomy.mece_certificate(rng=np.random.default_rng(1),
-                                         random_points=2000)
-
-    certificate = benchmark(certify)
+    certificate = benchmark(taxonomy.mece_certificate)
     assert certificate.is_mece
     assert len(certificate.leaf_names) == 14
-    assert certificate.points_checked >= 2000
+    assert certificate.points_checked == 96  # 2 × 6 × 8 categorical cells
     save_artifact("fig4_taxonomy", figure4_tree(taxonomy))
 
 
-def test_fig4_classification_throughput(benchmark, rng):
+def test_fig4_classification_throughput(benchmark):
     """Classifying incident descriptions is cheap enough to run inline in
     a data pipeline (thousands per second)."""
     taxonomy = figure4_taxonomy()
-    points = taxonomy.universe.sample(np.random.default_rng(2), 500)
+    universe = taxonomy.universe
+    domains = {name: sorted(universe[name].domain)
+               for name in universe.attribute_names}
+    draw = random.Random(2)
+    points = [{name: draw.choice(domain) for name, domain in domains.items()}
+              for _ in range(500)]
 
     def classify_all():
         return [taxonomy.classify(point).name for point in points]
@@ -84,6 +84,22 @@ def test_fig4_broken_taxonomies_rejected(benchmark):
             ], universe=universe)
         except TaxonomyError:
             failures += 1
+        # One-ulp gap at 10 km/h: 10 itself is in neither band.
+        try:
+            ClassificationNode("dv", [
+                (IntervalBranch(0.0, 10.0), "low"),
+                (IntervalBranch(math.nextafter(10.0, math.inf), 70.0), "high"),
+            ], universe=universe)
+        except TaxonomyError:
+            failures += 1
+        # One-ulp overlap at 10 km/h: 10 itself is in both bands.
+        try:
+            ClassificationNode("dv", [
+                (IntervalBranch(0.0, math.nextafter(10.0, math.inf)), "low"),
+                (IntervalBranch(10.0, 70.0), "high"),
+            ], universe=universe)
+        except TaxonomyError:
+            failures += 1
         return failures
 
-    assert benchmark(try_broken) == 3
+    assert benchmark(try_broken) == 5

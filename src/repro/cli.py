@@ -748,7 +748,7 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
 
     if args.flight_recorder is not None or args.telemetry is not None:
         # One solve serves the recorder and the manifest: the goal set is
-        # deterministic (the MECE certificate seeds its own sampler).
+        # deterministic (the MECE certificate decides a fixed set of cells).
         goals, types = _scaled_goals(args.scale)
     else:
         goals, types = None, list(figure5_incident_types())

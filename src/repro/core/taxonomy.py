@@ -16,8 +16,8 @@ from machine-verifiable splits over a declared attribute universe:
   remaining domain (pairwise disjoint, jointly covering);
 * hence every leaf corresponds to a product region, and the leaf regions
   partition the universe — MECE *by construction*, with
-  :meth:`IncidentTaxonomy.mece_certificate` producing the audit trail and a
-  randomised cross-check that classifies sampled incidents.
+  :meth:`IncidentTaxonomy.mece_certificate` producing the audit trail and an
+  independent, cell-by-cell decision that every incident has one owner.
 
 The Fig. 4 example tree (Ego↔road-user / Ego↔non-human / induced incidents
 among third parties) is reconstructed by :func:`figure4_taxonomy`.
@@ -31,8 +31,6 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import (Dict, FrozenSet, Iterator, List, Mapping, Optional,
                     Sequence, Tuple, Union)
-
-import numpy as np
 
 __all__ = [
     "ActorClass",
@@ -159,40 +157,6 @@ class Universe:
                         f"{name}={value} outside [{attr.low}, {attr.high})"
                     )
 
-    def sample(self, rng: np.random.Generator, n: int) -> List[Dict[str, object]]:
-        """Draw ``n`` uniform points — used for randomised MECE cross-checks."""
-        points: List[Dict[str, object]] = []
-        for _ in range(n):
-            point: Dict[str, object] = {}
-            for name, attr in self._attributes.items():
-                if isinstance(attr, CategoricalAttribute):
-                    point[name] = str(rng.choice(sorted(attr.domain)))
-                else:
-                    point[name] = float(rng.uniform(attr.low, attr.high))
-            points.append(point)
-        return points
-
-    def boundary_points(self) -> List[Dict[str, object]]:
-        """A deterministic grid hitting every category and interval edge.
-
-        Random sampling almost never lands exactly on a split boundary,
-        which is exactly where off-by-one (``<`` vs ``<=``) exclusivity
-        bugs live; this grid does.
-        """
-        axes: List[List[object]] = []
-        names: List[str] = []
-        for name, attr in self._attributes.items():
-            names.append(name)
-            if isinstance(attr, CategoricalAttribute):
-                axes.append(sorted(attr.domain))
-            else:
-                span = attr.high - attr.low
-                candidates = {attr.low, attr.low + span / 3.0,
-                              attr.low + 2.0 * span / 3.0,
-                              math.nextafter(attr.high, attr.low)}
-                axes.append(sorted(candidates))
-        return [dict(zip(names, combo)) for combo in itertools.product(*axes)]
-
 
 # -- branch matchers ---------------------------------------------------------
 
@@ -226,6 +190,9 @@ class IntervalBranch:
     high: float
 
     def __post_init__(self) -> None:
+        if not (math.isfinite(self.low) and math.isfinite(self.high)):
+            raise TaxonomyError(
+                f"interval endpoints must be finite, got [{self.low}, {self.high})")
         if self.low >= self.high:
             raise TaxonomyError(f"empty interval [{self.low}, {self.high})")
 
@@ -373,7 +340,11 @@ class ClassificationNode:
 
 def _validate_partition(attr: Attribute, scope: Optional[Branch],
                         branches: Sequence[Branch]) -> None:
-    """Check branches partition the attribute's domain restricted to ``scope``."""
+    """Check branches partition the attribute's domain restricted to ``scope``.
+
+    Interval endpoints are compared exactly: one ulp apart is a gap or an
+    overlap, never a tolerance.
+    """
     if isinstance(attr, CategoricalAttribute):
         domain = attr.domain if scope is None else attr.domain & scope.categories  # type: ignore[union-attr]
         cat_branches: List[CategoryBranch] = []
@@ -413,30 +384,36 @@ def _validate_partition(attr: Attribute, scope: Optional[Branch],
                 raise TaxonomyError(
                     f"attribute {attr.name!r} is continuous but got category branch"
                 )
-            if branch.low < low - 1e-12 or branch.high > high + 1e-12:
+            if branch.low < low or branch.high > high:
                 raise TaxonomyError(
-                    f"interval {branch.label()} on {attr.name!r} escapes scope "
-                    f"[{low:g},{high:g})"
+                    f"interval {_exact(branch.low, branch.high)} on "
+                    f"{attr.name!r} escapes scope {_exact(low, high)}"
                 )
             intervals.append(branch)
         intervals.sort(key=lambda b: b.low)
         for first, second in zip(intervals, intervals[1:]):
-            if second.low < first.high - 1e-12:
+            if second.low < first.high:
                 raise TaxonomyError(
-                    f"intervals {first.label()} and {second.label()} on "
-                    f"{attr.name!r} overlap (mutual exclusivity violated)"
+                    f"intervals {_exact(first.low, first.high)} and "
+                    f"{_exact(second.low, second.high)} on {attr.name!r} "
+                    "overlap (mutual exclusivity violated)"
                 )
-            if second.low > first.high + 1e-12:
+            if second.low > first.high:
                 raise TaxonomyError(
-                    f"gap ({first.high:g},{second.low:g}) on {attr.name!r} "
+                    f"gap {_exact(first.high, second.low)} on {attr.name!r} "
                     "uncovered (collective exhaustiveness violated)"
                 )
-        if abs(intervals[0].low - low) > 1e-12 or abs(intervals[-1].high - high) > 1e-12:
+        if intervals[0].low != low or intervals[-1].high != high:
             raise TaxonomyError(
-                f"intervals on {attr.name!r} cover [{intervals[0].low:g},"
-                f"{intervals[-1].high:g}) but scope is [{low:g},{high:g}) "
-                "(collective exhaustiveness violated)"
+                f"intervals on {attr.name!r} cover "
+                f"{_exact(intervals[0].low, intervals[-1].high)} but scope is "
+                f"{_exact(low, high)} (collective exhaustiveness violated)"
             )
+
+
+def _exact(low: float, high: float) -> str:
+    """``[low, high)`` with each endpoint in its shortest round-trip form."""
+    return f"[{float(low)!r}, {float(high)!r})"
 
 
 # -- certificate ---------------------------------------------------------------
@@ -456,8 +433,8 @@ class MeceCertificate:
     """The completeness evidence attached to a set of safety goals.
 
     ``structural_checks`` counts the per-split partition validations (which
-    hold by construction); ``points_checked`` counts the boundary-grid and
-    random cross-check points, each of which must land in exactly one leaf.
+    hold by construction); ``points_checked`` counts the elementary cells
+    the certificate decided, each of which must lie in exactly one leaf.
     An empty ``violations`` list is the certificate of Sec. III-B's
     "complete by definition" claim, now machine-checked.
     """
@@ -476,7 +453,7 @@ class MeceCertificate:
         status = "MECE" if self.is_mece else f"{len(self.violations)} VIOLATION(S)"
         return (f"{self.taxonomy_name}: {len(self.leaf_names)} leaves, "
                 f"{self.structural_checks} split validations, "
-                f"{self.points_checked} points cross-checked → {status}")
+                f"{self.points_checked} cells decided → {status}")
 
 
 class IncidentTaxonomy:
@@ -515,42 +492,62 @@ class IncidentTaxonomy:
         self.universe.validate_point(point)
         return self.root.classify(point)
 
-    def mece_certificate(self, *, rng: Optional[np.random.Generator] = None,
-                         random_points: int = 2000) -> MeceCertificate:
-        """Produce the completeness certificate.
+    def mece_certificate(self) -> MeceCertificate:
+        """Decide the completeness certificate, independently of construction.
 
-        Structural partition checks already ran at construction; this
-        re-verifies them empirically by classifying a deterministic
-        boundary grid plus ``random_points`` uniform samples and checking
-        each lands in exactly one leaf (via region membership, independent
-        of the classify path).
+        Every leaf region, and every branch ``classify`` takes, is constant
+        on each elementary cell of :meth:`_cell_corners`, so one point per
+        cell decides the whole universe: the cell's lower corner must lie in
+        exactly one leaf region, and ``classify`` must route it to that
+        leaf.  A violation carries the corner as its witness.
         """
-        rng = rng if rng is not None else np.random.default_rng(0)
         violations: List[MeceViolation] = []
-        points = self.universe.boundary_points()
-        points.extend(self.universe.sample(rng, random_points))
-        for point in points:
+        corners = self._cell_corners()
+        for point in corners:
             owners = [leaf.name for leaf in self._leaves.values()
                       if leaf.region.contains(point)]
             if len(owners) == 0:
-                violations.append(MeceViolation("gap", "no leaf owns point", dict(point)))
+                violations.append(MeceViolation("gap", "no leaf owns point", point))
             elif len(owners) > 1:
                 violations.append(MeceViolation(
-                    "overlap", f"leaves {owners} all own point", dict(point)))
+                    "overlap", f"leaves {owners} all own point", point))
             else:
                 routed = self.root.classify(point)
                 if routed.name != owners[0]:
                     violations.append(MeceViolation(
                         "overlap",
                         f"classify routed to {routed.name} but region owner is {owners[0]}",
-                        dict(point)))
+                        point))
         return MeceCertificate(
             taxonomy_name=self.name,
             leaf_names=self.leaf_names,
             structural_checks=self._splits,
-            points_checked=len(points),
+            points_checked=len(corners),
             violations=tuple(violations),
         )
+
+    def _cell_corners(self) -> List[Dict[str, object]]:
+        """The lower corner of every elementary cell of the universe.
+
+        Each category is a cell; a continuous attribute is cut at its low
+        end and at every leaf interval endpoint in ``[low, high)``, which
+        includes every branch endpoint on the way to a leaf.
+        """
+        names = self.universe.attribute_names
+        axes: List[List[object]] = []
+        for name in names:
+            attr = self.universe[name]
+            if isinstance(attr, CategoricalAttribute):
+                axes.append(sorted(attr.domain))
+                continue
+            cuts = {attr.low}
+            for leaf in self._leaves.values():
+                branch = leaf.region.constraint_on(name)
+                if isinstance(branch, IntervalBranch):
+                    cuts.update(edge for edge in (branch.low, branch.high)
+                                if attr.low <= edge < attr.high)
+            axes.append(sorted(cuts))
+        return [dict(zip(names, corner)) for corner in itertools.product(*axes)]
 
     def refine_leaf(self, leaf_name: str, attribute: str,
                     branches: Sequence[Tuple[Branch, "ClassificationNode | Leaf | str"]],

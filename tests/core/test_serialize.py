@@ -53,14 +53,14 @@ class TestAllocationRoundtrip:
 
 class TestCertificateRoundtrip:
     def test_clean_certificate(self, fig4_taxonomy):
-        certificate = fig4_taxonomy.mece_certificate(random_points=100)
+        certificate = fig4_taxonomy.mece_certificate()
         restored = certificate_from_dict(certificate_to_dict(certificate))
         assert restored.is_mece == certificate.is_mece
         assert restored.leaf_names == certificate.leaf_names
         assert restored.points_checked == certificate.points_checked
 
     def test_json_safe(self, fig4_taxonomy):
-        certificate = fig4_taxonomy.mece_certificate(random_points=100)
+        certificate = fig4_taxonomy.mece_certificate()
         json.dumps(certificate_to_dict(certificate))
 
 

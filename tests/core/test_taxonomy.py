@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
-import numpy as np
-import pytest
-from hypothesis import given, settings, strategies as st
+import itertools
+import math
+import re
+from unittest import mock
 
+import pytest
+from hypothesis import assume, given, settings, strategies as st
+
+from repro.core import taxonomy as taxonomy_module
 from repro.core.taxonomy import (CategoricalAttribute, CategoryBranch,
                                  ClassificationNode, ContinuousAttribute,
                                  IncidentTaxonomy, IntervalBranch, Leaf,
@@ -51,19 +56,6 @@ class TestUniverse:
             simple_universe.validate_point({"kind": "z", "x": 3.0})
         with pytest.raises(ValueError, match="outside"):
             simple_universe.validate_point({"kind": "a", "x": 10.0})
-
-    def test_sample_points_are_valid(self, simple_universe):
-        rng = np.random.default_rng(0)
-        for point in simple_universe.sample(rng, 50):
-            simple_universe.validate_point(point)
-
-    def test_boundary_points_hit_edges(self, simple_universe):
-        points = simple_universe.boundary_points()
-        xs = sorted({p["x"] for p in points})
-        assert xs[0] == 0.0
-        assert xs[-1] < 10.0  # strictly inside the half-open domain
-        kinds = {p["kind"] for p in points}
-        assert kinds == {"a", "b", "c"}
 
 
 class TestPartitionValidation:
@@ -113,6 +105,29 @@ class TestPartitionValidation:
                 (IntervalBranch(0, 1), "L1"),
                 (IntervalBranch(1, 2), "L2"),
             ], universe=simple_universe)
+
+    @pytest.mark.parametrize("cut, high", [(math.nan, 10.0), (5.0, math.inf)],
+                             ids=["nan", "inf"])
+    def test_non_finite_endpoint_rejected(self, simple_universe, cut, high):
+        with pytest.raises(TaxonomyError, match="finite"):
+            ClassificationNode("x", [
+                (IntervalBranch(0.0, 5.0), "L1"),
+                (IntervalBranch(cut, high), "L2"),
+            ], universe=simple_universe)
+
+    @pytest.mark.parametrize("first_high, second_low", [
+        (5.0, math.nextafter(5.0, math.inf)),
+        (math.nextafter(5.0, math.inf), 5.0),
+    ], ids=["gap", "overlap"])
+    def test_one_ulp_defect_names_both_endpoints(self, simple_universe,
+                                                 first_high, second_low):
+        with pytest.raises(TaxonomyError) as caught:
+            ClassificationNode("x", [
+                (IntervalBranch(0.0, first_high), "L1"),
+                (IntervalBranch(second_low, 10.0), "L2"),
+            ], universe=simple_universe)
+        numbers = re.findall(r"-?\d+\.\d+(?:e[-+]?\d+)?", str(caught.value))
+        assert repr(first_high) in numbers and repr(second_low) in numbers
 
     def test_valid_tiling_accepted(self, simple_universe):
         node = ClassificationNode("x", [
@@ -199,10 +214,9 @@ class TestFigure4:
         assert len(fig4_taxonomy.leaves) == 14
 
     def test_certificate_is_mece(self, fig4_taxonomy):
-        certificate = fig4_taxonomy.mece_certificate(
-            rng=np.random.default_rng(1), random_points=500)
+        certificate = fig4_taxonomy.mece_certificate()
         assert certificate.is_mece
-        assert certificate.points_checked > 500
+        assert certificate.points_checked == 96
         assert certificate.structural_checks == 3
 
     def test_classify_ego_vru(self, fig4_taxonomy):
@@ -264,6 +278,215 @@ class TestMeceProperty:
                   if leaf.region.contains({"x": probe})]
         assert len(owners) == 1
         assert taxonomy.classify({"x": probe}).name == owners[0]
+
+
+# -- decided MECE over random trees ----------------------------------------------
+#
+# A tree spec is ``(attribute, region, [(branch, child spec or leaf name)])``.
+# Specs are drawn, then built in the test body, so construction (and its
+# validation) happens where the test can catch or patch it.
+
+UP, DOWN = math.inf, -math.inf
+
+
+@st.composite
+def _attributes(draw, continuous_first=False):
+    """1–3 attributes: categorical domains of 2–3 labels, or finite ranges."""
+    attributes = []
+    for index in range(draw(st.integers(1, 3))):
+        if (continuous_first and index == 0) or draw(st.booleans()):
+            low = draw(st.floats(-1e3, 1e3))
+            width = draw(st.floats(1e-6, 1e3))
+            attributes.append(ContinuousAttribute(f"x{index}", low, low + width))
+        else:
+            size = draw(st.integers(2, 3))
+            attributes.append(CategoricalAttribute(
+                f"c{index}", frozenset(f"v{k}" for k in range(size))))
+    return attributes
+
+
+def _scope(attr, region):
+    """The categories, or the ``(low, high)`` range, ``attr`` has in ``region``."""
+    constraint = region.constraint_on(attr.name)
+    if isinstance(attr, CategoricalAttribute):
+        return constraint.categories if constraint else attr.domain
+    return (constraint.low, constraint.high) if constraint else (attr.low, attr.high)
+
+
+def _splittable(attr, region):
+    scope = _scope(attr, region)
+    if isinstance(attr, CategoricalAttribute):
+        return len(scope) >= 2
+    return math.nextafter(scope[0], UP) < scope[1]
+
+
+@st.composite
+def _category_split(draw, categories):
+    order = draw(st.permutations(sorted(categories)))
+    inner = draw(st.lists(st.integers(1, len(order) - 1), min_size=1,
+                          max_size=2, unique=True))
+    edges = [0, *sorted(inner), len(order)]
+    return [CategoryBranch(frozenset(order[a:b])) for a, b in zip(edges, edges[1:])]
+
+
+@st.composite
+def _interval_split(draw, low, high):
+    """2–3 intervals tiling ``[low, high)``; neighbouring edges may be one
+    ulp apart."""
+    inside = st.floats(low, high, exclude_min=True, exclude_max=True)
+    cut = draw(st.one_of(inside, st.sampled_from(
+        [math.nextafter(low, UP), math.nextafter(high, DOWN)])))
+    cuts = {cut}
+    if draw(st.booleans()):
+        extra = draw(st.one_of(inside, st.sampled_from(
+            [math.nextafter(cut, DOWN), math.nextafter(cut, UP)])))
+        if low < extra < high:
+            cuts.add(extra)
+    edges = [low, *sorted(cuts), high]
+    return [IntervalBranch(a, b) for a, b in zip(edges, edges[1:])]
+
+
+@st.composite
+def _tree_specs(draw, max_depth=3, continuous_first=False):
+    """``(universe, spec, cells)`` of a random valid tree nested up to
+    ``max_depth`` splits; ``cells`` counts its elementary cells from the
+    endpoints drawn, independently of the certificate."""
+    attributes = draw(_attributes(continuous_first))
+    universe = Universe(attributes)
+    cuts = {a.name: {a.low} for a in attributes
+            if isinstance(a, ContinuousAttribute)}
+    names = itertools.count()
+
+    def node(region, depth):
+        options = [a for a in attributes if _splittable(a, region)]
+        if depth > max_depth or not options or (depth > 1 and draw(st.booleans())):
+            return f"L{next(names)}"
+        attr = draw(st.sampled_from(options))
+        if isinstance(attr, CategoricalAttribute):
+            branches = draw(_category_split(_scope(attr, region)))
+        else:
+            branches = draw(_interval_split(*_scope(attr, region)))
+            cuts[attr.name].update(branch.low for branch in branches)
+        return (attr.name, region,
+                [(branch, node(region.constrain(attr.name, branch), depth + 1))
+                 for branch in branches])
+
+    spec = node(Region(), 1)
+    cells = math.prod(len(cuts[a.name]) if a.name in cuts else len(a.domain)
+                      for a in attributes)
+    return universe, spec, cells
+
+
+def _leaf_slots(spec):
+    """``(children, index, region)`` of every leaf in a spec."""
+    attribute, region, children = spec
+    for index, (branch, child) in enumerate(children):
+        if isinstance(child, str):
+            yield children, index, region.constrain(attribute, branch)
+        else:
+            yield from _leaf_slots(child)
+
+
+@st.composite
+def _broken_specs(draw, defects=("gap", "overlap", "escape")):
+    """``(universe, spec, defect)``: a valid tree with one leaf split on
+    ``x0`` into intervals one ulp off — a gap, an overlap, or an escape
+    from the leaf's scope."""
+    universe, spec, _ = draw(_tree_specs(max_depth=2, continuous_first=True))
+    children, index, region = draw(st.sampled_from(list(_leaf_slots(spec))))
+    low, high = _scope(universe["x0"], region)
+    assume(math.nextafter(low, UP) < high)
+    cut = draw(st.floats(low, high, exclude_min=True, exclude_max=True))
+    defect = draw(st.sampled_from(defects))
+    if defect == "gap":
+        edges = [(low, cut), (math.nextafter(cut, UP), high)]
+    elif defect == "overlap":
+        edges = [(low, math.nextafter(cut, UP)), (cut, high)]
+    elif draw(st.booleans()):
+        edges = [(math.nextafter(low, DOWN), cut), (cut, high)]
+    else:
+        edges = [(low, cut), (cut, math.nextafter(high, UP))]
+    assume(all(a < b for a, b in edges))
+    branch = children[index][0]
+    children[index] = (branch, ("x0", region, [
+        (IntervalBranch(a, b), f"defect{k}") for k, (a, b) in enumerate(edges)]))
+    return universe, spec, defect
+
+
+def _build(spec, universe):
+    if isinstance(spec, str):
+        return spec
+    attribute, region, children = spec
+    return ClassificationNode(
+        attribute, [(branch, _build(child, universe)) for branch, child in children],
+        universe=universe, region=region)
+
+
+def _probes(taxonomy):
+    """Every cell corner, and per continuous axis ``nextafter(corner, +inf)``
+    and ``nextafter(next_cut, -inf)``, with cuts read off the leaves."""
+    axes = []
+    for name in taxonomy.universe.attribute_names:
+        attr = taxonomy.universe[name]
+        if isinstance(attr, CategoricalAttribute):
+            axes.append(sorted(attr.domain))
+            continue
+        edges = {attr.low, attr.high}
+        for leaf in taxonomy.leaves:
+            branch = leaf.region.constraint_on(name)
+            if branch is not None:
+                edges |= {branch.low, branch.high}
+        edges = sorted(edges)
+        values = set()
+        for corner, following in zip(edges, edges[1:]):
+            values.update(value for value in (corner, math.nextafter(corner, UP),
+                                              math.nextafter(following, DOWN))
+                          if value < following)
+        axes.append(sorted(values))
+    names = taxonomy.universe.attribute_names
+    return [dict(zip(names, combo)) for combo in itertools.product(*axes)]
+
+
+def _owners(taxonomy, point):
+    return [leaf.name for leaf in taxonomy.leaves if leaf.region.contains(point)]
+
+
+class TestDecidedCertificate:
+    """The certificate decides MECE cell by cell; brute force agrees."""
+
+    @given(tree=_tree_specs())
+    @settings(max_examples=80, deadline=None)
+    def test_valid_tree_is_mece_at_every_cell(self, tree):
+        universe, spec, cells = tree
+        taxonomy = IncidentTaxonomy("random", universe, _build(spec, universe))
+        certificate = taxonomy.mece_certificate()
+        assert certificate.is_mece, certificate.violations[:3]
+        assert certificate.points_checked == cells
+        for point in _probes(taxonomy):
+            owners = _owners(taxonomy, point)
+            assert len(owners) == 1, (point, owners)
+            assert taxonomy.classify(point).name == owners[0]
+
+    @given(broken=_broken_specs())
+    @settings(max_examples=80, deadline=None)
+    def test_one_ulp_defect_fails_construction(self, broken):
+        universe, spec, defect = broken
+        expected = {"gap": "gap", "overlap": "overlap", "escape": "escapes scope"}
+        with pytest.raises(TaxonomyError, match=expected[defect]):
+            _build(spec, universe)
+
+    @given(broken=_broken_specs(defects=("gap", "overlap")))
+    @settings(max_examples=80, deadline=None)
+    def test_certificate_decides_without_construction_checks(self, broken):
+        universe, spec, defect = broken
+        with mock.patch.object(taxonomy_module, "_validate_partition",
+                               lambda *args: None):
+            taxonomy = IncidentTaxonomy("broken", universe, _build(spec, universe))
+        certificate = taxonomy.mece_certificate()
+        assert not certificate.is_mece
+        for violation in certificate.violations:
+            assert violation.kind == defect
+            assert len(_owners(taxonomy, violation.point)) != 1
 
 
 class TestRefineLeaf:

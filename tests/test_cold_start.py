@@ -13,8 +13,8 @@ rules that keep it small:
   no scipy at all, and ``verify``, ``dossier`` and ``fleet --telemetry``
   load ``scipy.special`` but neither ``scipy.stats`` nor
   ``scipy.optimize``;
-* ``import repro.core`` / ``repro.traffic`` / ``repro.cli`` load no
-  ``numpy.random``;
+* ``import repro.core`` / ``repro.traffic`` / ``repro.cli``, and the
+  ``goals --json`` and ``figures`` commands, load no ``numpy.random``;
 * writing a goal set loads no ``repro.testing`` module: the filesystem
   fault hook of the atomic write lives in ``repro.io``;
 * a pooled fleet starts one ``resource_tracker`` interpreter, shared by
@@ -126,6 +126,17 @@ def test_package_import_loads_no_numpy_random(module):
     # numpy loads numpy.random on the first np.random attribute access,
     # so one evaluated at module level would load it on every start.
     _, modules = _fresh_modules(imports=f"import {module}")
+    assert "numpy.random" not in modules
+
+
+@pytest.mark.parametrize("argv", [["goals", "--json", "G"], ["figures"]],
+                         ids=["goals-json", "figures"])
+def test_goal_set_commands_load_no_numpy_random(argv, tmp_path):
+    # Deriving a goal set decides the MECE certificate cell by cell; it
+    # draws no random points.
+    argv = [str(tmp_path / part) if part == "G" else part for part in argv]
+    code, modules = _fresh_modules(argv)
+    assert code == 0
     assert "numpy.random" not in modules
 
 
