@@ -14,8 +14,6 @@ optimum is no larger than the unconstrained one (fairness has a price).
 
 from __future__ import annotations
 
-import pytest
-
 from repro.core import (ActorClass, ConsequenceClass, ConsequenceScale,
                         ContributionSplit, Frequency, GroupShareCap,
                         IncidentType, QuantitativeRiskNorm, RiskParity,

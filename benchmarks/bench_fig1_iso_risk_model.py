@@ -14,8 +14,6 @@ from __future__ import annotations
 
 import itertools
 
-import pytest
-
 from repro.core.severity import IsoSeverity
 from repro.hara.asil import risk_reduction_waterfall
 from repro.hara.controllability import ControllabilityClass

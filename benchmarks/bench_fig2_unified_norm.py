@@ -12,12 +12,9 @@ acceptance diagram"); ISO 26262's scope covers only the right half.
 
 from __future__ import annotations
 
-import pytest
-
 from repro.core.risk_norm import (example_norm, human_driver_baseline,
                                   norm_from_human_baseline)
-from repro.core.severity import (SeverityDomain, UnifiedSeverity,
-                                 unified_to_iso, IsoSeverity)
+from repro.core.severity import SeverityDomain, unified_to_iso, IsoSeverity
 from repro.reporting import figure2_unified_axis
 
 

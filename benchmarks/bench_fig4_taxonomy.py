@@ -17,8 +17,8 @@ import random
 
 from repro.core.taxonomy import (CategoricalAttribute, CategoryBranch,
                                  ClassificationNode, ContinuousAttribute,
-                                 IncidentTaxonomy, IntervalBranch,
-                                 TaxonomyError, Universe, figure4_taxonomy)
+                                 IntervalBranch, TaxonomyError, Universe,
+                                 figure4_taxonomy)
 from repro.reporting import figure4_tree
 
 

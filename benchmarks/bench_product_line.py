@@ -12,8 +12,6 @@ ceiling is identical for all.
 
 from __future__ import annotations
 
-import pytest
-
 from repro.core import (ActorClass, ContributionSplit, IncidentType,
                         LpObjective, ProductLine, SpeedBand, Variant,
                         allocate_lp, allocate_proportional, example_norm,

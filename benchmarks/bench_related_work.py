@@ -14,8 +14,6 @@ lands in budget allocation, not scope refinement.
 
 from __future__ import annotations
 
-import pytest
-
 from repro.core import allocate_lp, derive_safety_goals, example_norm, \
     figure5_incident_types
 from repro.core.severity import IsoSeverity

@@ -18,7 +18,6 @@ dominant scenario per incident type.
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
 from repro.core import Frequency, figure5_incident_types
 from repro.reporting import render_table

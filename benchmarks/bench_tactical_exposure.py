@@ -16,11 +16,10 @@ awareness neutralises the 4 m/s² degraded-braking fault.
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
 from repro.core import (allocate_lp, derive_safety_goals, example_norm,
                         figure5_incident_types)
-from repro.hara.exposure import ExposureClass, exposure_from_rate_per_hour
+from repro.hara.exposure import exposure_from_rate_per_hour
 from repro.reporting import render_table
 from repro.traffic import (BrakingSystem, EncounterGenerator,
                            default_context_profiles, default_perception,

@@ -7,33 +7,21 @@ the claim/argument/evidence safety case (:mod:`.safety_case`), and run the
 quantitative-vs-ASIL comparisons of Sec. V (:mod:`.comparison`).
 """
 
-from .architecture import (AllocatedRequirement, AllocationLedger, Element,
-                           LedgerEntry, Subsystem)
-from .common_cause import (CommonCauseAnalysis, analyse_common_cause,
-                           combine_and_with_common_cause,
-                           max_tolerable_beta)
-from .markov import (ApproximationCheck, approximation_error,
-                     exact_group_violation_rate,
-                     stationary_distribution)
-from .comparison import (InheritanceComparison, RedundancyComparison,
-                         compare_inheritance, compare_redundancy)
-from .fault_tree import (BasicEvent, CutSet, FaultTree, FaultTreeError, Gate,
-                         GateKind)
-from .trade_study import (CandidateResult, TradeAxis, TradeOption,
-                          TradeStudy)
-from .safety_case import (CaseNode, NodeKind, SafetyCase,
-                          build_qrn_safety_case)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "BasicEvent", "Gate", "GateKind", "FaultTree", "CutSet", "FaultTreeError",
-    "Element", "Subsystem", "AllocatedRequirement", "AllocationLedger",
-    "LedgerEntry",
-    "CaseNode", "NodeKind", "SafetyCase", "build_qrn_safety_case",
-    "RedundancyComparison", "compare_redundancy",
-    "InheritanceComparison", "compare_inheritance",
-    "TradeOption", "TradeAxis", "TradeStudy", "CandidateResult",
-    "CommonCauseAnalysis", "analyse_common_cause",
-    "combine_and_with_common_cause", "max_tolerable_beta",
-    "ApproximationCheck", "approximation_error",
-    "exact_group_violation_rate", "stationary_distribution",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".fault_tree": ("BasicEvent", "Gate", "GateKind", "FaultTree", "CutSet",
+                    "FaultTreeError"),
+    ".architecture": ("Element", "Subsystem", "AllocatedRequirement",
+                      "AllocationLedger", "LedgerEntry"),
+    ".safety_case": ("CaseNode", "NodeKind", "SafetyCase",
+                     "build_qrn_safety_case"),
+    ".comparison": ("RedundancyComparison", "compare_redundancy",
+                    "InheritanceComparison", "compare_inheritance"),
+    ".trade_study": ("TradeOption", "TradeAxis", "TradeStudy",
+                     "CandidateResult"),
+    ".common_cause": ("CommonCauseAnalysis", "analyse_common_cause",
+                      "combine_and_with_common_cause", "max_tolerable_beta"),
+    ".markov": ("ApproximationCheck", "approximation_error",
+                "exact_group_violation_rate", "stationary_distribution"),
+})

@@ -189,8 +189,11 @@ def _add_parallel_flags(sub_parser: argparse.ArgumentParser) -> None:
     """The fleet-execution knobs shared by simulation subcommands."""
     sub_parser.add_argument(
         "--workers", type=int, default=None,
-        help="worker processes for the fleet runner (default: all cores; "
-             "the result is identical for any value)")
+        help="worker processes for the fleet runner (default: 1 when the "
+             "campaign's expected encounters are too few to pay for "
+             "starting a pool, about 23,000 h at the default mix, else "
+             "all cores up to the chunk count; the result is identical "
+             "for any value)")
     sub_parser.add_argument(
         "--chunk-hours", type=float, default=None,
         help="hours per shard handed to one worker (default: 250; part "
@@ -320,11 +323,12 @@ def _cmd_goals(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_counts(text: str) -> Optional[Dict[str, int]]:
+def _parse_counts(text: str, goals) -> Optional[Dict[str, int]]:
     """Parse an inline ``--counts`` payload through the I/O boundary.
 
     Malformed JSON (or NaN/Infinity tokens, nesting bombs, non-integer
-    counts) raises a typed :class:`~repro.errors.ArtifactError` that
+    counts) and a count for an incident type the loaded goal set does
+    not have raise a typed :class:`~repro.errors.ArtifactError` that
     ``main`` turns into a one-line diagnostic and exit code 4.  A
     *well-formed* payload of the wrong top-level shape returns ``None``
     so callers keep the conventional usage-error exit (2).
@@ -334,6 +338,7 @@ def _parse_counts(text: str) -> Optional[Dict[str, int]]:
     payload = parse_artifact_text(text, source="--counts")
     if not isinstance(payload, dict):
         return None
+    known = goals.allocation.type_ids
     counts: Dict[str, int] = {}
     for key, value in payload.items():
         if isinstance(value, bool) or not isinstance(value, int):
@@ -343,6 +348,11 @@ def _parse_counts(text: str) -> Optional[Dict[str, int]]:
         if value < 0:
             raise ArtifactValidationError(
                 f"count for {key!r} must be >= 0, got {value}",
+                source="--counts", field=str(key))
+        if key not in known:
+            raise ArtifactValidationError(
+                f"incident type {key!r} is not in the goal set "
+                f"(its types: {', '.join(known)})",
                 source="--counts", field=str(key))
         counts[str(key)] = int(value)
     return counts
@@ -381,7 +391,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     from repro.core.verification import verify_against_counts
 
     goals = load_goal_set(args.goals_json)
-    counts = _parse_counts(args.counts)
+    counts = _parse_counts(args.counts, goals)
     if counts is None:
         print("--counts must be a JSON object", file=sys.stderr)
         return 2
@@ -466,7 +476,7 @@ def _campaign(args: argparse.Namespace, policy, goals=None, types=None,
     ``--resume``, a mismatched identity), 3 after the per-chunk report
     of a campaign that quarantined chunks.
     """
-    from repro.obs import FlightRecorder, telemetry_session
+    from repro.obs import telemetry_session
     from repro.stats import CampaignPartialFailure
     from repro.traffic import (CampaignCheckpoint, CheckpointMismatchError,
                                RecordSink)
@@ -491,6 +501,8 @@ def _campaign(args: argparse.Namespace, policy, goals=None, types=None,
                 run.record_sink = stack.enter_context(
                     RecordSink(args.record_sink))
             if args.flight_recorder is not None:
+                from repro.obs import FlightRecorder
+
                 run.recorder = stack.enter_context(FlightRecorder(
                     args.flight_recorder, goals=goals, types=types,
                     resume=args.resume))
@@ -583,10 +595,12 @@ def _campaign_telemetry(args: argparse.Namespace, run: _Campaign, report,
     snapshot = run.session.snapshot()
     chunk_hours = (DEFAULT_CHUNK_HOURS if args.chunk_hours is None
                    else args.chunk_hours)
+    # The count the campaign ran with, also when --workers was not given.
+    workers = int(snapshot.metrics.instruments["parallel.workers"].value)
     manifest = build_manifest(
         snapshot, command=f"repro {args.command}", seed=args.seed,
         engine=args.engine, policy=campaign.policy_name, hours=args.hours,
-        mix=_default_mix(), workers=args.workers, chunk_hours=chunk_hours,
+        mix=_default_mix(), workers=workers, chunk_hours=chunk_hours,
         n_chunks=len(plan_chunks(args.hours, chunk_hours)),
         budget_report=report, summary=summary,
         failure_log=(None if not run.failures
@@ -824,7 +838,7 @@ def _cmd_review(args: argparse.Namespace) -> int:
         if args.exposure is None:
             print("--exposure is required with --counts", file=sys.stderr)
             return 2
-        counts = _parse_counts(args.counts)
+        counts = _parse_counts(args.counts, goals)
         if counts is None:
             print("--counts must be a JSON object", file=sys.stderr)
             return 2

@@ -33,14 +33,16 @@ SG for I2" experiment.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import (TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence,
+                    Tuple)
 
 from .ethics import EthicalConstraint
 from .incident import IncidentType
 from .quantities import Frequency, sum_frequencies
 from .risk_norm import QuantitativeRiskNorm
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "Allocation",
@@ -82,14 +84,11 @@ def _validate_problem(norm: QuantitativeRiskNorm,
         itype.split.validate_against(norm.scale)
 
 
-def _split_matrix(norm: QuantitativeRiskNorm,
-                  types: Sequence[IncidentType]) -> np.ndarray:
-    """Matrix ``S`` with ``S[j, k] = split_k[class_j]`` (classes × types)."""
-    matrix = np.zeros((len(norm.class_ids), len(types)))
-    for j, class_id in enumerate(norm.class_ids):
-        for k, itype in enumerate(types):
-            matrix[j, k] = itype.split.fraction(class_id)
-    return matrix
+def _split_rows(norm: QuantitativeRiskNorm,
+                types: Sequence[IncidentType]) -> List[List[float]]:
+    """Rows ``S[j][k] = split_k[class_j]`` (classes × types)."""
+    return [[float(itype.split.fraction(class_id)) for itype in types]
+            for class_id in norm.class_ids]
 
 
 class Allocation:
@@ -215,6 +214,8 @@ class Allocation:
         This is the content of Fig. 5's right-hand diagram — each column a
         consequence class's stacked incident contributions.
         """
+        import numpy as np
+
         class_ids = self.norm.class_ids
         type_ids = self.type_ids
         matrix = np.zeros((len(class_ids), len(type_ids)))
@@ -281,11 +282,11 @@ class Allocation:
 
 
 def _reference_weights(types: Sequence[IncidentType],
-                       weights: Optional[Mapping[str, float]]) -> np.ndarray:
+                       weights: Optional[Mapping[str, float]]) -> List[float]:
     if weights is None:
-        return np.ones(len(types))
-    vector = np.empty(len(types))
-    for k, itype in enumerate(types):
+        return [1.0] * len(types)
+    vector = []
+    for itype in types:
         try:
             weight = float(weights[itype.type_id])
         except KeyError:
@@ -294,7 +295,7 @@ def _reference_weights(types: Sequence[IncidentType],
         if weight <= 0 or not math.isfinite(weight):
             raise AllocationError(
                 f"weight for {itype.type_id!r} must be positive and finite")
-        vector[k] = weight
+        vector.append(weight)
     return vector
 
 
@@ -310,9 +311,11 @@ def allocate_uniform_scaling(norm: QuantitativeRiskNorm,
     saturated (the binding class); this is the simplest defensible
     allocation and the baseline for the LP strategies.
     """
+    import numpy as np
+
     _validate_problem(norm, types)
-    w = _reference_weights(types, weights)
-    S = _split_matrix(norm, types)
+    w = np.array(_reference_weights(types, weights))
+    S = np.array(_split_rows(norm, types))
     induced = S @ w
     budgets = np.array([norm.budget(cid).rate for cid in norm.class_ids])
     with np.errstate(divide="ignore"):
@@ -340,8 +343,12 @@ def allocate_proportional(norm: QuantitativeRiskNorm,
     uniform scaling it lets unrelated parts of the norm saturate
     independently (quality types are not throttled by the fatality class).
     """
+    import numpy as np
+
     _validate_problem(norm, types)
-    w = _reference_weights(types, weights)
+    # Kept as np.float64: CPython >= 3.12's ``sum`` compensates plain
+    # floats but not np.float64, so plain floats could move a budget.
+    w = np.array(_reference_weights(types, weights))
     class_ids = norm.class_ids
     shares_total = {
         cid: sum(w[k] for k, itype in enumerate(types)
@@ -415,8 +422,7 @@ def allocate_lp(norm: QuantitativeRiskNorm,
             raise AllocationError(
                 f"incident type {type_id!r} contributes to no class")
 
-    rows = [[Fraction(float(v)) for v in row]
-            for row in _split_matrix(norm, types)]
+    rows = [[Fraction(v) for v in row] for row in _split_rows(norm, types)]
     bounds = [Fraction(class_budgets[cid]) for cid in norm.class_ids]
     names = list(norm.class_ids)
     for constraint in constraints:
@@ -425,7 +431,7 @@ def allocate_lp(norm: QuantitativeRiskNorm,
             rows.append([Fraction(float(v)) for v in row])
             bounds.append(Fraction(float(bound)))
             names.append(constraint.describe())
-    exact_w = [Fraction(float(v)) for v in w]
+    exact_w = [Fraction(v) for v in w]
 
     if objective not in (LpObjective.MAX_TOTAL, LpObjective.MAX_MIN):
         raise AllocationError(f"unknown LP objective {objective!r}")

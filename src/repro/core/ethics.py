@@ -32,8 +32,6 @@ import abc
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Sequence, Tuple
 
-import numpy as np
-
 from .incident import IncidentType
 from .quantities import Frequency
 
@@ -61,18 +59,18 @@ class ConstraintViolation:
 class EthicalConstraint(abc.ABC):
     """A linear constraint over incident-type budgets.
 
-    ``lp_rows`` renders the constraint into ``A_ub x <= b_ub`` rows over
-    the budget vector ordered as ``type_ids``.  ``class_budgets`` maps
-    class id to the norm's acceptable rate and ``splits`` maps type id to
-    its per-class contribution fractions — some constraints (share caps)
-    need both.
+    ``lp_rows`` renders the constraint into ``A_ub x <= b_ub`` rows, each
+    a list of float coefficients over the budget vector ordered as
+    ``type_ids``.  ``class_budgets`` maps class id to the norm's
+    acceptable rate and ``splits`` maps type id to its per-class
+    contribution fractions — some constraints (share caps) need both.
     """
 
     @abc.abstractmethod
     def lp_rows(self, type_ids: Sequence[str],
                 class_budgets: Mapping[str, float],
                 splits: Mapping[str, Mapping[str, float]],
-                ) -> Tuple[List[np.ndarray], List[float]]:
+                ) -> Tuple[List[List[float]], List[float]]:
         """Render into LP inequality rows over the budget vector."""
 
     @abc.abstractmethod
@@ -108,7 +106,7 @@ class BudgetFloor(EthicalConstraint):
     minimum: Frequency
 
     def lp_rows(self, type_ids, class_budgets, splits):
-        row = np.zeros(len(type_ids))
+        row = [0.0] * len(type_ids)
         row[self._index(type_ids, self.type_id)] = -1.0
         return [row], [-self.minimum.rate]
 
@@ -134,7 +132,7 @@ class BudgetCeiling(EthicalConstraint):
     maximum: Frequency
 
     def lp_rows(self, type_ids, class_budgets, splits):
-        row = np.zeros(len(type_ids))
+        row = [0.0] * len(type_ids)
         row[self._index(type_ids, self.type_id)] = 1.0
         return [row], [self.maximum.rate]
 
@@ -182,7 +180,7 @@ class RiskParity(EthicalConstraint):
             raise ValueError("parity between a type and itself is vacuous")
 
     def lp_rows(self, type_ids, class_budgets, splits):
-        row = np.zeros(len(type_ids))
+        row = [0.0] * len(type_ids)
         row[self._index(type_ids, self.protected_type)] = self.reference_exposure
         row[self._index(type_ids, self.reference_type)] = (
             -self.max_ratio * self.protected_exposure)
@@ -236,7 +234,7 @@ class GroupShareCap(EthicalConstraint):
     def lp_rows(self, type_ids, class_budgets, splits):
         if self.class_id not in class_budgets:
             raise KeyError(f"share cap references unknown class {self.class_id!r}")
-        row = np.zeros(len(type_ids))
+        row = [0.0] * len(type_ids)
         for type_id in self.group:
             coefficient = splits.get(type_id, {}).get(self.class_id, 0.0)
             row[self._index(type_ids, type_id)] = coefficient

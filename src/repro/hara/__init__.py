@@ -8,41 +8,27 @@ enumeration, the full study pipeline, and the decomposition/inheritance
 rules including their large-design breakdown.
 """
 
-from .asil import (Asil, RiskReductionWaterfall, asil_rate_band,
-                   determine_asil, determine_asil_sum_rule,
-                   frequency_to_asil_band, risk_reduction_waterfall)
-from .controllability import (ControllabilityClass, ads_controllability,
-                              controllability_from_probability)
-from .decomposition import (DECOMPOSITION_SCHEMES, DecomposedRequirement,
-                            DecompositionError, InheritanceAnalysis,
-                            analyse_inheritance, decompose,
-                            inheritance_effective_rate,
-                            is_valid_decomposition, valid_decompositions)
-from .exposure import (ExposureClass, exposure_from_fraction,
-                       exposure_from_rate_per_hour)
-from .hara import HaraStudy, RatingModel, run_hara
-from .iterative import (IterationRound, IterativeHaraResult,
-                        asil_threshold_assessor, run_iterative_hara)
-from .hazard import GuideWord, Hazard, VehicleFunction, derive_hazards
-from .hazardous_event import HazardousEvent, IsoSafetyGoal, SecRating
-from .situation import (OperationalSituation, SituationCatalog,
-                        SituationDimension, standard_dimensions)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "Asil", "determine_asil", "determine_asil_sum_rule", "asil_rate_band",
-    "frequency_to_asil_band", "RiskReductionWaterfall",
-    "risk_reduction_waterfall",
-    "ExposureClass", "exposure_from_fraction", "exposure_from_rate_per_hour",
-    "ControllabilityClass", "controllability_from_probability",
-    "ads_controllability",
-    "GuideWord", "VehicleFunction", "Hazard", "derive_hazards",
-    "SecRating", "HazardousEvent", "IsoSafetyGoal",
-    "SituationDimension", "OperationalSituation", "SituationCatalog",
-    "standard_dimensions",
-    "RatingModel", "HaraStudy", "run_hara",
-    "DECOMPOSITION_SCHEMES", "valid_decompositions", "is_valid_decomposition",
-    "DecompositionError", "decompose", "DecomposedRequirement",
-    "inheritance_effective_rate", "InheritanceAnalysis", "analyse_inheritance",
-    "IterationRound", "IterativeHaraResult", "asil_threshold_assessor",
-    "run_iterative_hara",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".asil": ("Asil", "determine_asil", "determine_asil_sum_rule",
+              "asil_rate_band", "frequency_to_asil_band",
+              "RiskReductionWaterfall", "risk_reduction_waterfall"),
+    ".exposure": ("ExposureClass", "exposure_from_fraction",
+                  "exposure_from_rate_per_hour"),
+    ".controllability": ("ControllabilityClass",
+                         "controllability_from_probability",
+                         "ads_controllability"),
+    ".hazard": ("GuideWord", "VehicleFunction", "Hazard", "derive_hazards"),
+    ".hazardous_event": ("SecRating", "HazardousEvent", "IsoSafetyGoal"),
+    ".situation": ("SituationDimension", "OperationalSituation",
+                   "SituationCatalog", "standard_dimensions"),
+    ".hara": ("RatingModel", "HaraStudy", "run_hara"),
+    ".decomposition": ("DECOMPOSITION_SCHEMES", "valid_decompositions",
+                       "is_valid_decomposition", "DecompositionError",
+                       "decompose", "DecomposedRequirement",
+                       "inheritance_effective_rate", "InheritanceAnalysis",
+                       "analyse_inheritance"),
+    ".iterative": ("IterationRound", "IterativeHaraResult",
+                   "asil_threshold_assessor", "run_iterative_hara"),
+})

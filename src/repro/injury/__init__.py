@@ -7,20 +7,12 @@ logistic severity-vs-Δv dose–response curves per counterpart
 per-incident consequence draws from them (:mod:`.classifier`).
 """
 
-from .classifier import (classify_record_severity, derive_splits,
-                         sample_consequence_class, split_for_proximity,
-                         split_for_speed_band)
-from .risk_curves import (InjuryRiskModel, LogisticCurve, default_risk_model,
-                          severity_distribution)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "LogisticCurve",
-    "InjuryRiskModel",
-    "default_risk_model",
-    "severity_distribution",
-    "split_for_speed_band",
-    "split_for_proximity",
-    "derive_splits",
-    "classify_record_severity",
-    "sample_consequence_class",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".risk_curves": ("LogisticCurve", "InjuryRiskModel", "default_risk_model",
+                     "severity_distribution"),
+    ".classifier": ("split_for_speed_band", "split_for_proximity",
+                    "derive_splits", "classify_record_severity",
+                    "sample_consequence_class"),
+})

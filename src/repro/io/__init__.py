@@ -20,29 +20,19 @@ package (a guard test greps for them): raw parsing without typed error
 conversion is exactly the bug class this boundary exists to remove.
 """
 
-from ..errors import (ArtifactError, ArtifactValidationError,
-                      CorruptArtifactError, ReproError,
-                      SchemaMismatchError, SchemaVersionError)
-from .artifact import (ARTIFACTS, DIGEST_KEY, ArtifactSchema, ArtifactStore,
-                       canonical_payload_text, load_builtin_schemas,
-                       parse_artifact_bytes, parse_artifact_text,
-                       parse_schema_tag, payload_digest, register_artifact)
-from .atomic import atomic_write_text
-from .validate import (Bool, Int, Json, ListOf, MapOf, NullOr, Number,
-                       Record, Spec, SpecError, Str, TaggedUnion)
+from .._lazy import lazy_exports
 
-__all__ = [
-    # errors (re-exported for convenience at the boundary)
-    "ReproError", "ArtifactError", "CorruptArtifactError",
-    "SchemaMismatchError", "SchemaVersionError", "ArtifactValidationError",
-    # artifact store
-    "ARTIFACTS", "DIGEST_KEY", "ArtifactSchema", "ArtifactStore",
-    "register_artifact", "load_builtin_schemas", "canonical_payload_text",
-    "payload_digest", "parse_artifact_text", "parse_artifact_bytes",
-    "parse_schema_tag",
-    # atomic writes
-    "atomic_write_text",
-    # validation combinators
-    "Spec", "SpecError", "Str", "Bool", "Int", "Number", "NullOr",
-    "ListOf", "MapOf", "Record", "TaggedUnion", "Json",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "..errors": ("ReproError", "ArtifactError", "CorruptArtifactError",
+                 "SchemaMismatchError", "SchemaVersionError",
+                 "ArtifactValidationError"),
+    ".artifact": ("ARTIFACTS", "DIGEST_KEY", "ArtifactSchema",
+                  "ArtifactStore", "register_artifact",
+                  "load_builtin_schemas", "canonical_payload_text",
+                  "payload_digest", "parse_artifact_text",
+                  "parse_artifact_bytes", "parse_schema_tag"),
+    ".atomic": ("atomic_write_text",),
+    ".validate": ("Spec", "SpecError", "Str", "Bool", "Int", "Number",
+                  "NullOr", "ListOf", "MapOf", "Record", "TaggedUnion",
+                  "Json"),
+})

@@ -30,46 +30,24 @@ module-global read per instrumented call site.  The journal follows the
 same discipline via :func:`journal_event` / :func:`active_journal`.
 """
 
-from .events import (EVENT_KINDS, EVENT_LOG_SCHEMA, EventJournal,
-                     EventRecord, JournalReplay, active_journal,
-                     journal_event, read_journal, recording_journal,
-                     replay_journal)
-from .export import (chrome_trace_events, chrome_trace_json,
-                     prometheus_text, write_chrome_trace, write_prometheus)
-from .manifest import (MANIFEST_SCHEMA, RunManifest, build_manifest,
-                       collect_versions, git_sha)
-from .metrics import (SIZE_BUCKETS, Counter, CounterSnapshot, Gauge,
-                      GaugeSnapshot, Histogram, HistogramSnapshot,
-                      MetricsRegistry, MetricsSnapshot, ThroughputMeter)
-from .profiling import TIME_BUCKETS, profile_chunk, rss_peak_mb
-from .session import (NO_OP_SPAN, TelemetrySession, TelemetrySnapshot,
-                      active_session, maybe_span, telemetry_session)
-from .status import (STATUS_SCHEMA, FlightRecorder, format_bytes,
-                     format_duration, read_status, render_status)
-from .tracing import SpanNode, Tracer
+from .._lazy import lazy_exports
 
-__all__ = [
-    # metrics
-    "SIZE_BUCKETS", "Counter", "CounterSnapshot", "Gauge", "GaugeSnapshot",
-    "Histogram", "HistogramSnapshot", "MetricsRegistry", "MetricsSnapshot",
-    "ThroughputMeter",
-    # tracing
-    "SpanNode", "Tracer",
-    # session
-    "NO_OP_SPAN", "TelemetrySession", "TelemetrySnapshot", "active_session",
-    "maybe_span", "telemetry_session",
-    # manifests
-    "MANIFEST_SCHEMA", "RunManifest", "build_manifest", "collect_versions",
-    "git_sha",
-    # flight recorder: journal
-    "EVENT_KINDS", "EVENT_LOG_SCHEMA", "EventJournal", "EventRecord",
-    "JournalReplay", "active_journal", "journal_event", "read_journal",
-    "recording_journal", "replay_journal",
-    # flight recorder: live status
-    "STATUS_SCHEMA", "FlightRecorder", "format_bytes", "format_duration",
-    "read_status", "render_status",
-    # exporters + profiling
-    "chrome_trace_events", "chrome_trace_json", "prometheus_text",
-    "write_chrome_trace", "write_prometheus",
-    "TIME_BUCKETS", "profile_chunk", "rss_peak_mb",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".metrics": ("SIZE_BUCKETS", "Counter", "CounterSnapshot", "Gauge",
+                 "GaugeSnapshot", "Histogram", "HistogramSnapshot",
+                 "MetricsRegistry", "MetricsSnapshot", "ThroughputMeter"),
+    ".tracing": ("SpanNode", "Tracer"),
+    ".session": ("NO_OP_SPAN", "TelemetrySession", "TelemetrySnapshot",
+                 "active_session", "maybe_span", "telemetry_session"),
+    ".manifest": ("MANIFEST_SCHEMA", "RunManifest", "build_manifest",
+                  "collect_versions", "git_sha"),
+    ".events": ("EVENT_KINDS", "EVENT_LOG_SCHEMA", "EventJournal",
+                "EventRecord", "JournalReplay", "active_journal",
+                "journal_event", "read_journal", "recording_journal",
+                "replay_journal"),
+    ".status": ("STATUS_SCHEMA", "FlightRecorder", "format_bytes",
+                "format_duration", "read_status", "render_status"),
+    ".export": ("chrome_trace_events", "chrome_trace_json", "prometheus_text",
+                "write_chrome_trace", "write_prometheus"),
+    ".profiling": ("TIME_BUCKETS", "profile_chunk", "rss_peak_mb"),
+})

@@ -6,23 +6,14 @@ frequencies are time/place-dependent; restriction quantifies the Sec. IV
 trade between feature coverage and verification burden.
 """
 
-from .definition import (CategoricalOddParameter, OddParameter,
-                         OperationalDesignDomain, RangeOddParameter)
-from .exposure import ContextDimension, ExposureModel, default_exposure_model
-from .monitor import Excursion, OddMonitor
-from .restriction import RestrictionEffect, coverage_of, evaluate_restriction
+from .._lazy import lazy_exports
 
-__all__ = [
-    "OperationalDesignDomain",
-    "OddParameter",
-    "CategoricalOddParameter",
-    "RangeOddParameter",
-    "ContextDimension",
-    "ExposureModel",
-    "default_exposure_model",
-    "RestrictionEffect",
-    "coverage_of",
-    "evaluate_restriction",
-    "Excursion",
-    "OddMonitor",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".definition": ("OperationalDesignDomain", "OddParameter",
+                    "CategoricalOddParameter", "RangeOddParameter"),
+    ".exposure": ("ContextDimension", "ExposureModel",
+                  "default_exposure_model"),
+    ".restriction": ("RestrictionEffect", "coverage_of",
+                     "evaluate_restriction"),
+    ".monitor": ("Excursion", "OddMonitor"),
+})

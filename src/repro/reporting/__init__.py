@@ -1,14 +1,10 @@
 """Reporting: plain-text tables and regenerated paper figures."""
 
-from .dossier import build_dossier
-from .figures import (figure1_waterfall, figure2_unified_axis,
-                      figure3_risk_norm, figure4_tree, figure5_assignment,
-                      log_bar)
-from .tables import format_rate, render_bar, render_table
+from .._lazy import lazy_exports
 
-__all__ = [
-    "render_table", "render_bar", "format_rate", "log_bar",
-    "figure1_waterfall", "figure2_unified_axis", "figure3_risk_norm",
-    "figure4_tree", "figure5_assignment",
-    "build_dossier",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".tables": ("render_table", "render_bar", "format_rate"),
+    ".figures": ("log_bar", "figure1_waterfall", "figure2_unified_axis",
+                 "figure3_risk_norm", "figure4_tree", "figure5_assignment"),
+    ".dossier": ("build_dossier",),
+})

@@ -44,11 +44,9 @@ import math
 import os
 import time
 import warnings
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from typing import (Any, Callable, Dict, List, Mapping, Optional, Sequence,
-                    Tuple)
+from typing import (TYPE_CHECKING, Any, Callable, Dict, List, Mapping,
+                    Optional, Sequence, Tuple)
 
 import numpy as np
 
@@ -56,6 +54,9 @@ from ..obs.events import journal_event
 from ..obs.session import active_session, maybe_span
 from .fault_tolerance import (CampaignPartialFailure, ChunkFailure,
                               RetryPolicy, journal_chunk_failure)
+
+if TYPE_CHECKING:
+    from concurrent.futures import ProcessPoolExecutor
 
 __all__ = ["Chunk", "ChunkProgress", "plan_chunks", "run_chunked",
            "default_worker_count"]
@@ -191,6 +192,9 @@ def _new_pool(max_workers: int) -> ProcessPoolExecutor:
     pool use one tracker, so a segment a worker ships stays registered
     until the coordinator unlinks it (DESIGN §12).
     """
+    # Imported here: an inline campaign starts no pool, so it need not
+    # load ``concurrent.futures`` or ``multiprocessing`` (DESIGN §16).
+    from concurrent.futures import ProcessPoolExecutor
     from multiprocessing import resource_tracker
 
     resource_tracker.ensure_running()
@@ -468,6 +472,9 @@ class _ResilientRun:
         return _new_pool(max_workers)
 
     def _execute_pool(self) -> None:
+        from concurrent.futures import FIRST_COMPLETED, wait
+        from concurrent.futures.process import BrokenProcessPool
+
         max_workers = min(self.workers, max(len(self.todo), 1))
         pool: Optional[ProcessPoolExecutor] = _new_pool(max_workers)
         # future -> (chunk, deadline | None).  Submission is windowed to

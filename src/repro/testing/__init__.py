@@ -8,12 +8,11 @@ corruption fuzzer (:mod:`.fuzz`) behind the ``fuzz`` tier's ≥500
 mutations-per-schema guarantee (DESIGN §10).
 """
 
-from .chaos import (CHAOS_FAULT_KINDS, ChaosError, ChaosScript, ChaosWorker,
-                    replace_with_garbage)
-from .fuzz import (BYTE_MUTATORS, STRUCTURAL_MUTATORS, ArtifactFuzzer,
-                   FuzzCase)
+from .._lazy import lazy_exports
 
-__all__ = ["CHAOS_FAULT_KINDS", "ChaosError", "ChaosScript", "ChaosWorker",
-           "replace_with_garbage",
-           "ArtifactFuzzer", "FuzzCase", "BYTE_MUTATORS",
-           "STRUCTURAL_MUTATORS"]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".chaos": ("CHAOS_FAULT_KINDS", "ChaosError", "ChaosScript",
+               "ChaosWorker", "replace_with_garbage"),
+    ".fuzz": ("ArtifactFuzzer", "FuzzCase", "BYTE_MUTATORS",
+              "STRUCTURAL_MUTATORS"),
+})

@@ -104,6 +104,16 @@ the one value must live in one place."""
 POLICY_NAMES = ("cautious", "nominal", "aggressive")
 """The named tactical policies a campaign may reference."""
 
+_POOL_MIN_ENCOUNTERS = 250_000.0
+"""Expected encounters below which ``workers=None`` runs inline.
+
+On a 2-vCPU host inline resolution runs at ≈1.5 M encounters/s, and
+starting a 2-worker pool costs ≈55 ms, the work of ≈80 k encounters;
+with its per-chunk cost on top, the pool lost to one worker at every
+size measured there (DESIGN §16).  250 k is ≈23 kh at the default mix,
+so the default 2,000 h ``fleet`` and 5,000 h ``dossier`` (≈22 k and
+≈54 k encounters) start no pool."""
+
 
 def policy_by_name(name: str) -> TacticalPolicy:
     """Resolve a policy name (``repro fleet --policy``) to its
@@ -386,6 +396,27 @@ def validate_chunk_output(chunk: Chunk, output: object) -> Optional[str]:
     return None
 
 
+def _auto_workers(generator: EncounterGenerator, mix: Mapping[str, float],
+                  hours: float, n_chunks: int, retry: RetryPolicy) -> int:
+    """The worker count of a campaign that names none.
+
+    One when the campaign's expected encounters, ``hours`` × Σ (mix
+    share × context encounter rate), are too few to pay for starting a
+    pool, and no chunk timeout needs a second process to preempt a hung
+    chunk; otherwise every available core, capped by the chunk count.
+    Contexts the generator does not know are left to the simulation to
+    reject.  The count never changes a draw (DESIGN §6).
+    """
+    if retry.timeout_s is None:
+        known = set(generator.contexts)
+        expected = hours * math.fsum(
+            share * generator.profile(context).total_rate()
+            for context, share in mix.items() if context in known)
+        if expected < _POOL_MIN_ENCOUNTERS:
+            return 1
+    return default_worker_count(n_chunks)
+
+
 def _campaign_identity(policy: TacticalPolicy, mix: Mapping[str, float],
                        hours: float, seed: int, chunk_hours: float,
                        engine: str) -> Dict[str, object]:
@@ -489,12 +520,15 @@ def run_fleet(policy: TacticalPolicy,
     child streams — passing a live ``Generator`` would tie the draws to
     scheduling order) and ``workers``/``chunk_hours`` control the pool.
 
-    ``workers=None`` uses every available core; ``workers=1`` runs
-    serially through the identical chunk plan and seeding, so it is the
-    bit-for-bit reference for any parallel run with the same ``seed``,
-    ``hours`` and ``chunk_hours``.  Note the chunk size *is* part of the
-    RNG layout: changing ``chunk_hours`` legitimately changes the draws
-    (but never the statistics' distribution).
+    ``workers=None`` runs inline when the campaign's expected encounters
+    are too few to pay for a process pool (and no ``retry`` timeout
+    needs one), and otherwise uses every available core, capped by the
+    chunk count; ``workers=1`` runs serially through the identical chunk
+    plan and seeding, so it is the bit-for-bit reference for any
+    parallel run with the same ``seed``, ``hours`` and ``chunk_hours``.
+    Note the chunk size *is* part of the RNG layout: changing
+    ``chunk_hours`` legitimately changes the draws (but never the
+    statistics' distribution).
 
     ``engine`` selects the per-core resolution path and defaults to
     ``"vectorized"`` — the structure-of-arrays hot path, so the two
@@ -567,10 +601,10 @@ def run_fleet(policy: TacticalPolicy,
                          f"expected one of {CHUNK_TRANSPORTS}")
     session = active_session()
     chunks = plan_chunks(hours, chunk_hours)
+    if workers is None:
+        workers = _auto_workers(generator, mix, hours, len(chunks), retry)
     if transport is None:
-        effective_workers = (workers if workers is not None
-                             else default_worker_count(len(chunks)))
-        if effective_workers <= 1:
+        if workers <= 1:
             transport = "inline"
         elif shm_available():
             transport = "shm"
@@ -670,7 +704,7 @@ def run_fleet(policy: TacticalPolicy,
                   policy=policy.name,
                   mix={str(k): float(v) for k, v in sorted(mix.items())},
                   n_chunks=len(chunks),
-                  workers=None if workers is None else int(workers),
+                  workers=min(int(workers), len(chunks)),
                   transport=transport,
                   chunks_restored=len(restored_results))
     with maybe_span("run_fleet"):

@@ -12,7 +12,6 @@ from repro.assurance.safety_case import (CaseNode, NodeKind, SafetyCase,
                                          build_qrn_safety_case)
 from repro.core.quantities import Frequency
 from repro.core.safety_goals import derive_safety_goals
-from repro.core.taxonomy import figure4_taxonomy
 from repro.core.verification import verify_against_counts
 
 

@@ -5,9 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.assurance.trade_study import (TradeAxis, TradeOption, TradeStudy)
-from repro.core import (Frequency, allocate_proportional,
-                        derive_safety_goals, example_norm,
-                        figure5_incident_types)
+from repro.core import Frequency, allocate_proportional, derive_safety_goals
 
 
 @pytest.fixture

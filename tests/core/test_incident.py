@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 
 from repro.core.incident import (ContributionSplit, IncidentRecord,
                                  IncidentType, ProximityMargin, SpeedBand,
-                                 classify_records, figure5_incident_types)
+                                 classify_records)
 from repro.core.consequence import example_scale
 from repro.core.taxonomy import ActorClass
 

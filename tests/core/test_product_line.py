@@ -6,7 +6,6 @@ import pytest
 
 from repro.core.allocation import (allocate_lp, allocate_proportional,
                                    allocate_uniform_scaling)
-from repro.core.incident import figure5_incident_types
 from repro.core.product_line import ProductLine, Variant
 from repro.core.quantities import Frequency
 from repro.core.risk_norm import example_norm

@@ -6,7 +6,7 @@ import pytest
 
 from repro.core import (Allocation, BudgetFloor, Frequency, allocate_lp,
                         derive_safety_goals)
-from repro.core.review import Finding, Severity, confirmation_review
+from repro.core.review import Severity, confirmation_review
 from repro.core.verification import verify_against_counts
 
 

@@ -5,12 +5,11 @@ from __future__ import annotations
 import pytest
 
 from repro.core.allocation import allocate_proportional
-from repro.core.incident import (ContributionSplit, IncidentType, SpeedBand,
-                                 figure5_incident_types)
+from repro.core.incident import ContributionSplit, IncidentType, SpeedBand
 from repro.core.quantities import Frequency
 from repro.core.safety_goals import (SafetyGoal, SafetyGoalSet,
                                      derive_safety_goals)
-from repro.core.taxonomy import ActorClass, figure4_taxonomy
+from repro.core.taxonomy import ActorClass
 
 
 class TestSafetyGoal:

@@ -13,9 +13,8 @@ from hypothesis import assume, given, settings, strategies as st
 from repro.core import taxonomy as taxonomy_module
 from repro.core.taxonomy import (CategoricalAttribute, CategoryBranch,
                                  ClassificationNode, ContinuousAttribute,
-                                 IncidentTaxonomy, IntervalBranch, Leaf,
-                                 Region, TaxonomyError, Universe,
-                                 ego_vru_universe, figure4_taxonomy)
+                                 IncidentTaxonomy, IntervalBranch, Region,
+                                 TaxonomyError, Universe, ego_vru_universe)
 
 
 def cat(*values):

@@ -6,11 +6,9 @@ import pytest
 
 from repro.hara.asil import Asil
 from repro.hara.decomposition import (DECOMPOSITION_SCHEMES,
-                                      DecompositionError,
-                                      analyse_inheritance, decompose,
-                                      inheritance_effective_rate,
-                                      is_valid_decomposition,
-                                      valid_decompositions)
+                                      DecompositionError, analyse_inheritance,
+                                      decompose, inheritance_effective_rate,
+                                      is_valid_decomposition)
 
 
 class TestSchemes:

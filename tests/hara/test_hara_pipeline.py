@@ -7,9 +7,8 @@ import pytest
 from repro.core.severity import IsoSeverity
 from repro.hara.asil import Asil
 from repro.hara.controllability import ControllabilityClass
-from repro.hara.hara import HaraStudy, RatingModel, run_hara
-from repro.hara.hazard import (GuideWord, Hazard, VehicleFunction,
-                               derive_hazards)
+from repro.hara.hara import RatingModel, run_hara
+from repro.hara.hazard import GuideWord, VehicleFunction, derive_hazards
 from repro.hara.hazardous_event import IsoSafetyGoal, SecRating
 from repro.hara.situation import SituationCatalog, SituationDimension
 

@@ -3,12 +3,11 @@
 from __future__ import annotations
 
 import itertools
-import math
 
 import pytest
 
-from repro.hara.situation import (OperationalSituation, SituationCatalog,
-                                  SituationDimension, standard_dimensions)
+from repro.hara.situation import (SituationCatalog, SituationDimension,
+                                  standard_dimensions)
 
 
 @pytest.fixture

@@ -15,7 +15,7 @@ import pytest
 
 from repro.core import (allocate_lp, derive_safety_goals, example_norm,
                         figure5_incident_types)
-from repro.hara.exposure import ExposureClass, exposure_from_rate_per_hour
+from repro.hara.exposure import exposure_from_rate_per_hour
 from repro.hara.situation import SituationCatalog, standard_dimensions
 from repro.traffic import (BrakingSystem, EncounterGenerator,
                            default_context_profiles, default_perception,

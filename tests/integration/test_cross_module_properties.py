@@ -8,8 +8,6 @@ arithmetic is linear the way Eq. 1 says it is.
 
 from __future__ import annotations
 
-import itertools
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st

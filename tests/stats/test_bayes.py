@@ -9,7 +9,6 @@ import pytest
 from repro.stats.bayes import (JEFFREYS, GammaRatePrior,
                                field_exposure_to_demonstrate,
                                prior_from_simulation)
-from repro.stats.poisson import exposure_to_demonstrate
 
 
 class TestGammaRatePrior:

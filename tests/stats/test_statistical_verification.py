@@ -31,7 +31,6 @@ dialing the fault occupancy dials the rarity class directly.
 
 import math
 
-import numpy as np
 import pytest
 
 from repro.stats import WeightDegeneracyError

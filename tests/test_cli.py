@@ -242,6 +242,17 @@ class TestFleetTelemetry:
             goals, manifest.summary["type_counts"],
             manifest.summary["hours"]).to_rows()
 
+    def test_manifest_records_the_worker_count_that_ran(self, tmp_path,
+                                                       capsys):
+        # Without --workers a campaign this small runs inline.
+        from repro.obs import RunManifest
+
+        path = tmp_path / "manifest.json"
+        assert main(["fleet", "--hours", "120", "--seed", "3",
+                     "--chunk-hours", "40", "--telemetry", str(path)]) == 0
+        capsys.readouterr()
+        assert RunManifest.read(path).workers == 1
+
     def test_telemetry_does_not_change_the_campaign(self, tmp_path, capsys):
         """--telemetry must be pure observation: the campaign summary is
         bitwise identical with and without it."""
@@ -694,6 +705,20 @@ class TestArtifactErrorDiagnostics:
         assert code == 4
         assert "must be an integer" in err
 
+    @pytest.mark.parametrize("command", ["verify", "review"])
+    def test_unknown_incident_type_count_exits_4(self, command, goals_file,
+                                                 capsys):
+        # Exit 1 would read as a violated goal; the library's KeyError
+        # must not reach the user as a traceback either.
+        code = main([command, str(goals_file), "--counts", '{"I9": 1}',
+                     "--exposure", "1e6"])
+        err = capsys.readouterr().err
+        assert code == 4
+        assert err.startswith("error: --counts: incident type 'I9' is not "
+                              "in the goal set (its types: I1, I2, I3")
+        assert len(err.strip().splitlines()) == 1
+        assert "Traceback" not in err
+
     def test_non_object_counts_still_usage_error_2(self, goals_file, capsys):
         # well-formed JSON of the wrong shape is a usage error, not a
         # corrupt artifact: the historical exit code 2 is pinned
@@ -908,6 +933,9 @@ class TestFlightRecorderCLI:
         assert head is not None
         kinds = [r.kind for r in records]
         assert kinds[0] == "campaign.started"
+        # The worker count and transport the default rule chose.
+        assert records[0].data["workers"] == 1
+        assert records[0].data["transport"] == "inline"
         assert "campaign.finished" in kinds
         replay = replay_journal(records)
         assert sorted(replay.chunks) == [0, 1, 2]

@@ -17,6 +17,12 @@ rules that keep it small:
   ``goals --json`` and ``figures`` commands, load no ``numpy.random``;
 * writing a goal set loads no ``repro.testing`` module: the filesystem
   fault hook of the atomic write lives in ``repro.io``;
+* package exports are lazy: ``import repro.<pkg>`` loads no submodule of
+  ``<pkg>``, and each command loads only what it runs — ``goals`` and
+  ``review`` no numpy, none of them ``repro.obs`` or the process pool;
+* a campaign that names no worker count starts a pool only when its
+  expected encounters pay for one, so a default ``fleet`` loads neither
+  ``multiprocessing`` nor ``concurrent.futures``;
 * a pooled fleet starts one ``resource_tracker`` interpreter, shared by
   the coordinator and its workers.
 """
@@ -33,8 +39,20 @@ from pathlib import Path
 import pytest
 
 from repro.cli import main
+from repro.obs.events import EventJournal, read_journal, recording_journal
+from repro.stats.fault_tolerance import RetryPolicy
+from repro.stats.parallel import default_worker_count
+from repro.traffic import fleet
+from repro.traffic.encounters import (EncounterGenerator,
+                                      default_context_profiles)
+from repro.traffic.faults import BrakingSystem
+from repro.traffic.perception import default_perception
+from repro.traffic.policy import nominal_policy
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+
+PACKAGES = sorted(init.parent.name
+                  for init in (SRC / "repro").glob("*/__init__.py"))
 
 #: Runs ``repro.cli.main(argv)`` (or only imports) and prints, as the last
 #: stdout line, the exit code and every loaded module.
@@ -65,6 +83,13 @@ def _fresh(argv=(), imports=""):
     code, modules = _fresh_modules(argv, imports)
     return code, {name for name in modules
                   if name == "scipy" or name.startswith("scipy.")}
+
+
+def _among(modules, names):
+    """The loaded modules that are one of ``names`` or inside one."""
+    return sorted(module for module in modules
+                  if any(module == name or module.startswith(name + ".")
+                         for name in names))
 
 
 def _scipy_imports(tree: ast.AST, submodule: str):
@@ -197,6 +222,86 @@ class TestCommandImports:
         assert "scipy.special" in loaded
         assert not {name for name in loaded
                     if name.startswith(("scipy.stats", "scipy.optimize"))}
+
+
+@pytest.mark.parametrize("package", PACKAGES)
+def test_package_import_loads_no_submodule(package):
+    _, modules = _fresh_modules(imports=f"import repro.{package}")
+    assert not [name for name in modules
+                if name.startswith(f"repro.{package}.")]
+
+
+class TestCommandLoadsOnlyWhatItRuns:
+    """Per command, the modules that must stay unloaded (DESIGN §16)."""
+
+    POOL = ("multiprocessing", "concurrent.futures")
+
+    def test_goals(self, tmp_path):
+        code, modules = _fresh_modules(["goals", "--json",
+                                        str(tmp_path / "g.json")])
+        assert code == 0
+        assert _among(modules, ("numpy", "repro.stats", "repro.obs",
+                                *self.POOL)) == []
+
+    def test_review(self, goals_file):
+        code, modules = _fresh_modules(["review", str(goals_file)])
+        assert code in (0, 1)
+        assert _among(modules, ("numpy", "repro.obs", "repro.stats.parallel",
+                                *self.POOL)) == []
+
+    def test_verify(self, goals_file):
+        # scipy.special itself loads numpy and concurrent.futures.
+        code, modules = _fresh_modules(["verify", str(goals_file),
+                                        "--counts", '{"I1": 2}',
+                                        "--exposure", "1e6"])
+        assert code in (0, 1)
+        assert _among(modules, ("repro.obs", "repro.stats.parallel",
+                                "repro.traffic", "multiprocessing")) == []
+
+    def test_default_fleet_starts_no_pool(self):
+        code, modules = _fresh_modules(["fleet"])
+        assert code == 0
+        assert _among(modules, self.POOL) == []
+
+
+class TestPoolOnlyWhenItPays:
+    """``run_fleet(workers=None)`` pools only above the expected-encounter
+    threshold (or for a chunk timeout); every choice is bit-for-bit the
+    ``workers=1`` campaign."""
+
+    @staticmethod
+    def _campaign(path, **kwargs):
+        world = EncounterGenerator(default_context_profiles())
+        with EventJournal.open(path) as journal, recording_journal(journal):
+            result = fleet.run_fleet(
+                nominal_policy(), world, default_perception(),
+                BrakingSystem(), fleet.DEFAULT_MIX, 400.0, 5,
+                chunk_hours=100.0, **kwargs)
+        records, _ = read_journal(path)
+        started, = [r.data for r in records if r.kind == "campaign.started"]
+        return result, started
+
+    def test_small_default_campaign_runs_inline(self, tmp_path):
+        result, started = self._campaign(tmp_path / "auto.jsonl")
+        assert (started["workers"], started["transport"]) == (1, "inline")
+        serial, _ = self._campaign(tmp_path / "serial.jsonl", workers=1)
+        assert result == serial
+
+    @pytest.mark.skipif(default_worker_count(4) < 2,
+                        reason="needs two usable cores to pool")
+    @pytest.mark.parametrize("case", ["above-threshold", "chunk-timeout"])
+    def test_default_campaign_pools_when_it_pays(self, case, tmp_path,
+                                                 monkeypatch):
+        kwargs = {}
+        if case == "above-threshold":
+            monkeypatch.setattr(fleet, "_POOL_MIN_ENCOUNTERS", 0.0)
+        else:
+            kwargs["retry"] = RetryPolicy(timeout_s=60.0)
+        result, started = self._campaign(tmp_path / "auto.jsonl", **kwargs)
+        assert started["workers"] == default_worker_count(4)
+        assert started["transport"] != "inline"
+        serial, _ = self._campaign(tmp_path / "serial.jsonl", workers=1)
+        assert result == serial
 
 
 def test_goals_json_loads_no_testing_harness(tmp_path):

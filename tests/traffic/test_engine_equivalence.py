@@ -32,9 +32,8 @@ from repro.core.taxonomy import ActorClass
 from repro.traffic import (BrakingSystem, EncounterBatch, EncounterGenerator,
                            PerceptionModel, aggressive_policy,
                            default_context_profiles, default_perception,
-                           kmh_to_ms, nominal_policy, run_fleet, simulate,
-                           simulate_mix)
-from repro.traffic.engine import resolve_batch, simulate_vectorized
+                           nominal_policy, run_fleet, simulate, simulate_mix)
+from repro.traffic.engine import resolve_batch
 from repro.traffic.simulator import SimulationConfig, _resolve_encounter
 from repro.traffic.encounters import Encounter
 

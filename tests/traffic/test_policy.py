@@ -6,7 +6,7 @@ import math
 
 import pytest
 
-from repro.traffic.dynamics import kmh_to_ms, stopping_distance
+from repro.traffic.dynamics import stopping_distance
 from repro.traffic.policy import (TacticalPolicy, aggressive_policy,
                                   cautious_policy, nominal_policy)
 

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from repro.core import Frequency, figure5_incident_types
-from repro.core.taxonomy import ActorClass
 from repro.traffic.faults import BrakingSystem
 from repro.traffic.policy import (aggressive_policy, cautious_policy,
                                   nominal_policy)
