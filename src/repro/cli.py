@@ -189,11 +189,11 @@ def _add_parallel_flags(sub_parser: argparse.ArgumentParser) -> None:
     """The fleet-execution knobs shared by simulation subcommands."""
     sub_parser.add_argument(
         "--workers", type=int, default=None,
-        help="worker processes for the fleet runner (default: 1 when the "
-             "campaign's expected encounters are too few to pay for "
-             "starting a pool, about 23,000 h at the default mix, else "
-             "all cores up to the chunk count; the result is identical "
-             "for any value)")
+        help="worker processes for the fleet runner, never more than "
+             "the chunks left to run (default: 1 when the campaign's "
+             "expected encounters are too few to pay for starting a "
+             "pool, else all cores; the result is identical for any "
+             "value)")
     sub_parser.add_argument(
         "--chunk-hours", type=float, default=None,
         help="hours per shard handed to one worker (default: 250; part "
@@ -595,7 +595,8 @@ def _campaign_telemetry(args: argparse.Namespace, run: _Campaign, report,
     snapshot = run.session.snapshot()
     chunk_hours = (DEFAULT_CHUNK_HOURS if args.chunk_hours is None
                    else args.chunk_hours)
-    # The count the campaign ran with, also when --workers was not given.
+    # The pool size the campaign started with (stats.parallel.pool_size),
+    # also when --workers was not given.
     workers = int(snapshot.metrics.instruments["parallel.workers"].value)
     manifest = build_manifest(
         snapshot, command=f"repro {args.command}", seed=args.seed,

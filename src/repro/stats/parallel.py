@@ -59,7 +59,7 @@ if TYPE_CHECKING:
     from concurrent.futures import ProcessPoolExecutor
 
 __all__ = ["Chunk", "ChunkProgress", "plan_chunks", "run_chunked",
-           "default_worker_count"]
+           "default_worker_count", "pool_size"]
 
 _SLIVER_REL_TOL = 1e-9
 """A planned final chunk smaller than ``chunk_size * _SLIVER_REL_TOL``
@@ -167,6 +167,18 @@ def default_worker_count(n_chunks: int) -> int:
     except (AttributeError, OSError):  # pragma: no cover - non-Linux
         pass
     return max(1, min(cpus, n_chunks))
+
+
+def pool_size(workers: int, pending: int) -> int:
+    """How many worker processes run ``pending`` chunks for ``workers``.
+
+    Never more than the chunks left to run, and at least one (with
+    ``workers=1``, the calling process).  The pool is this size, and it
+    is the count the ``parallel.workers`` gauge and a campaign's journal
+    record; a run that later degrades to inline (``pool.degraded``)
+    still records the count it started with.
+    """
+    return min(workers, max(pending, 1))
 
 
 def _chunk_seeds(seed: int, n_chunks: int) -> List[np.random.SeedSequence]:
@@ -475,7 +487,7 @@ class _ResilientRun:
         from concurrent.futures import FIRST_COMPLETED, wait
         from concurrent.futures.process import BrokenProcessPool
 
-        max_workers = min(self.workers, max(len(self.todo), 1))
+        max_workers = pool_size(self.workers, len(self.todo))
         pool: Optional[ProcessPoolExecutor] = _new_pool(max_workers)
         # future -> (chunk, deadline | None).  Submission is windowed to
         # at most max_workers in flight so a submitted chunk starts
@@ -737,7 +749,8 @@ def run_chunked(worker: Callable[[Chunk, np.random.SeedSequence], Any],
     if session is not None:
         metrics = session.metrics
         gauge = metrics.gauge("parallel.workers")
-        gauge.set(max(gauge.value, float(min(workers, len(chunks)))))
+        gauge.set(max(gauge.value, float(
+            pool_size(workers, len(chunks) - len(completed_map)))))
         for chunk in chunks:
             metrics.histogram("parallel.chunk_size").observe(chunk.size)
         if completed_map:

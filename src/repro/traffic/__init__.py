@@ -39,11 +39,7 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     ".checkpoint": ("CampaignCheckpoint", "CheckpointMismatchError",
                     "CheckpointWriteError"),
     ".incidents": ("type_counts",),
-    # The IS proposal (defined in encounters) is exported with the
-    # estimators that take it, so the package's ``ProposalTilt`` loads
-    # them as the eager package did: perfbench's rare-event workload
-    # builds its proposal here and then reads this module from
-    # ``sys.modules``.
+    # ProposalTilt (from .encounters) moves back there: ROADMAP item 1.
     ".acceleration": ("ProposalTilt", "ACCELERATORS", "AcceleratedRate",
                       "SeverityChannel", "accelerated_collision_rate",
                       "importance_collision_rate", "naive_collision_rate",

@@ -52,7 +52,7 @@ from ..obs.session import (TelemetrySnapshot, active_session, maybe_span,
 from ..stats.fault_tolerance import (CampaignPartialFailure, ChunkFailure,
                                      RetryPolicy)
 from ..stats.parallel import (Chunk, ChunkProgress, default_worker_count,
-                              plan_chunks, run_chunked)
+                              plan_chunks, pool_size, run_chunked)
 from .checkpoint import CampaignCheckpoint, CheckpointWriteError
 from .encounters import EncounterGenerator
 from .faults import BrakingSystem
@@ -104,15 +104,18 @@ the one value must live in one place."""
 POLICY_NAMES = ("cautious", "nominal", "aggressive")
 """The named tactical policies a campaign may reference."""
 
-_POOL_MIN_ENCOUNTERS = 250_000.0
+_POOL_MIN_ENCOUNTERS = 80_000.0
 """Expected encounters below which ``workers=None`` runs inline.
 
-On a 2-vCPU host inline resolution runs at ≈1.5 M encounters/s, and
-starting a 2-worker pool costs ≈55 ms, the work of ≈80 k encounters;
-with its per-chunk cost on top, the pool lost to one worker at every
-size measured there (DESIGN §16).  250 k is ≈23 kh at the default mix,
-so the default 2,000 h ``fleet`` and 5,000 h ``dossier`` (≈22 k and
-≈54 k encounters) start no pool."""
+The one place this value lives.  On a 2-vCPU host inline resolution
+runs at ≈1.5 M encounters/s, and starting a 2-worker pool costs
+≈55 ms, the work of ≈80 k encounters (DESIGN §16).  80 k is ≈7,400 h
+at the default mix, just above the largest default campaign measured,
+the 5,000 h ``dossier`` (≈54 k encounters); the 2,000 h ``fleet``
+(≈22 k) is below it too.  Above it the all-cores default stands: on
+2 vCPUs the pool lost at every size measured, but no host with more
+cores has measured where it starts to win, so the value is unverified
+above 2 cores and stays at the start-up cost."""
 
 
 def policy_by_name(name: str) -> TacticalPolicy:
@@ -401,11 +404,12 @@ def _auto_workers(generator: EncounterGenerator, mix: Mapping[str, float],
     """The worker count of a campaign that names none.
 
     One when the campaign's expected encounters, ``hours`` × Σ (mix
-    share × context encounter rate), are too few to pay for starting a
-    pool, and no chunk timeout needs a second process to preempt a hung
-    chunk; otherwise every available core, capped by the chunk count.
-    Contexts the generator does not know are left to the simulation to
-    reject.  The count never changes a draw (DESIGN §6).
+    share × context encounter rate), are below
+    :data:`_POOL_MIN_ENCOUNTERS` and no chunk timeout needs a second
+    process to preempt a hung chunk; otherwise every available core,
+    capped by the chunk count (so one on a 1-core host, timeout or
+    not).  Contexts the generator does not know are left to the
+    simulation to reject.  The count never changes a draw (DESIGN §6).
     """
     if retry.timeout_s is None:
         known = set(generator.contexts)
@@ -523,7 +527,10 @@ def run_fleet(policy: TacticalPolicy,
     ``workers=None`` runs inline when the campaign's expected encounters
     are too few to pay for a process pool (and no ``retry`` timeout
     needs one), and otherwise uses every available core, capped by the
-    chunk count; ``workers=1`` runs serially through the identical chunk
+    chunk count.  A pool never starts more processes than there are
+    chunks left to run (:func:`~repro.stats.parallel.pool_size`), and
+    the ``campaign.started`` journal event records that count.
+    ``workers=1`` runs serially through the identical chunk
     plan and seeding, so it is the bit-for-bit reference for any
     parallel run with the same ``seed``, ``hours`` and ``chunk_hours``.
     Note the chunk size *is* part of the RNG layout: changing
@@ -704,7 +711,8 @@ def run_fleet(policy: TacticalPolicy,
                   policy=policy.name,
                   mix={str(k): float(v) for k, v in sorted(mix.items())},
                   n_chunks=len(chunks),
-                  workers=min(int(workers), len(chunks)),
+                  workers=pool_size(int(workers),
+                                    len(chunks) - len(restored_results)),
                   transport=transport,
                   chunks_restored=len(restored_results))
     with maybe_span("run_fleet"):

@@ -253,6 +253,27 @@ class TestFleetTelemetry:
         capsys.readouterr()
         assert RunManifest.read(path).workers == 1
 
+    def test_resume_records_only_the_workers_its_chunks_need(self, tmp_path,
+                                                             capsys):
+        # One chunk left: --workers 3 starts a pool of one process.
+        from repro.obs import RunManifest, read_journal
+
+        ck, manifest = tmp_path / "ck.jsonl", tmp_path / "manifest.json"
+        flight = tmp_path / "flight"
+        fleet = ["fleet", "--hours", "120", "--seed", "3", "--chunk-hours",
+                 "40", "--checkpoint", str(ck)]
+        assert main(fleet + ["--workers", "1"]) == 0
+        ck.write_text("".join(ck.read_text().splitlines(True)[:3]))
+        assert main(fleet + ["--workers", "3", "--resume", "--telemetry",
+                             str(manifest), "--flight-recorder",
+                             str(flight)]) == 0
+        capsys.readouterr()
+        records, _ = read_journal(flight / "journal.jsonl")
+        started, = [r.data for r in records if r.kind == "campaign.started"]
+        assert (started["workers"], started["chunks_restored"]) == (1, 2)
+        assert started["transport"] != "inline"
+        assert RunManifest.read(manifest).workers == 1
+
     def test_telemetry_does_not_change_the_campaign(self, tmp_path, capsys):
         """--telemetry must be pure observation: the campaign summary is
         bitwise identical with and without it."""
